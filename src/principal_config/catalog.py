@@ -49,11 +49,18 @@ class SphericalChart(SurfaceChart):
 
     POLE_OVERSHOOT = 0.35
 
-    def rebase_state(self, u, v):
-        if v < -self.POLE_OVERSHOOT:
+    def fold(self, u, v):
+        """The same world point with 0 <= v <= pi.  Past the poles the chart
+        normal flips, so k1 and k2 and the two foliations trade places."""
+        if v < 0.0:
             return (u + math.pi, -v)
-        if v > math.pi + self.POLE_OVERSHOOT:
+        if v > math.pi:
             return (u + math.pi, 2 * math.pi - v)
+        return (u, v)
+
+    def rebase_state(self, u, v):
+        if v < -self.POLE_OVERSHOOT or v > math.pi + self.POLE_OVERSHOOT:
+            return self.fold(u, v)
         return None
 
 
@@ -223,11 +230,18 @@ class RotatedCapChart(SurfaceChart):
 
     POLE_OVERSHOOT = 0.35
 
-    def rebase_state(self, u, v):
-        if v > 0.5 * math.pi + self.POLE_OVERSHOOT:
+    def fold(self, u, v):
+        """The same world point with |v| <= pi/2.  Past the poles the chart
+        normal flips, so k1 and k2 and the two foliations trade places."""
+        if v > 0.5 * math.pi:
             return (u + math.pi, math.pi - v)
-        if v < -0.5 * math.pi - self.POLE_OVERSHOOT:
+        if v < -0.5 * math.pi:
             return (u + math.pi, -math.pi - v)
+        return (u, v)
+
+    def rebase_state(self, u, v):
+        if abs(v) > 0.5 * math.pi + self.POLE_OVERSHOOT:
+            return self.fold(u, v)
         return None
 
     def jet(self, u, v):
@@ -695,7 +709,6 @@ def quadric_stratum(q, tol=1e-8):
         tag, mult, margin = "Sphere", (3,), float(np.max(gaps))
     elif eq01 or eq12:
         tag, mult = "E2_revolution", (2, 1)
-        margin = float(np.min(gaps[[1, 0] if eq01 else [0, 1]][:1]))
         margin = float(gaps[1] if eq01 else gaps[0])
     else:
         tag, mult, margin = "E3_triaxial", (1, 1, 1), float(np.min(gaps))
@@ -747,16 +760,6 @@ def _second_return_increments(crossings, period=2 * math.pi):
     return out
 
 
-def parallel_map(fn, items, threads=1):
-    """Map with optional thread fan-out; results stay in input order."""
-    if threads <= 1 or len(items) <= 1:
-        return [fn(item) for item in items]
-    from concurrent.futures import ThreadPoolExecutor
-
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, items))
-
-
 def section_seeds(surface, section, n):
     """Deterministic trace seeds just off a section, spread along it."""
     golden = 2.3999632297286535
@@ -777,7 +780,7 @@ def section_seeds(surface, section, n):
 
 
 def rotation_estimate(surface, section, seeds, foliation_id=MAXIMAL,
-                      opts=None, threads=1):
+                      opts=None):
     """Mean rotation per second return to a closed transversal section.
 
     Traces every seed, collects the section crossings and averages the
@@ -790,10 +793,8 @@ def rotation_estimate(surface, section, seeds, foliation_id=MAXIMAL,
     by_class = {}
     crossings = 0
     used = 0
-    trajs = parallel_map(
-        lambda seed: foliation.trace(surface, seed, foliation_id, opts),
-        list(seeds), threads)
-    for traj in trajs:
+    for seed in seeds:
+        traj = foliation.trace(surface, seed, foliation_id, opts)
         incs = _second_return_increments(traj.crossings)
         if incs:
             used += 1
@@ -1030,9 +1031,15 @@ def _connection_witness(scan, key):
 
 
 def _low_discrepancy_seeds(surface, count, rng, umbilic_records, salt=0):
-    """Deterministic seed points spread over the domain, off umbilics."""
+    """Deterministic seed points spread over the domain, off umbilics.
+
+    On charts that re-cover the surface past the poles, each point is
+    folded back to the part of the chart where the normal keeps its
+    orientation, so that a seed's minimal field is the surface's.
+    """
     (u0, u1), (v0, v1) = surface.domain
     diam = surface.diameter()
+    fold = getattr(surface, "fold", None)
     keep = []
     g = 0.6180339887498949
     offset = float(rng.uniform(0, 1)) + 0.37 * salt
@@ -1042,6 +1049,8 @@ def _low_discrepancy_seeds(surface, count, rng, umbilic_records, salt=0):
         fv = (0.5 + 0.7548776662466927 * (i + offset)) % 1.0
         u = u0 + (0.08 + 0.84 * fu) * (u1 - u0)
         v = v0 + (0.08 + 0.84 * fv) * (v1 - v0)
+        if fold is not None:
+            u, v = fold(u, v)
         i += 1
         p = surface.point(u, v)
         ok = True

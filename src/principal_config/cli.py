@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import argparse
 import math
-import os
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -188,8 +187,7 @@ def cmd_cycles(args):
                   else [args.foliation])
     found = []
     for fol in foliations:
-        found.extend(cycles.find_cycles(surface, seeds, fol, opts,
-                                        threads=args.threads))
+        found.extend(cycles.find_cycles(surface, seeds, fol, opts))
     results = {"cycles": [c.to_dict() for c in found],
                "verdicts": [cycles.hyperbolicity(c) for c in found]}
     work = {"cycles_found": len(found),
@@ -267,7 +265,7 @@ def cmd_rotation(args):
                                   known_umbilics=known)
     est = catalog.rotation_estimate(surface, section, seeds,
                                     foliation_id=args.foliation,
-                                    opts=opts, threads=args.threads)
+                                    opts=opts)
     results = {"rotation": est.to_dict()}
     config = RunConfig("rotation", args.surface,
                        {"section": args.section, "n_seeds": args.n_seeds,
@@ -343,9 +341,6 @@ def build_parser():
                              "flags override it")
         sp.add_argument("--view", default="+y",
                         help="SVG view axis (+x..-z)")
-        sp.add_argument("--threads", type=int,
-                        default=int(os.environ.get(
-                            "PRINCIPAL_CONFIG_THREADS", "1")))
         sp.add_argument("--svg", action="store_true")
 
     sp = sub.add_parser("umbilics", help="locate and classify umbilics")

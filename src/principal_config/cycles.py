@@ -186,25 +186,20 @@ def _return_value(surface, anchor, foliation_id, h, opts, double,
 # cycle detection
 # ---------------------------------------------------------------------------
 
-def find_cycles(surface, seeds, foliation_id, opts=None, threads=1):
+def find_cycles(surface, seeds, foliation_id, opts=None):
     """Trace seeds, converge each onto a nearby cycle, deduplicate.
 
     Every seed is refined by a secant iteration on the section return
     displacement T(h) - h (Newton on the return map), so isolated cycles
     are found from seeds merely near them; non-converging seeds are
     dropped.  Cycles closer than the merge tolerance (Hausdorff distance)
-    are reported once.  ``threads`` fans the per-seed searches out; the
-    merge stays in seed order, so results are deterministic.
+    are reported once, in seed order.
     """
-    from .catalog import parallel_map
-
     opts = opts or CycleSearchOptions()
     diam = surface.diameter()
-    candidates = parallel_map(
-        lambda seed: _cycle_from_seed(surface, seed, foliation_id, opts),
-        list(seeds), threads)
     cycles = []
-    for cyc in candidates:
+    for seed in seeds:
+        cyc = _cycle_from_seed(surface, seed, foliation_id, opts)
         if cyc is None:
             continue
         if not _is_duplicate(cyc, cycles, opts.cycle_merge_factor * diam):

@@ -141,7 +141,6 @@ class TraceOptions:
     sections: tuple = ()
     max_crossings: int | None = None
     precise_crossings: bool = False
-    record_every: int = 1                # keep every n-th accepted point
 
     def with_sections(self, sections):
         return replace(self, sections=tuple(sections))

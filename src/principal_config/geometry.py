@@ -16,7 +16,9 @@ is immutable after construction and free of shared mutable state.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
+from types import SimpleNamespace
 from typing import Callable, Sequence
 
 import numpy as np
@@ -83,7 +85,6 @@ class SurfaceChart:
                 generic.append(idx)
         self._generic_terms = [self.terms[i] for i in generic]
         self._fast_tables = None
-        self._py_terms = None
         if not fast:
             return
         ks = np.arange(ORDER)
@@ -91,7 +92,6 @@ class SurfaceChart:
         def side_tables(funcs):
             freqs, phases, blocks = [], [], []
             for t, fn in enumerate(funcs):
-                a = len(fn.freq)
                 freqs.append(fn.freq)
                 phases.append(fn.phase)
                 coef = fn.amp[:, None] * fn.freq[:, None] ** ks[None, :]
@@ -110,21 +110,6 @@ class SurfaceChart:
         WF = np.stack([self.terms[i][2] for i in fast])
         self._fast_tables = (fu, pu, CU, fv, pv, CV, WF)
 
-        # plain-float tables for the scalar jet path
-        if not generic and len(fu) + len(fv) <= 96:
-            def py_side(funcs):
-                return [[(float(f), float(p), float(a), float(a * f),
-                          float(a * f * f), float(a * f ** 3))
-                         for f, p, a in zip(fn.freq, fn.phase, fn.amp)]
-                        for fn in funcs]
-
-            self._py_terms = (
-                py_side([t[0] for t in self.terms]),
-                py_side([t[1] for t in self.terms]),
-                [tuple(float(x) for x in t[2]) for t in self.terms])
-        else:
-            self._py_terms = None
-
     # -- evaluation --------------------------------------------------------
 
     def jet(self, u, v):
@@ -134,8 +119,6 @@ class SurfaceChart:
         ``i + j <= 3``; higher slots are computed but unused.  Factors
         shared between terms are evaluated once per call.
         """
-        if self._py_terms is not None and not (np.ndim(u) or np.ndim(v)):
-            return self._scalar_jet(float(u), float(v))
         u = np.asarray(u, dtype=float)
         v = np.asarray(v, dtype=float)
         pts = (u.shape if u.shape == v.shape
@@ -162,45 +145,6 @@ class SurfaceChart:
                              optimize=False)
         return out
 
-    def _scalar_jet(self, u, v):
-        """Plain-float jet for all-harmonic charts at a single point."""
-        from math import cos, sin
-
-        us, vs, ws = self._py_terms
-        out = np.zeros((ORDER, ORDER, 3))
-        for atoms_u, atoms_v, w in zip(us, vs, ws):
-            u0 = u1 = u2 = u3 = 0.0
-            for f, p, a, af, af2, af3 in atoms_u:
-                th = f * u + p
-                c, s = cos(th), sin(th)
-                u0 += a * c
-                u1 -= af * s
-                u2 -= af2 * c
-                u3 += af3 * s
-            v0 = v1 = v2 = v3 = 0.0
-            for f, p, a, af, af2, af3 in atoms_v:
-                th = f * v + p
-                c, s = cos(th), sin(th)
-                v0 += a * c
-                v1 -= af * s
-                v2 -= af2 * c
-                v3 += af3 * s
-            uj = (u0, u1, u2, u3)
-            vj = (v0, v1, v2, v3)
-            wx, wy, wz = w
-            for i in range(ORDER):
-                ui = uj[i]
-                if ui == 0.0:
-                    continue
-                for j in range(ORDER):
-                    prod = ui * vj[j]
-                    if prod == 0.0:
-                        continue
-                    out[i, j, 0] += prod * wx
-                    out[i, j, 1] += prod * wy
-                    out[i, j, 2] += prod * wz
-        return out
-
     def point(self, u, v):
         return self.jet(u, v)[0, 0]
 
@@ -225,14 +169,6 @@ class SurfaceChart:
     def regularity_floor(self):
         d = max(self.diameter(), 1e-12)
         return REGULARITY_FLOOR_FACTOR * d * d
-
-    def clamp_domain(self, u, v):
-        (u0, u1), (v0, v1) = self.domain
-        if not self.periodic_u:
-            u = min(max(u, u0), u1)
-        if not self.periodic_v:
-            v = min(max(v, v0), v1)
-        return u, v
 
     def in_domain(self, u, v):
         (u0, u1), (v0, v1) = self.domain
@@ -439,6 +375,65 @@ class PrincipalData:
 
 
 # ---------------------------------------------------------------------------
+# shape-operator kernel
+# ---------------------------------------------------------------------------
+#
+# The kernel is plain arithmetic, so one code path serves python floats (the
+# tracer's single points) and numpy arrays (batches); only the elementary
+# functions are picked per input type.
+
+_FLOAT_FNS = SimpleNamespace(sqrt=math.sqrt, hypot=math.hypot,
+                             atan2=math.atan2, cos=math.cos, sin=math.sin)
+_ARRAY_FNS = SimpleNamespace(sqrt=np.sqrt, hypot=np.hypot, atan2=np.arctan2,
+                             cos=np.cos, sin=np.sin)
+
+
+def _fns(x):
+    """Elementary functions for ``x``: math for python floats, else numpy."""
+    return _FLOAT_FNS if type(x) is float else _ARRAY_FNS
+
+
+def frame_operator(E, F, G, e, f, g):
+    """Shape operator in the Gram-Schmidt orthonormal tangent frame.
+
+    The frame is e1 = a_u / sqrt(E), e2 = (a_v - (F/E) a_u) / sqrt(m) with
+    m = G - F^2/E.  Returns the operator (w11, w12, w22) and the frame's
+    chart coefficients (e1_u, e2_u, e2_v); e1 has no a_v part.
+    """
+    sqrt = _fns(E).sqrt
+    m = G - F * F / E
+    r = F / E
+    w11 = e / E
+    w12 = (f - r * e) / sqrt(E * m)
+    w22 = (g - 2.0 * r * f + r ** 2 * e) / m
+    inv_sm = 1.0 / sqrt(m)
+    return (w11, w12, w22), (1.0 / sqrt(E), -r * inv_sm, inv_sm)
+
+
+def shape_operator_eigen(w11, w12, w22):
+    """(k1, k2, H, K, phi) of the symmetric operator [[w11, w12], [w12, w22]].
+
+    k1 <= k2 by construction; phi is the angle of the minimal direction
+    from e1, and exact ties fall on e1.  Negating the operator (a flip of
+    the normal) negates and swaps k1 and k2 exactly.
+    """
+    fn = _fns(w11)
+    mu = 0.5 * (w11 + w22)
+    half_gap = fn.hypot(0.5 * (w11 - w22), w12)
+    phi = 0.5 * fn.atan2(-2.0 * w12, w22 - w11)
+    return mu - half_gap, mu + half_gap, mu, w11 * w22 - w12 * w12, phi
+
+
+def principal_uv(phi, frame):
+    """Chart coefficients ((d1_u, d1_v), (d2_u, d2_v)) of the unit minimal
+    and maximal directions at angle ``phi`` from e1 of ``frame``."""
+    fn = _fns(phi)
+    e1u, e2u, e2v = frame
+    c, s = fn.cos(phi), fn.sin(phi)
+    return (c * e1u + s * e2u, s * e2v), (-s * e1u + c * e2u, c * e2v)
+
+
+# ---------------------------------------------------------------------------
 # vectorized chart core
 # ---------------------------------------------------------------------------
 
@@ -459,7 +454,8 @@ def chart_bundle(surface, u, v, strict=True):
     wn = np.linalg.norm(W, axis=-1)
     floor = surface.regularity_floor()
     bad = wn <= floor
-    if strict and np.any(bad):
+    any_bad = bool(np.any(bad))
+    if strict and any_bad:
         raise RegularityError(
             f"|a_u x a_v| <= {floor:.3e} at a requested point of "
             f"{surface.name}")
@@ -472,31 +468,16 @@ def chart_bundle(surface, u, v, strict=True):
     e = np.sum(n * ruu, axis=-1)
     f = np.sum(n * ruv, axis=-1)
     g = np.sum(n * rvv, axis=-1)
+    if any_bad:
+        # a unit frame at failed points; all their outputs become NaN below
+        E, F, G = (np.where(bad, 1.0, E), np.where(bad, 0.0, F),
+                   np.where(bad, 1.0, G))
 
-    # shape operator in the Gram-Schmidt orthonormal tangent frame
-    m = G - F * F / E
-    m = np.where(bad, 1.0, m)
-    E_safe = np.where(bad, 1.0, E)
-    w11 = e / E_safe
-    w12 = (f - (F / E_safe) * e) / np.sqrt(E_safe * m)
-    w22 = (g - 2.0 * (F / E_safe) * f + (F / E_safe) ** 2 * e) / m
-
-    mu = 0.5 * (w11 + w22)
-    half_gap = np.hypot(0.5 * (w11 - w22), w12)
-    k1 = mu - half_gap
-    k2 = mu + half_gap
-    H = mu
-    K = w11 * w22 - w12 * w12
-
-    # minimal direction angle in the orthonormal frame; ties fall on e1
-    phi = 0.5 * np.arctan2(-2.0 * w12, w22 - w11)
-    c, s = np.cos(phi), np.sin(phi)
-    inv_sqrt_E = 1.0 / np.sqrt(E_safe)
-    inv_sqrt_m = 1.0 / np.sqrt(m)
-    e1_uv = np.stack([inv_sqrt_E, np.zeros_like(inv_sqrt_E)], axis=-1)
-    e2_uv = np.stack([-(F / E_safe) * inv_sqrt_m, inv_sqrt_m], axis=-1)
-    d1_uv = c[..., None] * e1_uv + s[..., None] * e2_uv
-    d2_uv = -s[..., None] * e1_uv + c[..., None] * e2_uv
+    w, frame = frame_operator(E, F, G, e, f, g)
+    k1, k2, H, K, phi = shape_operator_eigen(*w)
+    d1, d2 = principal_uv(phi, frame)
+    d1_uv = np.stack(d1, axis=-1)
+    d2_uv = np.stack(d2, axis=-1)
     d1_xyz = d1_uv[..., :1] * ru + d1_uv[..., 1:] * rv
     d2_xyz = d2_uv[..., :1] * ru + d2_uv[..., 1:] * rv
 
@@ -504,14 +485,12 @@ def chart_bundle(surface, u, v, strict=True):
     tol = DIRECTION_TOL_FACTOR * np.maximum(
         np.maximum(np.abs(k1), np.abs(k2)), 1.0)
 
-    if np.any(bad):
+    if any_bad:
         fill = np.where(bad, np.nan, 1.0)
-        for arr in (E, F, G, e, f, g, k1, k2, H, K, dev):
-            arr *= fill
-        for arr in (n, d1_xyz, d2_xyz):
-            arr *= fill[..., None]
-        for arr in (d1_uv, d2_uv):
-            arr *= fill[..., None]
+        E, F, G, e, f, g, k1, k2, H, K, dev = (
+            x * fill for x in (E, F, G, e, f, g, k1, k2, H, K, dev))
+        n, d1_xyz, d2_xyz, d1_uv, d2_uv = (
+            x * fill[..., None] for x in (n, d1_xyz, d2_xyz, d1_uv, d2_uv))
 
     return {
         "r": r, "ru": ru, "rv": rv, "normal": n,
@@ -525,14 +504,10 @@ def chart_bundle(surface, u, v, strict=True):
 
 def principal_direction_fast(surface, u, v, minimal):
     """Lean scalar path for the tracer: one foliation direction plus the
-    point and normal, computed in plain float arithmetic.
+    point and normal, with the shape-operator kernel run on plain floats.
 
-    Mirrors the orthonormal-frame eigen-solve of :func:`chart_bundle`
-    exactly (the batch path is the reference; equality is covered by
-    tests).  Raises RegularityError at immersion failures.
+    Raises RegularityError at immersion failures.
     """
-    from math import atan2, cos, sin, sqrt
-
     J = surface.jet(u, v).tolist()
     rx, ry, rz = J[0][0]
     aux_x, aux_y, aux_z = J[1][0]
@@ -544,7 +519,7 @@ def principal_direction_fast(surface, u, v, minimal):
     wx = aux_y * avz - aux_z * avy
     wy = aux_z * avx - aux_x * avz
     wz = aux_x * avy - aux_y * avx
-    wn = sqrt(wx * wx + wy * wy + wz * wz)
+    wn = math.sqrt(wx * wx + wy * wy + wz * wz)
     if wn <= surface.regularity_floor():
         raise RegularityError(
             f"|a_u x a_v| at floor on {surface.name} at ({u}, {v})")
@@ -558,22 +533,9 @@ def principal_direction_fast(surface, u, v, minimal):
     f = nx * ruv[0] + ny * ruv[1] + nz * ruv[2]
     g = nx * rvv[0] + ny * rvv[1] + nz * rvv[2]
 
-    m = G - F * F / E
-    w11 = e / E
-    w12 = (f - (F / E) * e) / sqrt(E * m)
-    w22 = (g - 2.0 * (F / E) * f + (F / E) ** 2 * e) / m
-
-    phi = 0.5 * atan2(-2.0 * w12, w22 - w11)
-    c, s = cos(phi), sin(phi)
-    inv_se = 1.0 / sqrt(E)
-    inv_sm = 1.0 / sqrt(m)
-    e2u = -(F / E) * inv_sm
-    if minimal:
-        du = c * inv_se + s * e2u
-        dv = s * inv_sm
-    else:
-        du = -s * inv_se + c * e2u
-        dv = c * inv_sm
+    w, frame = frame_operator(E, F, G, e, f, g)
+    d1, d2 = principal_uv(shape_operator_eigen(*w)[4], frame)
+    du, dv = d1 if minimal else d2
     dx = du * aux_x + dv * avx
     dy = du * aux_y + dv * avy
     dz = du * aux_z + dv * avz
@@ -601,30 +563,18 @@ def principal_data(forms):
     first chart direction.
     """
     E, F, G = forms.E, forms.F, forms.G
-    e, f, g = forms.e, forms.f, forms.g
     if not (E > 0.0 and G > 0.0 and E * G - F * F > 0.0):
         raise RegularityError("fundamental forms are not positive definite")
 
-    m = G - F * F / E
-    w11 = e / E
-    w12 = (f - (F / E) * e) / np.sqrt(E * m)
-    w22 = (g - 2.0 * (F / E) * f + (F / E) ** 2 * e) / m
-    mu = 0.5 * (w11 + w22)
-    half_gap = float(np.hypot(0.5 * (w11 - w22), w12))
-    k1, k2 = mu - half_gap, mu + half_gap
-    H = mu
-    K = w11 * w22 - w12 * w12
+    w, frame = frame_operator(E, F, G, forms.e, forms.f, forms.g)
+    k1, k2, H, K, phi = shape_operator_eigen(*w)
     dev = k2 - k1
     tol = DIRECTION_TOL_FACTOR * max(abs(k1), abs(k2), 1.0)
     defined = dev > tol
 
-    d1_uv = d2_uv = d1_xyz = d2_xyz = None
-    phi = 0.5 * np.arctan2(-2.0 * w12, w22 - w11)
-    c, s = np.cos(phi), np.sin(phi)
-    e1_uv = np.array([1.0 / np.sqrt(E), 0.0])
-    e2_uv = np.array([-(F / E) / np.sqrt(m), 1.0 / np.sqrt(m)])
-    d1_uv = c * e1_uv + s * e2_uv
-    d2_uv = -s * e1_uv + c * e2_uv
+    d1, d2 = principal_uv(phi, frame)
+    d1_uv, d2_uv = np.array(d1), np.array(d2)
+    d1_xyz = d2_xyz = None
     if forms.ru is not None:
         d1_xyz = d1_uv[0] * forms.ru + d1_uv[1] * forms.rv
         d2_xyz = d2_uv[0] * forms.ru + d2_uv[1] * forms.rv
@@ -695,10 +645,7 @@ def implicit_bundle(surface, p, check_on_surface=True):
     w12 = scale * quad(t1, t2)
     w22 = scale * quad(t2, t2)
 
-    mu = 0.5 * (w11 + w22)
-    half_gap = np.hypot(0.5 * (w11 - w22), w12)
-    k1, k2 = mu - half_gap, mu + half_gap
-    phi = 0.5 * np.arctan2(-2.0 * w12, w22 - w11)
+    k1, k2, H, K, phi = shape_operator_eigen(w11, w12, w22)
     c, s = np.cos(phi)[..., None], np.sin(phi)[..., None]
     d1 = c * t1 + s * t2
     d2 = -s * t1 + c * t2
@@ -706,8 +653,8 @@ def implicit_bundle(surface, p, check_on_surface=True):
     tol = DIRECTION_TOL_FACTOR * np.maximum(
         np.maximum(np.abs(k1), np.abs(k2)), 1.0)
     return {
-        "r": p, "normal": n, "k1": k1, "k2": k2, "H": mu,
-        "K": w11 * w22 - w12 * w12, "d1_xyz": d1, "d2_xyz": d2,
+        "r": p, "normal": n, "k1": k1, "k2": k2, "H": H, "K": K,
+        "d1_xyz": d1, "d2_xyz": d2,
         "umbilic_deviation": dev, "direction_tol": tol,
     }
 

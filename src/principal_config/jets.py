@@ -20,20 +20,6 @@ import numpy as np
 ORDER = 4  # value + three derivatives
 
 
-def jet_from_scalar(c, shape=()):
-    out = np.zeros((ORDER,) + shape)
-    out[0] = c
-    return out
-
-
-def jet_var(x):
-    x = np.asarray(x, dtype=float)
-    out = np.zeros((ORDER,) + x.shape)
-    out[0] = x
-    out[1] = 1.0
-    return out
-
-
 def jet_mul(a, b):
     """Leibniz product of two jets."""
     c = np.empty(np.broadcast_shapes(a.shape, b.shape))

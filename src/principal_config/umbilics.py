@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import (ConvergenceError, FrameError, InconclusiveError,
                      RegularityError)
-from .geometry import MAXIMAL, MINIMAL, chart_bundle
+from .geometry import MAXIMAL, MINIMAL, chart_bundle, frame_operator
 
 D1, D2, D3 = "D1", "D2", "D3"
 NON_TRANSVERSAL = "NonTransversal"
@@ -193,26 +193,19 @@ def _local_minima(S, periodic_u, periodic_v):
 def _umbilic_residual(surface, u, v):
     """(w11 - w22, 2 w12) in the orthonormal frame; zero iff umbilic."""
     b = chart_bundle(surface, u, v)
-    dev = b["k2"] - b["k1"]
-    phi2 = None
-    # recompute the symmetric components directly for a smooth residual
-    E, F, G = b["E"], b["F"], b["G"]
-    e, f, g = b["e"], b["f"], b["g"]
-    m = G - F * F / E
-    w11 = e / E
-    w12 = (f - (F / E) * e) / np.sqrt(E * m)
-    w22 = (g - 2 * (F / E) * f + (F / E) ** 2 * e) / m
-    return np.array([w11 - w22, 2.0 * w12]), dev, phi2
+    (w11, w12, w22), _ = frame_operator(b["E"], b["F"], b["G"],
+                                        b["e"], b["f"], b["g"])
+    return np.array([w11 - w22, 2.0 * w12])
 
 
 def _residual_jacobian(surface, u, v):
     """Central-difference Jacobian of the umbilic residual in (u, v)."""
     (u0, u1), (v0, v1) = surface.domain
     h = 1e-6 * max(u1 - u0, v1 - v0)
-    Fu, _, _ = _umbilic_residual(surface, u + h, v)
-    Fu2, _, _ = _umbilic_residual(surface, u - h, v)
-    Fv, _, _ = _umbilic_residual(surface, u, v + h)
-    Fv2, _, _ = _umbilic_residual(surface, u, v - h)
+    Fu = _umbilic_residual(surface, u + h, v)
+    Fu2 = _umbilic_residual(surface, u - h, v)
+    Fv = _umbilic_residual(surface, u, v + h)
+    Fv2 = _umbilic_residual(surface, u, v - h)
     return np.column_stack([(Fu - Fu2) / (2 * h), (Fv - Fv2) / (2 * h)])
 
 
@@ -234,7 +227,7 @@ def location_error(surface, rec):
     """
     u, v = float(rec.uv[0]), float(rec.uv[1])
     try:
-        F, _, _ = _umbilic_residual(surface, u, v)
+        F = _umbilic_residual(surface, u, v)
         step = _newton_step(F, _residual_jacobian(surface, u, v))
     except (RegularityError, FloatingPointError, np.linalg.LinAlgError):
         return math.nan
@@ -250,7 +243,7 @@ def _refine_umbilic(surface, seed, kappa, max_iter=60):
     step_cap = 0.08 * span        # a couple of grid cells per iteration
     leash = 0.3 * span            # abandon runaway iterations
     try:
-        F, _, _ = _umbilic_residual(surface, u, v)
+        F = _umbilic_residual(surface, u, v)
     except Exception:
         return None
     best = float(F @ F)
@@ -273,7 +266,7 @@ def _refine_umbilic(surface, seed, kappa, max_iter=60):
         for _ in range(12):
             uu, vv = u + lam * step[0], v + lam * step[1]
             try:
-                Fn, _, _ = _umbilic_residual(surface, uu, vv)
+                Fn = _umbilic_residual(surface, uu, vv)
             except Exception:
                 lam *= 0.5
                 continue
@@ -492,7 +485,6 @@ def classify(m, tol=1e-6, margin_tol=None):
     (vertical distance for the parabola; the a = 2b line counts inside D2).
     """
     if margin_tol is None:
-        margin_tol = 0.05 * tol ** 0  # same band as tol unless overridden
         margin_tol = tol
     a, b, c = m.a, m.b, m.c
     scale = max(abs(a), abs(b), abs(c), 1e-300)
@@ -558,8 +550,7 @@ def winding_index(surface, rec, radius_factor=5e-3, samples=256):
     d = b["d1_xyz"]
     beta = np.arctan2(d @ e2, d @ e1)
     two_beta = np.unwrap(2.0 * beta)
-    total = two_beta[-1] + (two_beta[1] - two_beta[0]) * 0 \
-        - two_beta[0]
+    total = two_beta[-1] - two_beta[0]
     # close the loop: add the last-to-first increment
     closing = np.angle(np.exp(2j * beta[0]) / np.exp(2j * beta[-1]))
     total += closing

@@ -159,6 +159,41 @@ def test_e_theta_zero_matches_unrotated_everywhere(rng):
         assert b["k2"] == pytest.approx(float(c["k2"]), rel=1e-10)
 
 
+@pytest.mark.parametrize("surface,drawn", [
+    (catalog.ellipsoid_chart(3.0, 2.0, 1.0), [
+        (3.864459409186529, 3.2839571388603543),
+        (1.848490296214461, 2.410601503194151),
+        (5.1103968412732454, 1.5372458675279488),
+        (3.0944277283011767, 0.663890231861745),
+        (1.0784586153291082, -0.20946540380445594),
+        (4.340365160387892, 2.4801167895447636),
+        (2.324396047415824, 1.6067611538785613),
+        (5.586302592474608, 0.7334055182123593),
+        (3.570333479502539, -0.13995011745384633)]),
+    (catalog.rotated_cap_ellipsoid_chart(0.3), [
+        (3.864459409186529, 1.7131608120654587),
+        (1.848490296214461, 0.8398051763992549),
+        (5.1103968412732454, -0.03355045926694755),
+        (3.0944277283011767, -0.9069060949331516),
+        (1.0784586153291082, -1.7802617305993527),
+        (4.340365160387892, 0.9093204627498679),
+        (2.324396047415824, 0.035964827083664996),
+        (5.586302592474608, -0.8373908085825372),
+        (3.570333479502539, -1.710746444248743)]),
+])
+def test_low_discrepancy_seeds_fold_out_of_pole_strips(surface, drawn):
+    # ``drawn``: the same draws before folding; three lie past a pole
+    seeds = catalog._low_discrepancy_seeds(surface, 9,
+                                           np.random.default_rng(0), [])
+    assert len(seeds) == len(drawn)
+    for (u, v), (du, dv) in zip(seeds, drawn):
+        assert surface.fold(u, v) == (u, v)
+        assert np.linalg.norm(surface.point(u, v)
+                              - surface.point(du, dv)) < 1e-12
+        # both charts have positive curvatures where the normal is kept
+        assert chart_bundle(surface, u, v)["k1"] > 0.0
+
+
 def test_rotation_estimate_torus_meridian_section(torus):
     sec = foliation.DomainSection("meridian", "u", 0.0)
     seeds = section_seeds(torus, sec, 3)

@@ -159,19 +159,36 @@ def test_regularity_error_at_chart_pole(ellipsoid):
         fundamental_forms(ellipsoid, (0.3, 0.0))
 
 
+def _assert_scalar_paths_match_bundle(s, u, v):
+    b = chart_bundle(s, u, v)
+    pd = principal_at(s, u, v)
+    assert pd.k1 == pytest.approx(float(b["k1"]), rel=1e-12)
+    assert pd.k2 == pytest.approx(float(b["k2"]), rel=1e-12)
+    for minimal, kx, d in ((True, "d1_xyz", pd.d1_xyz),
+                           (False, "d2_xyz", pd.d2_xyz)):
+        duv, r, dxyz, n = principal_direction_fast(s, u, v, minimal)
+        assert np.allclose(r, b["r"], atol=1e-13)
+        assert np.allclose(n, b["normal"], atol=1e-12)
+        for vec in (dxyz, d):
+            assert min(np.linalg.norm(vec - b[kx]),
+                       np.linalg.norm(vec + b[kx])) < 1e-10
+
+
 def test_fast_direction_path_matches_bundle(perturbed_torus, rng):
-    s = perturbed_torus
     for _ in range(25):
-        u = rng.uniform(0, 2 * math.pi)
-        v = rng.uniform(0, 2 * math.pi)
-        b = chart_bundle(s, u, v)
-        for minimal, ku, kx in ((True, "d1_uv", "d1_xyz"),
-                                (False, "d2_uv", "d2_xyz")):
-            duv, r, dxyz, n = principal_direction_fast(s, u, v, minimal)
-            assert np.allclose(r, b["r"], atol=1e-13)
-            assert np.allclose(n, b["normal"], atol=1e-12)
-            assert min(np.linalg.norm(dxyz - b[kx]),
-                       np.linalg.norm(dxyz + b[kx])) < 1e-10
+        _assert_scalar_paths_match_bundle(
+            perturbed_torus, rng.uniform(0, 2 * math.pi),
+            rng.uniform(0, 2 * math.pi))
+    # a local generator leaves the session rng's later draws where they were
+    local = np.random.default_rng(7)
+    for s, v_lo, v_hi in (
+            (catalog.ellipsoid_chart(3.0, 2.0, 1.0), 0.2, 2.9),
+            (catalog.torus_chart(2.0, 1.0), 0.0, 2 * math.pi),
+            (catalog.perturbed_ellipsoid_chart(3.0, 2.0, 1.0, 0.008, 0),
+             0.2, 2.9)):
+        for _ in range(25):
+            _assert_scalar_paths_match_bundle(
+                s, local.uniform(0, 2 * math.pi), local.uniform(v_lo, v_hi))
 
 
 def test_implicit_sphere_and_paraboloid():
