@@ -533,7 +533,13 @@ def _confocal_poly(p, axes):
 
 
 def confocal_coordinates(p, axes, degeneracy_tol=1e-9):
-    """Solve the confocal cubic by bisection on the bracketing intervals.
+    """Solve the confocal equation by bisection on the bracketing intervals.
+
+    Each root is bracketed by sign changes of the cubic (polynomial) form
+    and found by bisection of the rational form sum x_i^2/(a_i^2 - lam) - 1,
+    which is monotone on each bracket and is the residual reported; of
+    the last two bisection points the one with the smaller residual is
+    kept.
 
     pre: the point is generic; DegenerateRoots is raised when two roots
     approach each other or a pole closer than ``degeneracy_tol`` (relative
@@ -543,6 +549,13 @@ def confocal_coordinates(p, axes, degeneracy_tol=1e-9):
     if not (a > b > c > 0):
         raise DegenerateRoots("confocal system needs distinct positive axes")
     poly, a2 = _confocal_poly(p, (a, b, c))
+    x2 = [float(x) ** 2 for x in p]
+    a2v = [a * a, b * b, c * c]
+
+    def rational(lam):
+        return (x2[0] / (a2v[0] - lam) + x2[1] / (a2v[1] - lam)
+                + x2[2] / (a2v[2] - lam)) - 1.0
+
     span = a * a - c * c
     lo_cap = c * c - max(4.0 * float(np.dot(p, p)), span) - 1.0
     brackets = [(lo_cap, c * c), (c * c, b * b), (b * b, a * a)]
@@ -560,18 +573,21 @@ def confocal_coordinates(p, axes, degeneracy_tol=1e-9):
             raise DegenerateRoots(
                 f"no sign change in bracket ({lo:.6g}, {hi:.6g}); point on "
                 "a symmetry plane or focal conic")
-        x0, x1, f0 = lo + pad, hi - pad, flo
+        # rational(lam) increases from negative to positive on the bracket
+        x0, x1 = lo + pad, hi - pad
         for _ in range(200):
             mid = 0.5 * (x0 + x1)
-            fm = poly(mid)
-            if fm == 0.0 or (x1 - x0) < 1e-16 * max(abs(mid), 1.0):
+            if not x0 < mid < x1 or (x1 - x0) < 1e-16 * max(abs(mid), 1.0):
+                break
+            r = rational(mid)
+            if r == 0.0:
                 x0 = x1 = mid
                 break
-            if np.sign(fm) == np.sign(f0):
-                x0, f0 = mid, fm
+            if r < 0.0:
+                x0 = mid
             else:
                 x1 = mid
-        roots.append(0.5 * (x0 + x1))
+        roots.append(min((x0, x1), key=lambda x: abs(rational(x))))
     lam = np.array(roots)
     gaps = np.array([c * c - lam[0], lam[1] - c * c, b * b - lam[1],
                      lam[2] - b * b, a * a - lam[2], lam[1] - lam[0],
@@ -579,9 +595,7 @@ def confocal_coordinates(p, axes, degeneracy_tol=1e-9):
     if np.min(np.abs(gaps)) < degeneracy_tol * span:
         raise DegenerateRoots("two confocal roots coincide within tolerance")
 
-    a2v = np.array([a * a, b * b, c * c])
-    x2 = np.asarray(p, dtype=float) ** 2
-    residuals = tuple(abs(float(np.sum(x2 / (a2v - l)) - 1.0)) for l in lam)
+    residuals = tuple(abs(rational(float(x))) for x in lam)
     return ConfocalCoordinates(float(lam[0]), float(lam[1]), float(lam[2]),
                                residuals)
 
@@ -911,7 +925,7 @@ def stability_report(surface, budget=None):
             ConditionVerdict("d", "inconclusive", detail, []),
             "FailWitness")
     else:
-        records = [umbilics.classify_umbilic(surface, rec) for rec in found]
+        records = umbilics.classify_umbilics(surface, found)
         bad = [r for r in records if r.type not in ("D1", "D2", "D3")]
         if bad:
             cond_a = ConditionVerdict(

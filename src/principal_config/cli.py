@@ -186,12 +186,15 @@ def cmd_cycles(args):
     foliations = ([MINIMAL, MAXIMAL] if args.foliation == "both"
                   else [args.foliation])
     found = []
+    log = cycles.SearchLog()
     for fol in foliations:
-        found.extend(cycles.find_cycles(surface, seeds, fol, opts))
+        found.extend(cycles.find_cycles(surface, seeds, fol, opts, log=log))
     results = {"cycles": [c.to_dict() for c in found],
                "verdicts": [cycles.hyperbolicity(c) for c in found]}
-    work = {"cycles_found": len(found),
-            "steps": sum(c.curve.meta["steps"] for c in found)}
+    work = {"cycles_found": len(found), "steps": log.steps,
+            "dropped_seeds": [{"foliation": fol, "seed": list(seed),
+                               "reason": reason}
+                              for fol, seed, reason in log.dropped]}
     config = RunConfig("cycles", args.surface,
                        {"seeds": args.seeds or f"auto:{args.n_seeds}",
                         "foliation": args.foliation},

@@ -16,7 +16,8 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 from scipy.interpolate import CubicSpline
 
-from .errors import ConvergenceError, ReturnFailure, UmbilicProximityError
+from .errors import (SEED_FAILURES, ConvergenceError, ReturnFailure,
+                     UmbilicProximityError)
 from .foliation import (TERM_CLOSED, TraceOptions, WorldPlaneSection,
                         chart_point_near, trace)
 from .geometry import MAXIMAL, MINIMAL, chart_bundle, curvature_gradients
@@ -36,6 +37,20 @@ class CycleSearchOptions:
     hyperbolicity_tol: float = 1e-4
     quadrature_points: int = 1024
     known_umbilics: tuple = ()
+
+
+@dataclass
+class SearchLog:
+    """Work of a cycle search, filled in as it runs: the Dormand-Prince
+    steps of every trace it made (secant search, FD return map, closing
+    trace), and each seed that gave no new cycle, with the reason."""
+
+    steps: int = 0
+    dropped: list = field(default_factory=list)   # (foliation, seed, reason)
+
+    def count(self, traj):
+        self.steps += traj.meta["steps"]
+        return traj
 
 
 @dataclass
@@ -86,11 +101,15 @@ class PrincipalCycle:
 # ---------------------------------------------------------------------------
 
 class _Anchor:
-    """Poincare section through a point, normal to the cycle tangent."""
+    """Poincare section through a point, normal to the cycle tangent.
 
-    def __init__(self, surface, uv):
+    The steps of every return trace made from it go to ``log``.
+    """
+
+    def __init__(self, surface, uv, log=None):
         b = chart_bundle(surface, uv[0], uv[1])
         self.surface = surface
+        self.log = log if log is not None else SearchLog()
         self.uv = (float(uv[0]), float(uv[1]))
         self.p0 = b["r"]
         self.n0 = b["normal"]
@@ -145,7 +164,7 @@ def _return_offsets(surface, anchor, foliation_id, h, opts, n_returns=2,
         initial_sign=sign, known_umbilics=opts.known_umbilics,
         sections=(anchor.section(),), precise_crossings=True,
         max_crossings=6 * n_returns)
-    traj = trace(surface, uv, foliation_id, topts)
+    traj = anchor.log.count(trace(surface, uv, foliation_id, topts))
     capture = opts.section_capture_factor * diam
     hits = []
     for c in traj.crossings:
@@ -186,33 +205,41 @@ def _return_value(surface, anchor, foliation_id, h, opts, double,
 # cycle detection
 # ---------------------------------------------------------------------------
 
-def find_cycles(surface, seeds, foliation_id, opts=None):
+def find_cycles(surface, seeds, foliation_id, opts=None, log=None):
     """Trace seeds, converge each onto a nearby cycle, deduplicate.
 
     Every seed is refined by a secant iteration on the section return
     displacement T(h) - h (Newton on the return map), so isolated cycles
     are found from seeds merely near them; non-converging seeds are
     dropped.  Cycles closer than the merge tolerance (Hausdorff distance)
-    are reported once, in seed order.
+    are reported once, in seed order.  A :class:`SearchLog` passed as
+    ``log`` receives the steps of every trace and the dropped seeds.
     """
     opts = opts or CycleSearchOptions()
+    log = log if log is not None else SearchLog()
     diam = surface.diameter()
     cycles = []
     for seed in seeds:
-        cyc = _cycle_from_seed(surface, seed, foliation_id, opts)
-        if cyc is None:
+        cyc, reason = _cycle_from_seed(surface, seed, foliation_id, opts,
+                                       log)
+        if cyc is not None and _is_duplicate(
+                cyc, cycles, opts.cycle_merge_factor * diam):
+            reason = "duplicate of an earlier cycle"
+        if reason is not None:
+            log.dropped.append((foliation_id, tuple(map(float, seed)),
+                                reason))
             continue
-        if not _is_duplicate(cyc, cycles, opts.cycle_merge_factor * diam):
-            cycles.append(attach_estimates(surface, cyc, opts))
+        cycles.append(attach_estimates(surface, cyc, opts, log))
     return cycles
 
 
-def _cycle_from_seed(surface, seed, foliation_id, opts):
+def _cycle_from_seed(surface, seed, foliation_id, opts, log):
+    """(cycle, None) from a seed, or (None, why the seed was dropped)."""
     diam = surface.diameter()
     try:
-        anchor = _Anchor(surface, seed).orient(foliation_id)
-    except Exception:
-        return None
+        anchor = _Anchor(surface, seed, log).orient(foliation_id)
+    except SEED_FAILURES as exc:
+        return None, f"no anchor: {type(exc).__name__}: {exc}"
     tol = opts.newton_tol_factor * diam
     step_cap = opts.max_secant_step_factor * diam
 
@@ -224,25 +251,25 @@ def _cycle_from_seed(surface, seed, foliation_id, opts):
 
     try:
         g = G(0.0)
-    except ReturnFailure:
-        return None
+    except ReturnFailure as exc:
+        return None, f"no first return: {exc}"
     h = _secant_root(G, 0.0, g, tol, step_cap, diam, opts.max_newton)
     if h is None:
         h = _bracket_root(G, 0.0, g, tol, diam, opts)
     if h is None:
-        return None
+        return None, "no root of the return displacement"
 
     try:
         uv_star = anchor.start_at_offset(h)
-    except ReturnFailure:
-        return None
-    closed = trace(surface, uv_star, foliation_id, TraceOptions(
+    except ReturnFailure as exc:
+        return None, f"no start at the root: {exc}"
+    closed = log.count(trace(surface, uv_star, foliation_id, TraceOptions(
         rel_tol=opts.trace_tol, detect_closure=True,
         max_length=opts.max_period_factor * diam,
-        known_umbilics=opts.known_umbilics))
+        known_umbilics=opts.known_umbilics)))
     if closed.termination != TERM_CLOSED:
-        return None
-    return cycle_from_closed_trajectory(surface, closed)
+        return None, f"closing trace ended {closed.termination}"
+    return cycle_from_closed_trajectory(surface, closed), None
 
 
 def _secant_root(G, h0, g0, tol, step_cap, diam, max_iter):
@@ -371,16 +398,18 @@ def _is_duplicate(cyc, cycles, merge_tol):
 # estimator 1: finite differences on the return map
 # ---------------------------------------------------------------------------
 
-def return_map_derivative_fd(surface, cycle, h=None, opts=None):
+def return_map_derivative_fd(surface, cycle, h=None, opts=None, log=None):
     """Central difference of the return map, Richardson extrapolated over
     h and h/2.  Differences run over the actual section coordinates of the
     start points (the nominal offsets shift by the projection sag).
-    Returns (value, error_estimate, double_return_used)."""
+    Returns (value, error_estimate, double_return_used); the steps of its
+    traces go to ``log``."""
     opts = opts or CycleSearchOptions()
     diam = surface.diameter()
     if h is None:
         h = opts.fd_offset_factor * diam
-    anchor = _Anchor(surface, cycle.anchor_uv).orient(cycle.foliation_id)
+    anchor = _Anchor(surface, cycle.anchor_uv, log).orient(
+        cycle.foliation_id)
     if float(np.dot(anchor.t0, cycle.tangent)) < 0:
         anchor.orient(cycle.foliation_id, sign=-1)
     double = _probe_double_return(surface, anchor, cycle.foliation_id,
@@ -465,13 +494,13 @@ def return_map_derivative_integral(surface, cycle, opts=None,
 # assembly and verdicts
 # ---------------------------------------------------------------------------
 
-def attach_estimates(surface, cycle, opts=None):
+def attach_estimates(surface, cycle, opts=None, log=None):
     """Populate both T' estimators, the sign branch and the verdict."""
     opts = opts or CycleSearchOptions()
     meta = dict(cycle.meta)
     try:
         fd, fd_err, double = return_map_derivative_fd(surface, cycle,
-                                                      opts=opts)
+                                                      opts=opts, log=log)
     except ReturnFailure as exc:
         meta["fd_failure"] = str(exc)
         fd, fd_err, double = None, None, False

@@ -1,5 +1,7 @@
 """Exception types shared across the package."""
 
+import numpy as np
+
 
 class PrincipalConfigError(Exception):
     """Base class for all package-specific failures."""
@@ -51,3 +53,10 @@ class UnsupportedSurfaceError(PrincipalConfigError):
 
 class InconclusiveError(PrincipalConfigError):
     """A check could not reach a verdict (degenerate or near-boundary input)."""
+
+
+# Failures that end one seed of a search: the seed is dropped (with its
+# reason where the caller reports one).  Any other exception is a fault in
+# the program or the surface and propagates.
+SEED_FAILURES = (PrincipalConfigError, FloatingPointError,
+                 np.linalg.LinAlgError)

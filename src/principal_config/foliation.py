@@ -398,6 +398,207 @@ def _trace_core(surface, y0, foliation_id, opts, implicit):
     )
 
 
+def trace_lanes(surface, starts, foliation_id, opts=None, headings=None,
+                rel_tol=None):
+    """Integrate N principal lines of a chart in lockstep, one per lane.
+
+    ``starts`` holds N chart points (u, v).  ``foliation_id`` is one
+    foliation for every lane or a sequence of one per lane.  Lane i sets
+    out along ``headings[i]`` (a world vector: the line-field sign is the
+    one pointing along it) or, without headings, with
+    ``opts.initial_sign``.  ``rel_tol`` is one value or one per lane and
+    defaults to ``opts.rel_tol``.  Every other option is shared.
+
+    Each lane runs the Dormand-Prince 5(4) step and step-size control of
+    :func:`trace` with its own step size, acceptance and rejection,
+    eigen-sign transport and termination.  Options honoured: ``rel_tol``,
+    ``max_step_factor``, ``min_step_factor``, ``max_length``,
+    ``max_steps``, ``initial_sign``, ``known_umbilics`` with
+    ``exclusion_radius_factor`` (HitUmbilic), plus domain exit and the
+    chart's ``rebase_state`` (``fold``).  Sections and closure detection
+    are not implemented: ``opts.sections`` must be empty and
+    ``opts.detect_closure`` False, or ValueError is raised (so
+    ``max_crossings`` and ``precise_crossings`` have nothing to act on).
+    A lane whose start is not a regular chart point ends at once with
+    StepFailure.  The field comes from batched ``chart_bundle`` calls
+    whose points are evaluated independently, so a lane's trajectory does
+    not depend on the other lanes in its batch.  Returns one Trajectory
+    per lane.
+    """
+    opts = opts or TraceOptions()
+    if isinstance(surface, ImplicitSurface):
+        raise ValueError("trace_lanes runs on chart surfaces only")
+    if opts.sections or opts.detect_closure:
+        raise ValueError("trace_lanes implements neither sections nor "
+                         "closure detection")
+    y = np.array(starts, dtype=float).reshape(-1, 2)
+    m = len(y)
+    fols = ([foliation_id] * m if isinstance(foliation_id, str)
+            else list(foliation_id))
+    if len(fols) != m or any(f not in (MINIMAL, MAXIMAL) for f in fols):
+        raise ValueError(f"need one known foliation id per lane: {fols!r}")
+    minimal = np.array([f == MINIMAL for f in fols], dtype=bool)
+    rtol = np.broadcast_to(np.asarray(
+        opts.rel_tol if rel_tol is None else rel_tol, dtype=float), (m,))
+
+    diam = surface.diameter()
+    max_len = opts.max_length if opts.max_length is not None else 50.0 * diam
+    h_max = opts.max_step_factor * diam
+    h_min = opts.min_step_factor * diam
+    excl = opts.exclusion_radius_factor * diam
+    umb_pts = _umbilic_points(opts.known_umbilics)
+    rebase = getattr(surface, "rebase_state", None)
+    (u0, u1), (v0, v1) = surface.domain
+
+    vel, p, tan, nrm = _lane_field(surface, y, minimal, None)
+    if headings is not None:
+        heading = np.asarray(headings, dtype=float).reshape(-1, 3)
+        sign = np.where(np.sum(tan * heading, axis=1) >= 0.0, 1.0, -1.0)
+    else:
+        sign = np.full(m, -1.0 if opts.initial_sign < 0 else 1.0)
+    vel, tan = vel * sign[:, None], tan * sign[:, None]
+
+    # rows of arrays that are never written again: the state arrays are
+    # updated in place, so the start rows are copies
+    rec = [([y[i].copy()], [p[i].copy()], [tan[i].copy()], [nrm[i].copy()],
+            [0.0]) for i in range(m)]
+    term = [TERM_MAX_LENGTH] * m
+    hit = [None] * m
+    s = np.zeros(m)
+    h = np.full(m, min(1e-3 * diam, h_max))
+    steps = np.zeros(m, dtype=int)
+    rejected = np.zeros(m, dtype=int)
+    active = np.all(np.isfinite(vel), axis=1) & np.all(np.isfinite(tan),
+                                                        axis=1)
+    for i in np.flatnonzero(~active):
+        term[i] = TERM_STEP_FAILURE
+
+    def stop(lanes, why):
+        active[lanes] = False
+        for i in lanes:
+            term[i] = why
+
+    with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
+        while True:
+            idx = np.flatnonzero(active & (steps < opts.max_steps))
+            active[np.flatnonzero(active & (steps >= opts.max_steps))] = False
+            if not len(idx):
+                break
+            steps[idx] += 1
+            over = s[idx] + h[idx] > max_len
+            h[idx[over]] = max_len - s[idx[over]]
+            short = over & (h[idx] <= h_min)
+            stop(idx[short], TERM_MAX_LENGTH)
+            idx = idx[~short]
+            if not len(idx):
+                continue
+
+            hh, mi, ref = h[idx], minimal[idx], tan[idx]
+            y0, hc = y[idx], hh[:, None]
+            ks = [vel[idx]]
+            for i in range(1, 7):
+                yi = y0 + hc * sum(a * ks[j] for j, a in enumerate(_DP_A[i]))
+                last = _lane_field(surface, yi, mi, ref)
+                ks.append(last[0])
+            y5 = y0 + hc * sum(b * k for b, k in zip(_DP_B5, ks))
+            y4 = y0 + hc * sum(b * k for b, k in zip(_DP_B4, ks))
+            # a stage on a chart singularity: shorter steps dodge it
+            failed = ~np.all(np.isfinite(np.stack(ks)), axis=(0, 2))
+            tol = rtol[idx] * np.maximum(hh, 1e-3 * h_max)
+            err = np.linalg.norm(y5 - y4, axis=1) * (
+                np.linalg.norm(ref, axis=1)
+                / np.maximum(np.linalg.norm(ks[0], axis=1), 1e-300))
+            ratio = tol / np.maximum(err, 1e-300)
+            reject = ~failed & ~(np.isfinite(err) & (err <= tol))
+            accept = ~failed & ~reject
+
+            lanes = idx[failed]
+            h[lanes] *= 0.25
+            stop(lanes[h[lanes] < h_min], TERM_STEP_FAILURE)
+            lanes = idx[reject]
+            h[lanes] = np.maximum(h[lanes] * np.fmax(
+                0.2, 0.9 * ratio[reject] ** 0.25), h_min * 1.01)
+            rejected[lanes] += 1
+            stop(lanes[(rejected[lanes] > 60) | (h[lanes] <= h_min * 1.02)],
+                 TERM_STEP_FAILURE)
+            if not accept.any():
+                continue
+
+            lanes = idx[accept]
+            rejected[lanes] = 0
+            # the last Dormand-Prince stage sits at y5 with the same sign
+            # reference (first same as last), so it is the field there
+            y_new = y5[accept]
+            k_new = [x[accept] for x in last]
+            s_new = s[lanes] + hh[accept]
+            ends = np.zeros(len(lanes), dtype=bool)
+            if len(umb_pts):
+                d = np.linalg.norm(umb_pts[None, :, :] - k_new[1][:, None, :],
+                                   axis=2)
+                near = np.argmin(d, axis=1)
+                ends = d[np.arange(len(lanes)), near] < excl
+                for k in np.flatnonzero(ends):
+                    term[lanes[k]] = TERM_HIT_UMBILIC
+                    hit[lanes[k]] = int(near[k])
+            exited = np.zeros(len(lanes), dtype=bool)
+            if not surface.periodic_u:
+                exited |= (y_new[:, 0] < u0) | (y_new[:, 0] > u1)
+            if not surface.periodic_v:
+                exited |= (y_new[:, 1] < v0) | (y_new[:, 1] > v1)
+            for k in np.flatnonzero(exited & ~ends):
+                term[lanes[k]] = TERM_DOMAIN_EXIT
+            ends |= exited
+            active[lanes[ends]] = False
+
+            # chart handoff across a coordinate pole (double-covered strip)
+            moved = []
+            if rebase is not None:
+                for k in np.flatnonzero(~ends):
+                    to = rebase(y_new[k, 0], y_new[k, 1])
+                    if to is not None:
+                        y_new[k] = to
+                        moved.append(k)
+            if moved:
+                fresh = _lane_field(surface, y_new[moved],
+                                    minimal[lanes[moved]], k_new[2][moved])
+                for x, f in zip(k_new, fresh):
+                    x[moved] = f
+
+            for k, i in enumerate(lanes):
+                for lst, x in zip(rec[i], (y_new, k_new[1], k_new[2],
+                                           k_new[3])):
+                    lst.append(x[k])
+                rec[i][4].append(float(s_new[k]))
+            y[lanes], s[lanes] = y_new, s_new
+            vel[lanes], p[lanes], tan[lanes], nrm[lanes] = k_new
+            stop(lanes[~ends & (s_new >= max_len)], TERM_MAX_LENGTH)
+            h[lanes] = np.minimum(h[lanes] * np.minimum(
+                4.0, 0.9 * ratio[accept] ** 0.25), h_max)
+
+    return [Trajectory(
+        foliation_id=fols[i], points_uv=np.asarray(ys),
+        points_xyz=np.asarray(ps), tangents=np.asarray(ts),
+        normals=np.asarray(ns), arclength=np.asarray(ss),
+        termination=term[i], hit_umbilic_index=hit[i],
+        meta={"steps": int(steps[i]), "surface": surface.name})
+        for i, (ys, ps, ts, ns, ss) in enumerate(rec)]
+
+
+def _lane_field(surface, y, minimal, ref):
+    """Line-field samples at chart points ``y`` (M, 2): velocity, point,
+    unit tangent and normal, the sign of each lane's direction along its
+    row of ``ref`` when given.  Failed points come back as NaN."""
+    b = chart_bundle(surface, y[:, 0], y[:, 1], strict=False)
+    pick = minimal[:, None]
+    vel = np.where(pick, b["d1_uv"], b["d2_uv"])
+    tan = np.where(pick, b["d1_xyz"], b["d2_xyz"])
+    if ref is not None:
+        flip = (np.sum(tan * ref, axis=1) < 0.0)[:, None]
+        vel = np.where(flip, -vel, vel)
+        tan = np.where(flip, -tan, tan)
+    return vel, b["r"], tan, b["normal"]
+
+
 def _append(ys, ps, ts, ns, ss, y, ev, s):
     ys.append(np.array(y, dtype=float))
     ps.append(ev.xyz.copy())
@@ -728,7 +929,7 @@ def separatrix_connection_scan(surface, records, opts=None,
     opts = opts or TraceOptions()
     opts = replace(opts, known_umbilics=records,
                    max_length=length_factor * diam, detect_closure=False)
-    tight = replace(opts, rel_tol=0.1 * opts.rel_tol)
+    tight_rel_tol = 0.1 * opts.rel_tol
     r_launch = 2.5 * opts.exclusion_radius_factor * diam
     targets = np.array([np.asarray(r.xyz, dtype=float) for r in records])
     loc_err = [location_error(surface, r) for r in records]
@@ -736,78 +937,98 @@ def separatrix_connection_scan(surface, records, opts=None,
     undetermined = []
     gaps = []
 
-    for i, rec in enumerate(records):
-        for fol in (MINIMAL, MAXIMAL):
-            for ang in rec.separatrices.get(fol, ()):  # world-frame angles
-                runs = [_near_pass(surface, rec, fol, ang + skew, r_launch,
-                                   o, targets)
-                        for skew, o in ((launch_skew, opts),
-                                        (-launch_skew, opts),
-                                        (launch_skew, tight))]
-                plus, minus, fine = runs
-                reason = next((r.reason for r in runs if r.near is None),
-                              None)
-                if reason is None and len({r.near for r in runs}) > 1:
-                    reason = "inconsistent-near-pass"
-                if reason is not None:
-                    gaps.append(SeparatrixGap(i, fol, ang))
-                    undetermined.append((i, fol, ang, reason))
-                    continue
-                j = plus.near
-                delta = 0.5 * (plus.gap + minus.gap)
-                launch_err = 0.5 * abs(plus.gap - minus.gap)
-                sensitivity = (launch_err / (launch_skew * r_launch)
-                               if launch_skew else 0.0)
-                bound = (launch_err + abs(plus.gap - fine.gap) + loc_err[j]
-                         + sensitivity * loc_err[i])
-                sep = SeparatrixGap(i, fol, ang, j, abs(delta) / diam,
-                                    bound / diam)
-                gaps.append(sep)
-                if not math.isfinite(bound):
-                    undetermined.append((i, fol, ang, "unmeasured-bound"))
-                elif not sep.within_bound:
-                    continue
-                elif _ray_match(records[j], fol, plus.approach,
-                                align_tol_deg):
-                    connections[(min(i, j), max(i, j), fol)] = True
-                else:
-                    undetermined.append((i, fol, ang, "unaligned-arrival"))
+    launches = [(i, fol, ang, skew, rtol)
+                for i, rec in enumerate(records)
+                for fol in (MINIMAL, MAXIMAL)
+                for ang in rec.separatrices.get(fol, ())  # world-frame angles
+                for skew, rtol in ((launch_skew, opts.rel_tol),
+                                   (-launch_skew, opts.rel_tol),
+                                   (launch_skew, tight_rel_tol))]
+    passes = _near_passes(surface, records, launches, r_launch, opts, targets)
+    for k in range(0, len(launches), 3):
+        i, fol, ang, _, _ = launches[k]
+        runs = passes[k:k + 3]
+        plus, minus, fine = runs
+        reason = next((r.reason for r in runs if r.near is None), None)
+        if reason is None and len({r.near for r in runs}) > 1:
+            reason = "inconsistent-near-pass"
+        if reason is not None:
+            gaps.append(SeparatrixGap(i, fol, ang))
+            undetermined.append((i, fol, ang, reason))
+            continue
+        j = plus.near
+        delta = 0.5 * (plus.gap + minus.gap)
+        launch_err = 0.5 * abs(plus.gap - minus.gap)
+        sensitivity = (launch_err / (launch_skew * r_launch)
+                       if launch_skew else 0.0)
+        bound = (launch_err + abs(plus.gap - fine.gap) + loc_err[j]
+                 + sensitivity * loc_err[i])
+        sep = SeparatrixGap(i, fol, ang, j, abs(delta) / diam, bound / diam)
+        gaps.append(sep)
+        if not math.isfinite(bound):
+            undetermined.append((i, fol, ang, "unmeasured-bound"))
+        elif not sep.within_bound:
+            continue
+        elif _ray_match(records[j], fol, plus.approach, align_tol_deg):
+            connections[(min(i, j), max(i, j), fol)] = True
+        else:
+            undetermined.append((i, fol, ang, "unaligned-arrival"))
     return ConnectionScanResult(sorted(connections), undetermined,
                                 len(gaps), gaps)
 
 
-def _near_pass(surface, rec, fol, ang, r_launch, opts, targets):
-    """Launch one separatrix and measure its closest approach to the first
-    umbilic whose exclusion ball it enters."""
-    frame = rec.monge.frame
-    ray = math.cos(ang) * frame.e1 + math.sin(ang) * frame.e2
-    uv = chart_point_near(surface, rec.xyz + r_launch * ray, rec.uv)
-    if uv is None:
-        return _NearPass(None, reason="no-chart-point")
-    traj = _trace_heading(surface, uv, fol, ray, opts)
-    if traj.termination != TERM_HIT_UMBILIC:
-        return _NearPass(None, reason=traj.termination)
-    j = traj.hit_umbilic_index
-    approach = traj.points_xyz[-1] - targets[j]
-    nrm = np.linalg.norm(approach)
-    approach = approach / nrm if nrm >= 1e-14 else -traj.tangents[-1]
-    # follow the leaf on through the ball: its closest approach comes
+def _near_passes(surface, records, launches, r_launch, opts, targets):
+    """Launch separatrices in lockstep and measure each one's closest
+    approach to the first umbilic whose exclusion ball it enters.
+
+    ``launches`` holds (record index, foliation, world-frame ray angle,
+    skew, rel_tol) per launch; the launch leaves along the ray angle plus
+    the skew.  Returns one _NearPass per launch.  All launches
+    run as the lanes of one :func:`trace_lanes` call, and the passes
+    through the balls they enter as the lanes of a second one.
+    """
+    out = [None] * len(launches)
+    lanes, starts, headings = [], [], []
+    for k, (i, _, ang, skew, _) in enumerate(launches):
+        rec = records[i]
+        frame = rec.monge.frame
+        ray = (math.cos(ang + skew) * frame.e1
+               + math.sin(ang + skew) * frame.e2)
+        uv = chart_point_near(surface, rec.xyz + r_launch * ray, rec.uv)
+        if uv is None:
+            out[k] = _NearPass(None, reason="no-chart-point")
+            continue
+        lanes.append(k)
+        starts.append(uv)
+        headings.append(ray)
+    trajs = trace_lanes(surface, starts, [launches[k][1] for k in lanes],
+                        opts, headings=headings,
+                        rel_tol=[launches[k][4] for k in lanes])
+
+    entered, starts, headings = [], [], []
+    for k, traj in zip(lanes, trajs):
+        if traj.termination != TERM_HIT_UMBILIC:
+            out[k] = _NearPass(None, reason=traj.termination)
+            continue
+        entered.append((k, traj))
+        starts.append(traj.points_uv[-1])
+        headings.append(traj.tangents[-1])
+    # follow each leaf on through the ball: its closest approach comes
     # about one radius after the entry, plus half a turn around the
     # umbilic when the leaf wraps it
     diam = surface.diameter()
-    through = _trace_heading(
-        surface, traj.points_uv[-1], fol, traj.tangents[-1],
+    through = trace_lanes(
+        surface, starts, [launches[k][1] for k, _ in entered],
         replace(opts, known_umbilics=(),
-                max_length=2.0 * opts.exclusion_radius_factor * diam))
-    return _NearPass(j, _closest_approach(through, targets[j]), approach)
-
-
-def _trace_heading(surface, uv, fol, heading, opts):
-    """Trace from a chart point with the line-field sign along ``heading``."""
-    b = chart_bundle(surface, uv[0], uv[1])
-    d = b["d1_xyz"] if fol == MINIMAL else b["d2_xyz"]
-    sign = 1 if float(np.dot(d, heading)) >= 0.0 else -1
-    return trace(surface, uv, fol, replace(opts, initial_sign=sign))
+                max_length=2.0 * opts.exclusion_radius_factor * diam),
+        headings=headings, rel_tol=[launches[k][4] for k, _ in entered])
+    for (k, traj), th in zip(entered, through):
+        j = traj.hit_umbilic_index
+        approach = traj.points_xyz[-1] - targets[j]
+        nrm = np.linalg.norm(approach)
+        approach = approach / nrm if nrm >= 1e-14 else -traj.tangents[-1]
+        out[k] = _NearPass(j, _closest_approach(th, targets[j]), approach)
+    return out
 
 
 def _closest_approach(traj, x, samples=257):

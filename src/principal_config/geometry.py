@@ -16,6 +16,7 @@ is immutable after construction and free of shared mutable state.
 
 from __future__ import annotations
 
+import copy
 import math
 from dataclasses import dataclass, field
 from types import SimpleNamespace
@@ -98,17 +99,20 @@ class SurfaceChart:
                 blocks.append((t, coef))
             freq = np.concatenate(freqs)
             phase = np.concatenate(phases)
-            C = np.zeros((len(funcs), ORDER, len(freq)))
-            pos = 0
-            for t, coef in blocks:
-                C[t, :, pos:pos + coef.shape[0]] = coef.T
-                pos += coef.shape[0]
-            return freq, phase, C
+            # atom coefficients amp * freq^k with the signs of the
+            # derivatives of cos (+, -, -, +), as [[k=0, k=1], [k=2, k=3]],
+            # and the 0/1 matrix that sums each term's atoms
+            coef = (np.concatenate([c for _, c in blocks]).T
+                    * np.array([1.0, -1.0, -1.0, 1.0])[:, None])
+            owner = np.concatenate([np.full(len(c), t) for t, c in blocks])
+            S = np.zeros((len(freq), len(funcs)))
+            S[np.arange(len(freq)), owner] = 1.0
+            return freq, phase, coef.reshape(2, 2, -1), S
 
-        fu, pu, CU = side_tables([self.terms[i][0] for i in fast])
-        fv, pv, CV = side_tables([self.terms[i][1] for i in fast])
-        WF = np.stack([self.terms[i][2] for i in fast])
-        self._fast_tables = (fu, pu, CU, fv, pv, CV, WF)
+        self._fast_tables = (side_tables([self.terms[i][0] for i in fast]),
+                             side_tables([self.terms[i][1] for i in fast]),
+                             np.stack([self.terms[i][2] for i in fast],
+                                      axis=1))
 
     # -- evaluation --------------------------------------------------------
 
@@ -117,42 +121,53 @@ class SurfaceChart:
 
         ``jet[i, j]`` is the mixed partial d^(i+j) P / du^i dv^j for
         ``i + j <= 3``; higher slots are computed but unused.  Factors
-        shared between terms are evaluated once per call.
+        shared between terms are evaluated once per call.  Points are the
+        leading axis of every contraction and each point is contracted by
+        its own small matrix product, so point i of a batch is
+        bit-identical to the same point evaluated alone.
         """
         u = np.asarray(u, dtype=float)
         v = np.asarray(v, dtype=float)
         pts = (u.shape if u.shape == v.shape
                else np.broadcast_shapes(u.shape, v.shape))
-        out = np.zeros((ORDER, ORDER) + pts + (3,))
-
+        u = (u if u.shape == pts else np.broadcast_to(u, pts)).reshape(-1)
+        v = (v if v.shape == pts else np.broadcast_to(v, pts)).reshape(-1)
+        sides = []                  # (U, V, W^T) per group of terms
         if self._fast_tables is not None:
-            fu, pu, CU, fv, pv, CV, WF = self._fast_tables
-            U = _harmonic_side(fu, pu, CU, u, pts)
-            V = _harmonic_side(fv, pv, CV, v, pts)
-            out += np.einsum("ti...,tj...,tc->ij...c", U, V, WF,
-                             optimize=False)
-
+            fast_u, fast_v, WT = self._fast_tables
+            sides.append((_harmonic_side(*fast_u, u),
+                          _harmonic_side(*fast_v, v), WT))
         if self._generic_terms:
             ucache, vcache = {}, {}
-            U = np.stack([np.broadcast_to(tu.jet(u, ucache),
-                                          (ORDER,) + pts)
-                          for tu, _, _ in self._generic_terms])
-            V = np.stack([np.broadcast_to(tv.jet(v, vcache),
-                                          (ORDER,) + pts)
-                          for _, tv, _ in self._generic_terms])
-            W = np.stack([w for _, _, w in self._generic_terms])
-            out += np.einsum("ti...,tj...,tc->ij...c", U, V, W,
-                             optimize=False)
-        return out
+            sides.append((
+                np.stack([np.broadcast_to(tu.jet(u, ucache), (ORDER, u.size))
+                          for tu, _, _ in self._generic_terms], axis=-1
+                         ).transpose(1, 0, 2),
+                np.stack([np.broadcast_to(tv.jet(v, vcache), (ORDER, v.size))
+                          for _, tv, _ in self._generic_terms], axis=-1
+                         ).transpose(1, 0, 2),
+                np.stack([w for _, _, w in self._generic_terms], axis=1)))
+        U, V, WT = (sides[0] if len(sides) == 1 else
+                    [np.concatenate(part, axis=-1) for part in zip(*sides)])
+        # out[n, i, j, c] = sum_t (U[n, i, t] W[t, c]) V[n, j, t]
+        n, t = len(u), WT.shape[1]
+        UW = (U[:, :, None, :] * WT).reshape(n, 3 * ORDER, t)
+        out = np.matmul(UW, V.transpose(0, 2, 1))           # (n, (i, c), j)
+        return out.reshape(n, ORDER, 3, ORDER).transpose(1, 3, 0, 2).reshape(
+            (ORDER, ORDER) + pts + (3,))
 
     def point(self, u, v):
         return self.jet(u, v)[0, 0]
 
     def with_orientation(self, orientation):
-        return SurfaceChart(self.terms, self.domain, self.periodic_u,
-                            self.periodic_v, orientation, self.name,
-                            self.params, self.euler_characteristic,
-                            self._diameter)
+        """The same chart with unit-normal convention ``orientation``; the
+        class and all state of the chart (its jet, ``fold``,
+        ``rebase_state``) are kept."""
+        if orientation not in (-1, 1):
+            raise ValueError("orientation must be +1 or -1")
+        flipped = copy.copy(self)
+        flipped.orientation = int(orientation)
+        return flipped
 
     # -- geometry helpers ---------------------------------------------------
 
@@ -196,19 +211,18 @@ def _unwrap(fn):
             return fn
 
 
-def _harmonic_side(freq, phase, C, x, pts):
-    """(T, 4, pts) jets of concatenated harmonic factors."""
-    x = np.asarray(x, dtype=float)
-    theta = np.multiply.outer(freq, x) + \
-        phase.reshape((-1,) + (1,) * x.ndim)
-    base = np.empty((4,) + theta.shape)    # (4, A, pts): c, -s, -c, s
-    np.cos(theta, out=base[0])
-    np.sin(theta, out=base[3])
-    np.negative(base[3], out=base[1])
-    np.negative(base[0], out=base[2])
-    out = np.einsum("tka,ka...->tk...", C, base, optimize=False)
-    return np.broadcast_to(out, out.shape[:2] + pts) if out.shape[2:] \
-        != pts else out
+def _harmonic_side(freq, phase, coef, S, x):
+    """(N, 4, T) jets of concatenated harmonic factors at N points ``x``.
+
+    Derivative k of an atom is coef[k] times cos (k even) or sin (k odd);
+    the atoms are summed into their terms by a per-point product with the
+    0/1 owner matrix ``S``.
+    """
+    theta = x[:, None] * freq + phase
+    trig = np.empty((len(x), 1, 2) + theta.shape[1:])    # (N, 1, 2, A)
+    np.cos(theta, out=trig[:, 0, 0])
+    np.sin(theta, out=trig[:, 0, 1])
+    return np.matmul((trig * coef).reshape(len(x), 4, len(freq)), S)
 
 
 # stencil weights, 4th order accurate central differences

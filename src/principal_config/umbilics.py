@@ -11,12 +11,12 @@ explicit slack band; degenerate cases are return values, not failures.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
-from .errors import (ConvergenceError, FrameError, InconclusiveError,
-                     RegularityError)
+from .errors import (SEED_FAILURES, ConvergenceError, FrameError,
+                     InconclusiveError, RegularityError)
 from .geometry import MAXIMAL, MINIMAL, chart_bundle, frame_operator
 
 D1, D2, D3 = "D1", "D2", "D3"
@@ -244,7 +244,7 @@ def _refine_umbilic(surface, seed, kappa, max_iter=60):
     leash = 0.3 * span            # abandon runaway iterations
     try:
         F = _umbilic_residual(surface, u, v)
-    except Exception:
+    except SEED_FAILURES:
         return None
     best = float(F @ F)
     for _ in range(max_iter):
@@ -254,7 +254,7 @@ def _refine_umbilic(surface, seed, kappa, max_iter=60):
             return None
         try:
             J = _residual_jacobian(surface, u, v)
-        except Exception:
+        except SEED_FAILURES:
             return None
         step = _newton_step(F, J)
         if not np.all(np.isfinite(step)):
@@ -267,7 +267,7 @@ def _refine_umbilic(surface, seed, kappa, max_iter=60):
             uu, vv = u + lam * step[0], v + lam * step[1]
             try:
                 Fn = _umbilic_residual(surface, uu, vv)
-            except Exception:
+            except SEED_FAILURES:
                 lam *= 0.5
                 continue
             val = float(Fn @ Fn)
@@ -578,44 +578,93 @@ def separatrix_directions(surface, rec, radius_factor=1e-3,
     """
     if rec.type not in (D1, D2, D3):
         return {}, {MINIMAL: "unsupported-type", MAXIMAL: "unsupported-type"}
-    diam = surface.diameter()
-    r0 = radius_factor * diam
-    expected = _SEPARATRIX_COUNT[rec.type]
-    out, conf = {}, {}
-    for fol in (MINIMAL, MAXIMAL):
-        cands = _radial_alignment_zeros(surface, rec, fol, r0,
-                                        scan_resolution)
-        rays = []
-        for ang in cands:
-            sweep_sides = 0
+    return _separatrix_rays(surface, [rec], radius_factor,
+                            scan_resolution)[0]
+
+
+def _separatrix_rays(surface, recs, radius_factor=1e-3, scan_resolution=720):
+    """:func:`separatrix_directions` for several Darbouxian umbilics of
+    one surface at once: the circles of every umbilic and foliation are
+    scanned and bisected together, and all fate launches run as the lanes
+    of one :func:`_terminal_fate` call."""
+    r0 = radius_factor * surface.diameter()
+    circles = [(k, fol) for k in range(len(recs))
+               for fol in (MINIMAL, MAXIMAL)]
+    lanes = _Lanes.of([recs[k] for k, _ in circles],
+                      [fol for _, fol in circles])
+    cands = _radial_alignment_zeros(surface, lanes, r0, scan_resolution)
+
+    owner, alphas = [], []          # (circle, candidate), launch angle
+    for c, angs in enumerate(cands):
+        for n, ang in enumerate(angs):
             for side in (-1.0, 1.0):
-                offs = ang + side * np.radians([5.0, 9.0, 13.0])
-                fate, _ = _terminal_fate(surface, rec, fol, offs, r0)
-                if int(np.sum(fate == _FATE_EXIT)) >= 2:
-                    sweep_sides += 1
-            if sweep_sides >= 1:
-                rays.append(ang)
+                owner.extend([(c, n)] * 3)
+                alphas.extend(ang + side * np.radians([5.0, 9.0, 13.0]))
+    sweep = np.zeros(len(owner) // 3, dtype=bool)
+    if owner:
+        fate = _terminal_fate(surface, lanes.take([c for c, _ in owner]),
+                              np.array(alphas), r0)
+        exits = np.sum(fate.reshape(-1, 3) == _FATE_EXIT, axis=1) >= 2
+        sweep = exits.reshape(-1, 2).any(axis=1)
+    swept = {key for key, hit in zip(owner[::6], sweep) if hit}
+
+    out = [({}, {}) for _ in recs]
+    for c, (k, fol) in enumerate(circles):
+        rays = [ang for n, ang in enumerate(cands[c]) if (c, n) in swept]
         if not rays:
             # fan-only structure (lemon): the approach directions are the
             # separatrix rays themselves
-            rays = list(cands)
+            rays = list(cands[c])
         rays = sorted(a % (2 * math.pi) for a in rays)
-        out[fol] = rays
-        conf[fol] = ("ok" if len(rays) == expected
-                     else f"expected {expected}, found {len(rays)}")
-    return out, conf
+        expected = _SEPARATRIX_COUNT[recs[k].type]
+        out[k][0][fol] = rays
+        out[k][1][fol] = ("ok" if len(rays) == expected
+                          else f"expected {expected}, found {len(rays)}")
+    return out
 
 
-def _alignment_values(surface, rec, fol, angles, radius):
-    """sin/cos of twice the angle between the field and the radial ray."""
-    fr = rec.monge.frame
-    e1, e2, x0 = fr.e1, fr.e2, fr.origin
-    targets = (x0[None, :] + radius * (np.cos(angles)[:, None] * e1
-                                       + np.sin(angles)[:, None] * e2))
-    uv = _invert_batch(surface, targets, rec.uv)
+@dataclass(frozen=True)
+class _Lanes:
+    """Per-lane Monge frames (origin x0, e1, e2), chart seeds and foliation
+    flags for batched work around several umbilics."""
+
+    x0: np.ndarray
+    e1: np.ndarray
+    e2: np.ndarray
+    seed: np.ndarray
+    minimal: np.ndarray
+
+    @classmethod
+    def of(cls, recs, fols):
+        frames = [r.monge.frame for r in recs]
+        return cls(np.array([f.origin for f in frames]).reshape(-1, 3),
+                   np.array([f.e1 for f in frames]).reshape(-1, 3),
+                   np.array([f.e2 for f in frames]).reshape(-1, 3),
+                   np.array([r.uv for r in recs], dtype=float).reshape(-1, 2),
+                   np.array([f == MINIMAL for f in fols], dtype=bool))
+
+    def take(self, idx):
+        return _Lanes(*(getattr(self, f.name)[idx] for f in fields(self)))
+
+    def circle_uv(self, surface, angles, radius):
+        """Chart points at ``radius`` and ``angles`` in each lane's frame."""
+        targets = self.x0 + radius * (np.cos(angles)[:, None] * self.e1
+                                      + np.sin(angles)[:, None] * self.e2)
+        return _invert_batch(surface, targets, self.seed)
+
+    def pick(self, b, key):
+        """Each lane's own foliation from a chart bundle: ``key`` is
+        "uv" or "xyz"."""
+        return np.where(self.minimal[:, None], b["d1_" + key], b["d2_" + key])
+
+
+def _alignment_values(surface, lanes, angles, radius):
+    """sin/cos of twice the angle between each lane's field and its radial
+    ray, at one angle per lane."""
+    uv = lanes.circle_uv(surface, angles, radius)
     b = chart_bundle(surface, uv[:, 0], uv[:, 1])
-    d = b["d1_xyz"] if fol == MINIMAL else b["d2_xyz"]
-    w = b["r"] - x0
+    d = lanes.pick(b, "xyz")
+    w = b["r"] - lanes.x0
     dist = np.linalg.norm(w, axis=1)
     radial = w / dist[:, None]
     tang = np.cross(b["normal"], radial)
@@ -625,42 +674,54 @@ def _alignment_values(surface, rec, fol, angles, radius):
     return 2 * c * s / norm, (c * c - s * s) / norm
 
 
-def _radial_alignment_zeros(surface, rec, fol, r0, resolution):
+def _radial_alignment_zeros(surface, lanes, r0, resolution, iters=30):
+    """Radially aligned angles on the circle of radius r0 / 2 of every
+    lane, sharpened by one bisection over the brackets of all lanes."""
+    m = len(lanes.seed)
+    step = 2 * math.pi / resolution
     angles = np.linspace(0.0, 2 * math.pi, resolution, endpoint=False)
-    zeros = []
-    z, w = _alignment_values(surface, rec, fol, angles, 0.5 * r0)
-    for i in range(resolution):
-        j = (i + 1) % resolution
-        if w[i] <= 0.0 or w[j] <= 0.0:
-            continue
-        if z[i] == 0.0:
-            zeros.append(angles[i])
-            continue
-        if z[i] * z[j] < 0.0:
-            lo = angles[i]
-            hi = angles[i] + 2 * math.pi / resolution
-            z_lo = z[i]
-            for _ in range(30):
-                mid = 0.5 * (lo + hi)
-                zm, wm = _alignment_values(surface, rec, fol,
-                                           np.array([mid]), 0.5 * r0)
-                if wm[0] <= 0.0:
-                    break
-                if zm[0] == 0.0:
-                    lo = hi = mid
-                    break
-                if math.copysign(1.0, zm[0]) == math.copysign(1.0, z_lo):
-                    lo, z_lo = mid, zm[0]
-                else:
-                    hi = mid
-            zeros.append(0.5 * (lo + hi))
-    merged = []
-    for ang in sorted(a % (2 * math.pi) for a in zeros):
-        if not merged or ang - merged[-1] > 0.02:
-            merged.append(ang)
-    if len(merged) > 1 and (merged[0] + 2 * math.pi - merged[-1]) < 0.02:
-        merged.pop()
-    return merged
+    z, w = np.empty((m, resolution)), np.empty((m, resolution))
+    for c in range(m):       # a circle per call keeps the batches small
+        z[c], w[c] = _alignment_values(
+            surface, lanes.take(np.full(resolution, c)), angles, 0.5 * r0)
+    zn, wn = np.roll(z, -1, axis=1), np.roll(w, -1, axis=1)
+    aligned = (w > 0.0) & (wn > 0.0)
+    exact = aligned & (z == 0.0)
+    lane, i = np.nonzero(aligned & ~exact & (z * zn < 0.0))
+    lo = angles[i]
+    hi = angles[i] + step
+    z_lo = z[lane, i]
+    live = np.ones(len(lane), dtype=bool)
+    for _ in range(iters):
+        k = np.flatnonzero(live)
+        if not len(k):
+            break
+        mid = 0.5 * (lo[k] + hi[k])
+        zm, wm = _alignment_values(surface, lanes.take(lane[k]), mid, 0.5 * r0)
+        live[k[wm <= 0.0]] = False
+        hit = (wm > 0.0) & (zm == 0.0)
+        lo[k[hit]] = hi[k[hit]] = mid[hit]
+        live[k[hit]] = False
+        go = (wm > 0.0) & ~hit
+        same = go & (np.copysign(1.0, zm) == np.copysign(1.0, z_lo[k]))
+        lo[k[same]], z_lo[k[same]] = mid[same], zm[same]
+        hi[k[go & ~same]] = mid[go & ~same]
+
+    zeros = [[] for _ in range(m)]
+    for c, j in zip(*np.nonzero(exact)):
+        zeros[c].append(angles[j])
+    for c, a in zip(lane, 0.5 * (lo + hi)):
+        zeros[c].append(a)
+    out = []
+    for found in zeros:
+        merged = []
+        for ang in sorted(a % (2 * math.pi) for a in found):
+            if not merged or ang - merged[-1] > 0.02:
+                merged.append(ang)
+        if len(merged) > 1 and (merged[0] + 2 * math.pi - merged[-1]) < 0.02:
+            merged.pop()
+        out.append(merged)
+    return out
 
 
 _FATE_EXIT = 0
@@ -668,43 +729,32 @@ _FATE_ENTER = 1
 _FATE_STUCK = 2
 
 
-def _terminal_fate(surface, rec, foliation_id, alphas, r0, depth=2e-3,
-                   max_steps=2500):
+def _terminal_fate(surface, lanes, alphas, r0, depth=2e-3, max_steps=2500):
     """Terminal fate of inward launches: deep entry versus horizon exit.
 
-    Integrates the foliation inward with steps scaled to the current
-    distance (the field varies on that scale).  A launch "enters" when it
-    descends below ``depth * r0`` and "exits" past the 5 r0 horizon; leaves
-    hugging a hyperbolic sector eventually exit, fan leaves terminate at
-    the umbilic, which is what separates the two sector types.
+    Launch i leaves from angle ``alphas[i]`` on the circle of radius r0
+    in the frame of lane i, along that lane's foliation.  Integrates the
+    foliation inward with steps scaled to the current distance (the field
+    varies on that scale).  A launch "enters" when it descends below
+    ``depth * r0`` and "exits" past the 5 r0 horizon; leaves hugging a
+    hyperbolic sector eventually exit, fan leaves terminate at the
+    umbilic, which is what separates the two sector types.
     """
-    fr = rec.monge.frame
-    e1, e2, x0 = fr.e1, fr.e2, fr.origin
-
-    targets = (x0[None, :] + r0 * (np.cos(alphas)[:, None] * e1
-                                   + np.sin(alphas)[:, None] * e2))
-    uv = _invert_batch(surface, targets, rec.uv)
-
-    key_uv = "d1_uv" if foliation_id == MINIMAL else "d2_uv"
-    key_xyz = "d1_xyz" if foliation_id == MINIMAL else "d2_xyz"
-
+    uv = lanes.circle_uv(surface, alphas, r0)
     b = chart_bundle(surface, uv[:, 0], uv[:, 1])
-    radial = b["r"] - x0
-    d = b[key_xyz]
-    sign = -np.sign(np.sum(d * radial, axis=1))
+    d = lanes.pick(b, "xyz")
+    sign = -np.sign(np.sum(d * (b["r"] - lanes.x0), axis=1))
     sign[sign == 0.0] = 1.0
     ref = d * sign[:, None]
 
     r_deep = depth * r0
     r_far = 5.0 * r0
-    m = len(alphas)
-    active = np.ones(m, dtype=bool)
-    fate = np.full(m, _FATE_STUCK, dtype=int)
-    entry_angle = np.full(m, np.nan)
+    active = np.ones(len(alphas), dtype=bool)
+    fate = np.full(len(alphas), _FATE_STUCK, dtype=int)
 
-    def field(uv_pts, ref_dirs):
+    def field(lns, uv_pts, ref_dirs):
         bb = chart_bundle(surface, uv_pts[:, 0], uv_pts[:, 1])
-        dd_uv, dd_xyz = bb[key_uv], bb[key_xyz]
+        dd_uv, dd_xyz = lns.pick(bb, "uv"), lns.pick(bb, "xyz")
         s = np.sign(np.sum(dd_xyz * ref_dirs, axis=1))
         s[s == 0.0] = 1.0
         return dd_uv * s[:, None], dd_xyz * s[:, None], bb["r"]
@@ -714,34 +764,33 @@ def _terminal_fate(surface, rec, foliation_id, alphas, r0, depth=2e-3,
         if not active.any():
             break
         idx = np.where(active)[0]
+        lns = lanes.take(idx)
         y = uv[idx]
         rf = ref[idx]
-        dist_now = np.linalg.norm(pos[idx] - x0, axis=1)
+        dist_now = np.linalg.norm(pos[idx] - lns.x0, axis=1)
         ds = np.maximum(dist_now / 7.0, r_deep / 4.0)[:, None]
-        k1u, _, _ = field(y, rf)
-        k2u, _, _ = field(y + 0.5 * ds * k1u, rf)
-        k3u, _, _ = field(y + 0.5 * ds * k2u, rf)
-        k4u, _, _ = field(y + ds * k3u, rf)
+        k1u, _, _ = field(lns, y, rf)
+        k2u, _, _ = field(lns, y + 0.5 * ds * k1u, rf)
+        k3u, _, _ = field(lns, y + 0.5 * ds * k2u, rf)
+        k4u, _, _ = field(lns, y + ds * k3u, rf)
         uv_new = y + (ds / 6.0) * (k1u + 2 * k2u + 2 * k3u + k4u)
-        _, d_new, p_new = field(uv_new, rf)
+        _, d_new, p_new = field(lns, uv_new, rf)
         uv[idx] = uv_new
         ref[idx] = d_new
         pos[idx] = p_new
-        w_new = p_new - x0
-        dist = np.linalg.norm(w_new, axis=1)
+        dist = np.linalg.norm(p_new - lns.x0, axis=1)
         enter_now = dist < r_deep
         out_now = (dist > r_far) & ~enter_now
         fate[idx[enter_now]] = _FATE_ENTER
-        entry_angle[idx[enter_now]] = np.arctan2(
-            w_new[enter_now] @ e2, w_new[enter_now] @ e1) % (2 * math.pi)
         fate[idx[out_now]] = _FATE_EXIT
         active[idx[enter_now | out_now]] = False
-    return fate, entry_angle
+    return fate
 
 
 def _invert_batch(surface, targets, uv_seed, iters=14):
-    m = len(targets)
-    uv = np.tile(np.asarray(uv_seed, dtype=float), (m, 1))
+    """Gauss-Newton chart points of world ``targets`` (M, 3) from one seed
+    or one seed per target."""
+    uv = np.array(np.broadcast_to(uv_seed, (len(targets), 2)), dtype=float)
     for _ in range(iters):
         J = surface.jet(uv[:, 0], uv[:, 1])
         r = J[0, 0] - targets
@@ -791,13 +840,27 @@ def classify_umbilic(surface, rec, tol=1e-6, margin_tol=None,
     return rec
 
 
+def classify_umbilics(surface, recs, tol=1e-6, with_separatrices=True):
+    """:func:`classify_umbilic` for all located umbilics of a surface; the
+    separatrices of the Darbouxian ones are found together (one batched
+    circle scan and one batched fate run)."""
+    recs = [classify_umbilic(surface, rec, tol=tol, with_separatrices=False)
+            for rec in recs]
+    darboux = [k for k, rec in enumerate(recs) if rec.type in (D1, D2, D3)]
+    if with_separatrices and darboux:
+        rays = _separatrix_rays(surface, [recs[k] for k in darboux])
+        for k, (seps, conf) in zip(darboux, rays):
+            recs[k] = replace(recs[k], separatrices=seps,
+                              separatrix_confidence=conf)
+    return recs
+
+
 def analyze_umbilics(surface, grid=32, with_separatrices=True, tol=1e-6):
     found = locate_umbilics(surface, grid=grid)
     if isinstance(found, AllUmbilicSurface):
         return found
-    return [classify_umbilic(surface, rec, tol=tol,
+    return classify_umbilics(surface, found, tol=tol,
                              with_separatrices=with_separatrices)
-            for rec in found]
 
 
 @dataclass(frozen=True)

@@ -64,10 +64,14 @@ def test_s_rho_derivative_consistency(rng):
         assert T[0, 1, 2] == pytest.approx(0.08)
 
 
-def test_confocal_on_surface_root_is_zero(ellipsoid, rng):
-    for _ in range(50):
-        u = rng.uniform(0.3, 5.9)
-        v = rng.uniform(0.3, 2.8)
+def test_confocal_on_surface_root_is_zero(ellipsoid):
+    # its own generator, so the points do not depend on the tests run
+    # before; the first point once gave lam3 one ulp off, residual 1.47e-10
+    rng = np.random.default_rng(20260808)
+    points = [(1.5727394633452052, 1.859106946892293)]
+    points += [(rng.uniform(0.3, 5.9), rng.uniform(0.3, 2.8))
+               for _ in range(50)]
+    for u, v in points:
         p = ellipsoid.point(u, v)
         try:
             cc = confocal_coordinates(p, (3, 2, 1))

@@ -102,6 +102,25 @@ def test_cli_umbilics_torus_empty(tmp_path):
     assert rep["results"]["index_sum"]["sum"] == 0
 
 
+def test_cli_cycles_work_counts_every_trace(tmp_path):
+    reports = []
+    for attempt in ("a", "b"):
+        out = tmp_path / f"cyc{attempt}"
+        assert run_cli(["cycles", "--surface", "torus:2,1", "--seeds",
+                        "0.3,0.9;1.5,0.9", "--foliation", "maximal",
+                        "--out", str(out)]) == 0
+        reports.append((out / "report.json").read_text())
+    assert reports[0] == reports[1]
+    work = json.loads(reports[0])["work"]
+    assert work["cycles_found"] == 1
+    # the closed curve of the parallel takes 72 steps; the search,
+    # the FD return map and the duplicate's search take several times that
+    assert work["steps"] > 300
+    assert work["dropped_seeds"] == [{
+        "foliation": "maximal", "seed": [1.5, 0.9],
+        "reason": "duplicate of an earlier cycle"}]
+
+
 def test_cli_umbilics_sphere_marker(tmp_path):
     out = tmp_path / "o3"
     assert run_cli(["umbilics", "--surface", "sphere:1", "--grid", "20",

@@ -4,13 +4,15 @@ import numpy as np
 import pytest
 
 from principal_config import catalog, cycles
+from principal_config.errors import RegularityError
 from principal_config.cycles import (CycleSearchOptions,
                                      cycle_from_closed_trajectory,
                                      find_cycles, hyperbolicity,
                                      return_map_derivative_fd,
                                      return_map_derivative_integral)
 from principal_config.foliation import TraceOptions, trace
-from principal_config.geometry import MAXIMAL, MINIMAL
+from principal_config.geometry import (MAXIMAL, MINIMAL,
+                                       FiniteDifferenceChart)
 
 # seeds bracketing displacement roots, frozen from the sign-change scan
 PT_MAX_SEEDS = [(0.4, 1.5), (0.4, 2.9), (0.4, 4.6)]
@@ -132,3 +134,33 @@ def test_hyperbolicity_verdict_rule(perturbed_cycles):
 def test_duplicate_cycles_merge(torus):
     found = find_cycles(torus, [(0.3, 0.9), (1.5, 0.9)], MAXIMAL)
     assert len(found) == 1
+
+
+def _raising_chart(error):
+    def point(u, v):
+        raise error("point function failed")
+    return FiniteDifferenceChart(
+        point, ((0, 2 * math.pi), (0, 2 * math.pi)), periodic_u=True,
+        periodic_v=True, diameter_hint=6.0)
+
+
+def test_find_cycles_drops_a_seed_only_on_seed_failures():
+    with pytest.raises(TypeError):
+        find_cycles(_raising_chart(TypeError), [(0.3, 0.9)], MAXIMAL)
+    log = cycles.SearchLog()
+    assert find_cycles(_raising_chart(RegularityError), [(0.3, 0.9)],
+                       MAXIMAL, log=log) == []
+    assert log.dropped == [(MAXIMAL, (0.3, 0.9),
+                            "no anchor: RegularityError: point function "
+                            "failed")]
+
+
+def test_search_log_counts_every_trace(torus):
+    log = cycles.SearchLog()
+    found = find_cycles(torus, [(0.3, 0.9), (1.5, 0.9)], MAXIMAL, log=log)
+    assert len(found) == 1
+    # secant search, FD return map and two closing traces, not only the
+    # closed curve that is kept
+    assert log.steps > 3 * found[0].curve.meta["steps"]
+    assert log.dropped == [(MAXIMAL, (1.5, 0.9),
+                            "duplicate of an earlier cycle")]

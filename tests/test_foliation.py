@@ -8,7 +8,8 @@ from principal_config import catalog, foliation, umbilics
 from principal_config.foliation import (DomainSection, KnownFeatures,
                                         TraceOptions, WorldPlaneSection,
                                         omega_limit_classify,
-                                        separatrix_connection_scan, trace)
+                                        separatrix_connection_scan, trace,
+                                        trace_lanes)
 from principal_config.geometry import MAXIMAL, MINIMAL
 
 
@@ -230,3 +231,73 @@ def test_world_plane_section_on_implicit():
                               rel_tol=1e-7))
     assert len(traj.crossings) >= 6
     assert all(abs(c.xyz[2]) < 1e-6 for c in traj.crossings)
+
+
+def _launch_lanes(surface, records):
+    """The 24 separatrix launches of the connection scan on the ellipsoid:
+    chart starts, headings, foliations and rel_tols."""
+    r_launch = 2.5e-3 * surface.diameter()
+    lanes = []
+    for rec in records:
+        fr = rec.monge.frame
+        for fol, angs in rec.separatrices.items():
+            for ang in angs:
+                for skew, rtol in ((2.5e-4, 1e-8), (-2.5e-4, 1e-8),
+                                   (2.5e-4, 1e-9)):
+                    ray = (math.cos(ang + skew) * fr.e1
+                           + math.sin(ang + skew) * fr.e2)
+                    uv = foliation.chart_point_near(
+                        surface, rec.xyz + r_launch * ray, rec.uv)
+                    lanes.append((uv, ray, fol, rtol))
+    return lanes
+
+
+def _run(surface, lanes, opts):
+    uv, ray, fol, rtol = zip(*lanes)
+    return trace_lanes(surface, uv, fol, opts, headings=ray, rel_tol=rtol)
+
+
+def test_trace_lanes_lane_does_not_depend_on_its_batch(ellipsoid,
+                                                       ellipsoid_records):
+    lanes = _launch_lanes(ellipsoid, ellipsoid_records)
+    assert len(lanes) == 24
+    opts = TraceOptions(known_umbilics=ellipsoid_records,
+                        detect_closure=False,
+                        max_length=4.0 * ellipsoid.diameter())
+    batch = _run(ellipsoid, lanes, opts)
+    order = [(7 * k + 5) % 24 for k in range(24)]       # a permutation
+    shuffled = _run(ellipsoid, [lanes[k] for k in order], opts)
+    assert {t.termination for t in batch} == {foliation.TERM_HIT_UMBILIC}
+    for k in (0, 5, 13, 23):
+        alone = _run(ellipsoid, [lanes[k]], opts)[0]
+        for other in (batch[k], shuffled[order.index(k)]):
+            assert np.array_equal(other.points_uv, alone.points_uv)
+            assert np.array_equal(other.points_xyz, alone.points_xyz)
+            assert np.array_equal(other.arclength, alone.arclength)
+            assert other.termination == alone.termination
+            assert other.hit_umbilic_index == alone.hit_umbilic_index
+            assert other.meta["steps"] == alone.meta["steps"]
+
+
+def test_trace_lanes_follows_trace_and_rejects_unsupported(ellipsoid, torus):
+    opts = TraceOptions(detect_closure=False, max_length=6.0)
+    starts = [(0.8, 1.1), (2.1, 0.7), (4.1, 0.9)]
+    lanes = trace_lanes(ellipsoid, starts, [MINIMAL, MAXIMAL, MAXIMAL],
+                        opts)
+    for (start, fol), lane in zip(zip(starts, [MINIMAL, MAXIMAL, MAXIMAL]),
+                                  lanes):
+        lone = trace(ellipsoid, start, fol, opts)
+        assert lane.termination == lone.termination == "MaxLength"
+        assert lane.length == pytest.approx(6.0, abs=1e-12)
+        assert np.linalg.norm(lane.points_xyz[-1] - lone.points_xyz[-1]) \
+            < 1e-6
+    back = trace_lanes(ellipsoid, starts[:1], MINIMAL,
+                       TraceOptions(detect_closure=False, max_length=6.0,
+                                    initial_sign=-1))[0]
+    assert float(np.dot(back.tangents[0], lanes[0].tangents[0])) < -0.99
+    with pytest.raises(ValueError):
+        trace_lanes(torus, [(0.3, 0.9)], MAXIMAL, TraceOptions())
+    with pytest.raises(ValueError):
+        trace_lanes(torus, [(0.3, 0.9)], MAXIMAL, TraceOptions(
+            detect_closure=False,
+            sections=(DomainSection("m", "u", 0.0),)))

@@ -286,3 +286,69 @@ def test_finite_difference_chart_fallback(torus):
     assert np.allclose(J_fd[2, 0], J_an[2, 0], atol=1e-6)
     assert np.allclose(J_fd[3, 0], J_an[3, 0], atol=1e-4)
     assert np.allclose(J_fd[2, 1], J_an[2, 1], atol=1e-4)
+
+
+def _fd_torus():
+    def point(u, v):
+        u, v = np.asarray(u, dtype=float), np.asarray(v, dtype=float)
+        rad = 2.0 + np.cos(v)
+        return np.stack([rad * np.cos(u), rad * np.sin(u), np.sin(v)],
+                        axis=-1)
+    return geometry.FiniteDifferenceChart(
+        point, ((0, 2 * math.pi), (0, 2 * math.pi)), periodic_u=True,
+        periodic_v=True, name="fd-torus")
+
+
+@pytest.mark.parametrize("make", [
+    lambda: catalog.torus_chart(2.0, 1.0),
+    lambda: catalog.ellipsoid_chart(3.0, 2.0, 1.0),
+    lambda: catalog.perturbed_ellipsoid_chart(3, 2, 1, 0.008, 0),
+    lambda: catalog.rotated_cap_ellipsoid_chart(0.3),
+    lambda: catalog.monge_graph_chart(1.0, 0.5, 1.0, 0.2),
+    _fd_torus,
+])
+def test_with_orientation_keeps_class_and_state(make):
+    chart = make()
+    flipped = chart.with_orientation(-chart.orientation)
+    assert type(flipped) is type(chart)
+    assert flipped.orientation == -chart.orientation
+    for u, v in ((0.3, 0.4), (1.1, -0.2), (2.5, 0.7)):
+        assert np.array_equal(flipped.jet(u, v), chart.jet(u, v))
+        a, b = chart_bundle(chart, u, v), chart_bundle(flipped, u, v)
+        assert np.array_equal(b["normal"], -a["normal"])
+        assert b["k1"] == -a["k2"] and b["k2"] == -a["k1"]
+        for name in ("fold", "rebase_state"):
+            if hasattr(chart, name):
+                for w in (v, v + 2.0, v - 2.0):
+                    assert (getattr(flipped, name)(u, w)
+                            == getattr(chart, name)(u, w))
+    assert chart.with_orientation(chart.orientation).orientation \
+        == chart.orientation
+    with pytest.raises(ValueError):
+        chart.with_orientation(0)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: catalog.ellipsoid_chart(3.0, 2.0, 1.0),
+    lambda: catalog.perturbed_ellipsoid_chart(3, 2, 1, 0.008, 0),
+    lambda: catalog.perturbed_torus_chart(2.0, 1.0, 0.05),
+    lambda: catalog.rotated_cap_ellipsoid_chart(0.3),
+])
+def test_batch_point_is_bit_identical_to_the_point_alone(make):
+    chart = make()
+    rng = np.random.default_rng(11)
+    u = rng.uniform(0.0, 2 * math.pi, 48)
+    v = rng.uniform(-0.4, 1.4, 48)
+    jet = chart.jet(u, v)
+    bundle = chart_bundle(chart, u, v, strict=False)
+    # e_theta has its own scalar jet for 0-d input; one-point arrays take
+    # the batch path on every chart
+    scalar = not isinstance(chart, catalog.RotatedCapChart)
+    for i in range(48):
+        one = u[i:i + 1], v[i:i + 1]
+        assert np.array_equal(jet[..., i, :], chart.jet(*one)[..., 0, :])
+        if scalar:
+            assert np.array_equal(jet[..., i, :], chart.jet(u[i], v[i]))
+        alone = chart_bundle(chart, *one, strict=False)
+        for key, value in bundle.items():
+            assert np.array_equal(value[i], alone[key][0], equal_nan=True), key

@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 from principal_config import catalog, umbilics
-from principal_config.errors import InconclusiveError
+from principal_config.errors import (ConvergenceError, InconclusiveError,
+                                     RegularityError)
+from principal_config.geometry import FiniteDifferenceChart
 from principal_config.umbilics import (AllUmbilicSurface, classify,
                                        classify_direct, classify_umbilic,
                                        index_sum_check, locate_umbilics,
@@ -225,8 +227,9 @@ def test_d3_alignment_oracle_at_reported_rays():
     for fol in ("minimal", "maximal"):
         for ang in rec.separatrices[fol]:
             probes = ang + np.radians(np.arange(-0.5, 0.51, 0.1))
-            z, w = umbilics._alignment_values(g, rec, fol, probes,
-                                              0.5 * r0)
+            lanes = umbilics._Lanes.of([rec] * len(probes),
+                                       [fol] * len(probes))
+            z, w = umbilics._alignment_values(g, lanes, probes, 0.5 * r0)
             mid = len(probes) // 2
             assert abs(z[mid]) < 5e-3 and w[mid] > 0.9
             assert abs(z[0]) > abs(z[mid]) and abs(z[-1]) > abs(z[mid])
@@ -294,3 +297,28 @@ def test_monge_reconstruction_order(ellipsoid, ellipsoid_records):
         errs.append(worst)
     slope = np.polyfit(np.log(radii), np.log(errs), 1)[0]
     assert slope >= 3.8
+
+
+def _failing_chart(error, after_calls):
+    """A finite-difference paraboloid chart whose point function raises
+    ``error`` from its ``after_calls``-th call on."""
+    calls = [0]
+
+    def point(u, v):
+        calls[0] += 1
+        if calls[0] > after_calls:
+            raise error("point function failed")
+        u, v = np.broadcast_arrays(np.asarray(u, float), np.asarray(v, float))
+        return np.stack([u, v, 0.5 * (u * u + v * v) + 0.1 * u ** 3], axis=-1)
+
+    return FiniteDifferenceChart(point, ((-1, 1), (-1, 1)), name="failing",
+                                 diameter_hint=3.0)
+
+
+def test_refine_drops_a_seed_only_on_seed_failures():
+    # one jet (100 point calls) succeeds, the refinement's next one fails
+    with pytest.raises(TypeError):
+        refine_umbilic_record(_failing_chart(TypeError, 100), (0.1, 0.1))
+    with pytest.raises(ConvergenceError):
+        refine_umbilic_record(_failing_chart(RegularityError, 100),
+                              (0.1, 0.1))
