@@ -10,6 +10,7 @@ documents its choice.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -432,31 +433,34 @@ def cubic_levelset_surface(rho, a=3.0, b=2.0):
         raise ParamError("rho too large; compact component not guaranteed")
     ia2, ib2 = 1.0 / (a * a), 1.0 / (b * b)
 
+    # the point axis goes first (p.T), so one point runs on numpy scalars
     def f(p):
-        x, y, z = p[..., 0], p[..., 1], p[..., 2]
-        return x * x * ia2 + y * y * ib2 + z * z + rho * x * y * z - 1.0
+        x, y, z = p.T
+        return (x * x * ia2 + y * y * ib2 + z * z + rho * x * y * z - 1.0).T
 
     def grad(p):
-        x, y, z = p[..., 0], p[..., 1], p[..., 2]
-        return np.stack([2 * x * ia2 + rho * y * z,
-                         2 * y * ib2 + rho * x * z,
-                         2 * z + rho * x * y], axis=-1)
+        x, y, z = p.T
+        out = np.empty(p.T.shape)
+        out[0] = 2 * x * ia2 + rho * y * z
+        out[1] = 2 * y * ib2 + rho * x * z
+        out[2] = 2 * z + rho * x * y
+        return out.T
 
     def hess(p):
-        x, y, z = p[..., 0], p[..., 1], p[..., 2]
-        zero = np.zeros_like(x)
-        row0 = np.stack([np.full_like(x, 2 * ia2), rho * z, rho * y], -1)
-        row1 = np.stack([rho * z, np.full_like(x, 2 * ib2), rho * x], -1)
-        row2 = np.stack([rho * y, rho * x, np.full_like(x, 2.0) + zero], -1)
-        return np.stack([row0, row1, row2], axis=-2)
+        x, y, z = p.T
+        out = np.empty((3,) + p.T.shape)
+        out[0, 0], out[1, 1], out[2, 2] = 2 * ia2, 2 * ib2, 2.0
+        out[0, 1] = out[1, 0] = rho * z
+        out[0, 2] = out[2, 0] = rho * y
+        out[1, 2] = out[2, 1] = rho * x
+        return out.T
+
+    T = np.zeros((3, 3, 3))
+    for perm in itertools.permutations(range(3)):
+        T[perm] = rho
 
     def third(p):
-        x = np.asarray(p)[..., 0]
-        T = np.zeros(x.shape + (3, 3, 3))
-        for perm in ((0, 1, 2), (0, 2, 1), (1, 0, 2),
-                     (1, 2, 0), (2, 0, 1), (2, 1, 0)):
-            T[(..., *perm)] = rho
-        return T
+        return np.broadcast_to(T, np.shape(p)[:-1] + (3, 3, 3))
 
     pad = 0.5
     return ImplicitSurface(

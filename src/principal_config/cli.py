@@ -192,6 +192,7 @@ def cmd_cycles(args):
     results = {"cycles": [c.to_dict() for c in found],
                "verdicts": [cycles.hyperbolicity(c) for c in found]}
     work = {"cycles_found": len(found), "steps": log.steps,
+            "evals": log.evals,
             "dropped_seeds": [{"foliation": fol, "seed": list(seed),
                                "reason": reason}
                               for fol, seed, reason in log.dropped]}

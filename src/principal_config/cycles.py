@@ -42,14 +42,17 @@ class CycleSearchOptions:
 @dataclass
 class SearchLog:
     """Work of a cycle search, filled in as it runs: the Dormand-Prince
-    steps of every trace it made (secant search, FD return map, closing
-    trace), and each seed that gave no new cycle, with the reason."""
+    steps and field evaluations of every trace it made (secant search, FD
+    return map, closing trace), and each seed that gave no new cycle, with
+    the reason."""
 
     steps: int = 0
+    evals: int = 0
     dropped: list = field(default_factory=list)   # (foliation, seed, reason)
 
     def count(self, traj):
         self.steps += traj.meta["steps"]
+        self.evals += traj.meta["evals"]
         return traj
 
 

@@ -11,12 +11,13 @@ consistent global orientation exists.
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from dataclasses import dataclass, field, replace
 from typing import Sequence
 
 import numpy as np
 
-from .errors import RegularityError, TransversalityError
+from .errors import ConvergenceError, RegularityError, TransversalityError
 from .geometry import (MAXIMAL, MINIMAL, ImplicitSurface, SurfaceChart,
                        chart_bundle, implicit_bundle)
 
@@ -163,16 +164,8 @@ _DP_B4 = np.array([5179 / 57600, 0.0, 7571 / 16695, 393 / 640,
                    -92097 / 339200, 187 / 2100, 1 / 40])
 
 
-class _FieldEval:
-    """Direction-field sample: state velocity plus world data."""
-
-    __slots__ = ("vel", "xyz", "tangent", "normal")
-
-    def __init__(self, vel, xyz, tangent, normal):
-        self.vel = vel
-        self.xyz = xyz
-        self.tangent = tangent
-        self.normal = normal
+# direction-field sample: state velocity plus world data
+_FieldEval = namedtuple("_FieldEval", "vel xyz tangent normal")
 
 
 def _chart_field(surface, foliation_id):
@@ -208,25 +201,34 @@ def trace(surface, start, foliation_id, opts=None):
     """Integrate one principal line from ``start``.
 
     ``start`` is a chart point (u, v) for charts, or a world point for
-    implicit surfaces (projected onto the level set first).  Termination,
-    section crossings and closure refinement follow the options record;
-    results are deterministic for fixed options.
+    implicit surfaces (projected onto the level set first; a start that
+    does not project raises ConvergenceError).  Termination, section
+    crossings and closure refinement follow the options record; results
+    are deterministic for fixed options.  ``meta`` counts the Dormand-Prince
+    steps tried (``steps``) and the line-field evaluations (``evals``).
     """
     if foliation_id not in (MINIMAL, MAXIMAL):
         raise ValueError(f"unknown foliation id {foliation_id!r}")
-    opts = opts or TraceOptions()
-    if isinstance(surface, ImplicitSurface):
-        return _trace_core(surface, np.asarray(
-            surface.project(np.asarray(start, dtype=float))),
-            foliation_id, opts, implicit=True)
-    return _trace_core(surface, np.asarray(start, dtype=float),
-                       foliation_id, opts, implicit=False)
+    implicit = isinstance(surface, ImplicitSurface)
+    y0 = np.asarray(start, dtype=float)
+    return _trace_core(surface, surface.project(y0) if implicit else y0,
+                       foliation_id, opts or TraceOptions(), implicit)
 
 
 def _trace_core(surface, y0, foliation_id, opts, implicit):
     diam = surface.diameter()
-    fld = (_implicit_field if implicit else _chart_field)(surface,
-                                                          foliation_id)
+    field_at = (_implicit_field if implicit else _chart_field)(surface,
+                                                               foliation_id)
+    evals = 0
+
+    def fld(y, ref):
+        nonlocal evals
+        evals += 1
+        return field_at(y, ref)
+
+    # the world point of a state, all that crossing refinement needs
+    locate = ((lambda y: y) if implicit
+              else (lambda y: surface.point(y[0], y[1])))
     max_len = opts.max_length if opts.max_length is not None else 50.0 * diam
     h_max = opts.max_step_factor * diam
     h_min = opts.min_step_factor * diam
@@ -270,18 +272,21 @@ def _trace_core(surface, y0, foliation_id, opts, implicit):
                 termination = TERM_MAX_LENGTH
                 break
         try:
-            y_new, err, stages = _dp_step(fld, y, k1, h)
-        except (FloatingPointError, RegularityError):
-            # a stage landed on a chart singularity; shorter steps dodge
-            # it unless the path runs exactly through the point
+            y5, err, stages = _dp_step(fld, y, k1, h)
+            tol = opts.rel_tol * max(h, 1e-3 * h_max)
+            err_world = _world_err(err, stages[0], diam)
+            accept = bool(np.isfinite(err_world)) and err_world <= tol
+            proj = surface.project(y5) if implicit and accept else None
+        except (FloatingPointError, RegularityError, ConvergenceError):
+            # a stage landed on a chart singularity, or the step's end does
+            # not project onto the level set; shorter steps dodge it unless
+            # the path runs exactly through the point
             h *= 0.25
             if h < h_min:
                 termination = TERM_STEP_FAILURE
                 break
             continue
-        tol = opts.rel_tol * max(h, 1e-3 * h_max)
-        err_world = _world_err(err, stages[0], diam)
-        if not np.isfinite(err_world) or err_world > tol:
+        if not accept:
             h = max(h * max(0.2, 0.9 * (tol / max(err_world, 1e-300))
                             ** 0.25), h_min * 1.01)
             rejected_in_row += 1
@@ -292,14 +297,15 @@ def _trace_core(surface, y0, foliation_id, opts, implicit):
         rejected_in_row = 0
 
         ref = stages[0].tangent
-        # the last Dormand-Prince stage sits at y_new with the same sign
+        # the last Dormand-Prince stage sits at y5 with the same sign
         # reference (first same as last), so it is the field there
-        k_new = stages[6]
-        if implicit:
-            proj = surface.project(y_new)
-            if not np.allclose(proj, y_new, atol=1e-14 + 1e-9 * diam):
-                y_new = proj
-                k_new = fld(y_new, ref)
+        y_new, k_new = y5, stages[6]
+        # np.allclose(proj, y5, atol=1e-14 + 1e-9 * diam), default rtol
+        if implicit and not all(
+                abs(a - b) <= 1e-14 + 1e-9 * diam + 1e-5 * abs(b)
+                for a, b in zip(proj.tolist(), y5.tolist())):
+            y_new = proj
+            k_new = fld(y_new, ref)
 
         s_new = s + h
         p_new = k_new.xyz
@@ -311,7 +317,8 @@ def _trace_core(surface, y0, foliation_id, opts, implicit):
             g_new = sec.offset(y_new, p_new)
             if g_old * g_new < 0.0 and abs(g_old) + abs(g_new) < math.pi:
                 cross = _refine_crossing(
-                    fld, sec, y, k1, h, g_old, g_new, s, opts)
+                    sec, fld, locate, (y, k1, y5, stages[6], h, s),
+                    g_old, g_new, opts)
                 if cross is not None:
                     crossings.append(cross)
                     if (opts.max_crossings is not None
@@ -347,18 +354,12 @@ def _trace_core(surface, y0, foliation_id, opts, implicit):
                         closed_len = s_c
                         break
 
-        # domain exit for charts
-        if not implicit:
-            exited = _domain_violation(surface, y_new)
-            if exited:
-                _append(ys, ps, ts, ns, ss, y_new, k_new, s_new)
-                termination = TERM_DOMAIN_EXIT
-                break
-        else:
-            if not surface.in_box(p_new):
-                _append(ys, ps, ts, ns, ss, y_new, k_new, s_new)
-                termination = TERM_DOMAIN_EXIT
-                break
+        # exit from the chart domain or the implicit surface's box
+        if not (surface.in_box(p_new) if implicit
+                else surface.in_domain(y_new[0], y_new[1])):
+            _append(ys, ps, ts, ns, ss, y_new, k_new, s_new)
+            termination = TERM_DOMAIN_EXIT
+            break
 
         # chart handoff across a coordinate pole (double-covered strip)
         if not implicit:
@@ -394,7 +395,7 @@ def _trace_core(surface, y0, foliation_id, opts, implicit):
         crossings=crossings,
         hit_umbilic_index=hit_idx,
         closed_length=closed_len,
-        meta={"steps": steps, "surface": surface.name},
+        meta={"steps": steps, "evals": evals, "surface": surface.name},
     )
 
 
@@ -423,7 +424,7 @@ def trace_lanes(surface, starts, foliation_id, opts=None, headings=None,
     StepFailure.  The field comes from batched ``chart_bundle`` calls
     whose points are evaluated independently, so a lane's trajectory does
     not depend on the other lanes in its batch.  Returns one Trajectory
-    per lane.
+    per lane; ``meta["evals"]`` counts the points the lane evaluated.
     """
     opts = opts or TraceOptions()
     if isinstance(surface, ImplicitSurface):
@@ -467,6 +468,7 @@ def trace_lanes(surface, starts, foliation_id, opts=None, headings=None,
     s = np.zeros(m)
     h = np.full(m, min(1e-3 * diam, h_max))
     steps = np.zeros(m, dtype=int)
+    evals = np.ones(m, dtype=int)
     rejected = np.zeros(m, dtype=int)
     active = np.all(np.isfinite(vel), axis=1) & np.all(np.isfinite(tan),
                                                         axis=1)
@@ -493,6 +495,7 @@ def trace_lanes(surface, starts, foliation_id, opts=None, headings=None,
             if not len(idx):
                 continue
 
+            evals[idx] += 6
             hh, mi, ref = h[idx], minimal[idx], tan[idx]
             y0, hc = y[idx], hh[:, None]
             ks = [vel[idx]]
@@ -559,6 +562,7 @@ def trace_lanes(surface, starts, foliation_id, opts=None, headings=None,
                         y_new[k] = to
                         moved.append(k)
             if moved:
+                evals[lanes[moved]] += 1
                 fresh = _lane_field(surface, y_new[moved],
                                     minimal[lanes[moved]], k_new[2][moved])
                 for x, f in zip(k_new, fresh):
@@ -580,7 +584,8 @@ def trace_lanes(surface, starts, foliation_id, opts=None, headings=None,
         points_xyz=np.asarray(ps), tangents=np.asarray(ts),
         normals=np.asarray(ns), arclength=np.asarray(ss),
         termination=term[i], hit_umbilic_index=hit[i],
-        meta={"steps": int(steps[i]), "surface": surface.name})
+        meta={"steps": int(steps[i]), "evals": int(evals[i]),
+              "surface": surface.name})
         for i, (ys, ps, ts, ns, ss) in enumerate(rec)]
 
 
@@ -608,12 +613,8 @@ def _append(ys, ps, ts, ns, ss, y, ev, s):
 
 
 def _umbilic_points(known):
-    pts = []
-    for item in known or ():
-        if hasattr(item, "xyz"):
-            pts.append(np.asarray(item.xyz, dtype=float))
-        else:
-            pts.append(np.asarray(item, dtype=float))
+    pts = [np.asarray(getattr(item, "xyz", item), dtype=float)
+           for item in known or ()]
     return np.asarray(pts) if pts else np.zeros((0, 3))
 
 
@@ -649,22 +650,19 @@ def _hermite(y0, f0, y1, f1, h, t):
     return h00 * y0 + h10 * h * f0 + h01 * y1 + h11 * h * f1
 
 
-def _refine_crossing(fld, sec, y_old, k_old, h, g_old, g_new, s_old, opts):
-    """Locate a section crossing inside the accepted step."""
-    ref = k_old.tangent
-    y1, _, stages = _dp_step(fld, y_old, k_old, h)
-    k_end = fld(y1, ref)
-
-    def offset_at(t):
-        yt = _hermite(y_old, k_old.vel, y1, k_end.vel, h, t)
-        ev = fld(yt, ref)
-        return sec.offset(yt, ev.xyz), yt, ev
-
+def _refine_crossing(sec, fld, locate, step, g_old, g_new, opts):
+    """Locate a section crossing inside the accepted ``step`` = (y_old,
+    k_old, y1, k_end, h, s_old): y1 is the step's fifth-order end before
+    any projection and k_end its last Dormand-Prince stage, the field at
+    y1.  The bisection on the cubic Hermite interpolant evaluates only the
+    point ``locate(y)``, no field."""
+    y_old, k_old, y1, k_end, h, s_old = step
     lo, hi, g_lo = 0.0, 1.0, g_old
-    yt, ev = y_old, k_old
     for _ in range(40):
         mid = 0.5 * (lo + hi)
-        g_mid, yt, ev = offset_at(mid)
+        yt = _hermite(y_old, k_old.vel, y1, k_end.vel, h, mid)
+        xyz = locate(yt)
+        g_mid = sec.offset(yt, xyz)
         if g_mid == 0.0:
             break
         if math.copysign(1.0, g_mid) == math.copysign(1.0, g_lo):
@@ -674,9 +672,8 @@ def _refine_crossing(fld, sec, y_old, k_old, h, g_old, g_new, s_old, opts):
     t_star = 0.5 * (lo + hi)
     if opts.precise_crossings:
         # re-step exactly to the crossing parameter for integrator accuracy
-        y_star, _, _ = _dp_step(fld, y_old, k_old, h * t_star)
-        ev = fld(y_star, ref)
-        yt = y_star
+        yt, _, _ = _dp_step(fld, y_old, k_old, h * t_star)
+        xyz = fld(yt, k_old.tangent).xyz
     tangent_rate = abs(g_new - g_old) / max(h, 1e-300)
     if tangent_rate < 1e-7:
         raise TransversalityError(
@@ -684,10 +681,10 @@ def _refine_crossing(fld, sec, y_old, k_old, h, g_old, g_new, s_old, opts):
     direction = 1 if g_new > g_old else -1
     return SectionCrossing(
         section_id=sec.section_id,
-        coordinate=float(sec.coordinate(yt, ev.xyz)),
+        coordinate=float(sec.coordinate(yt, xyz)),
         direction=direction,
         arclength=float(s_old + h * t_star),
-        xyz=np.asarray(ev.xyz, dtype=float))
+        xyz=np.asarray(xyz, dtype=float))
 
 
 def _refine_plane_hit(fld, y_old, k_old, h, s_old, p0, t0):
@@ -709,15 +706,6 @@ def _refine_plane_hit(fld, y_old, k_old, h, s_old, p0, t0):
         else:
             hi = mid
     return y_best, ev_best, s_old + h * t_best
-
-
-def _domain_violation(surface, y):
-    (u0, u1), (v0, v1) = surface.domain
-    if not surface.periodic_u and not (u0 <= y[0] <= u1):
-        return True
-    if not surface.periodic_v and not (v0 <= y[1] <= v1):
-        return True
-    return False
 
 
 # ---------------------------------------------------------------------------

@@ -9,8 +9,9 @@ Two surface flavors are supported:
 * ``ImplicitSurface``: a level set ``f = level`` with analytic gradient,
   Hessian and (optionally) third-derivative tensor.
 
-All evaluation routines broadcast over trailing point axes; the dataclass
-wrappers are scalar conveniences on top of the array core.  Everything here
+The chart routines broadcast over trailing point axes; the dataclass
+wrappers are scalar conveniences on top of the array core.  The implicit
+kernel takes one point.  Everything here
 is immutable after construction and free of shared mutable state.
 """
 
@@ -24,8 +25,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import (CriticalPointError, RegularityError,
-                     UmbilicReferenceError)
+from .errors import (ConvergenceError, CriticalPointError,
+                     RegularityError, UmbilicReferenceError)
 from .jets import ORDER
 
 MINIMAL = "minimal"
@@ -310,20 +311,26 @@ class ImplicitSurface:
     params: dict = field(default_factory=dict)
     on_surface_tol: float = 1e-8
 
+    def __post_init__(self):
+        # the tracer asks for the diameter at every step
+        lo, hi = (np.asarray(b, dtype=float) for b in self.bounding_box)
+        object.__setattr__(self, "_diameter", float(np.linalg.norm(hi - lo)))
+
     def value(self, p):
         return np.asarray(self.f(np.asarray(p, dtype=float))) - self.level
 
     def diameter(self):
-        lo, hi = (np.asarray(b, dtype=float) for b in self.bounding_box)
-        return float(np.linalg.norm(hi - lo))
+        return self._diameter
 
     def regularity_floor(self):
-        return REGULARITY_FLOOR_FACTOR * max(self.diameter(), 1e-12)
+        return REGULARITY_FLOOR_FACTOR * max(self._diameter, 1e-12)
 
     def project(self, p, tol=1e-12, max_iter=12):
-        """Newton projection along the gradient onto the level set."""
+        """Newton projection along the gradient onto the level set.
+
+        Raises ConvergenceError if ``max_iter`` steps do not reach it."""
         p = np.array(p, dtype=float)
-        scale = max(self.diameter(), 1.0)
+        scale = max(self._diameter, 1.0)
         for _ in range(max_iter):
             val = self.value(p)
             if np.all(np.abs(val) < tol * scale):
@@ -331,11 +338,12 @@ class ImplicitSurface:
             g = np.asarray(self.grad(p))
             gg = np.sum(g * g, axis=-1, keepdims=True)
             p = p - np.asarray(val)[..., None] * g / np.maximum(gg, 1e-300)
-        return p
+        raise ConvergenceError(
+            f"no projection onto {self.name} in {max_iter} Newton steps")
 
     def in_box(self, p):
-        lo, hi = (np.asarray(b) for b in self.bounding_box)
-        return bool(np.all(p >= lo) and np.all(p <= hi))
+        lo, hi = self.bounding_box
+        return all(a <= c <= b for a, c, b in zip(lo, p.tolist(), hi))
 
 
 # ---------------------------------------------------------------------------
@@ -617,71 +625,63 @@ def normal_curvature(pd, theta):
 # implicit surfaces
 # ---------------------------------------------------------------------------
 
-def _implicit_tangent_basis(n):
-    """Deterministic orthonormal tangent pair for unit normals ``n``."""
-    n = np.asarray(n, dtype=float)
-    axis = np.argmin(np.abs(n), axis=-1)
-    seed = np.zeros_like(n)
-    idx = np.indices(axis.shape)
-    seed[(*idx, axis)] = 1.0
-    t1 = seed - np.sum(seed * n, axis=-1, keepdims=True) * n
-    t1 = t1 / np.linalg.norm(t1, axis=-1, keepdims=True)
-    t2 = np.cross(n, t1)
-    return t1, t2
-
-
 def implicit_bundle(surface, p, check_on_surface=True):
-    """Curvature data of a level set at points ``p`` with shape (..., 3)."""
+    """Curvature data of a level set at one point ``p`` of shape (3,).
+
+    Runs on python floats, like the chart tracer's kernel.  The tangent
+    pair is Gram-Schmidt on the axis of the smallest |n_i| (the first on
+    ties), and the shape operator in it goes through
+    :func:`shape_operator_eigen`.
+    """
     p = np.asarray(p, dtype=float)
-    g = np.asarray(surface.grad(p), dtype=float)
-    gn = np.linalg.norm(g, axis=-1)
+    gx, gy, gz = np.asarray(surface.grad(p), dtype=float).tolist()
+    gn = math.sqrt(gx * gx + gy * gy + gz * gz)
     floor = surface.regularity_floor()
-    if np.any(gn <= floor):
+    if gn <= floor:
         raise CriticalPointError(
             f"|grad f| <= {floor:.3e}: point rejected as critical on "
             f"{surface.name}")
     if check_on_surface:
-        val = np.abs(surface.value(p))
-        tol = surface.on_surface_tol * max(surface.diameter(), 1.0)
-        if np.any(val > tol):
-            raise CriticalPointError(
-                f"point off the level set by {float(np.max(val)):.3e}")
+        val = abs(float(surface.value(p)))
+        if val > surface.on_surface_tol * max(surface.diameter(), 1.0):
+            raise CriticalPointError(f"point off the level set by {val:.3e}")
 
-    n = surface.orientation * g / gn[..., None]
-    Hf = np.asarray(surface.hess(p), dtype=float)
-    t1, t2 = _implicit_tangent_basis(n)
+    o = surface.orientation
+    n = [o * gx / gn, o * gy / gn, o * gz / gn]
+    mag = [abs(c) for c in n]
+    k = mag.index(min(mag))
+    t1 = [float(i == k) - n[k] * c for i, c in enumerate(n)]
+    tn = math.sqrt(t1[0] * t1[0] + t1[1] * t1[1] + t1[2] * t1[2])
+    t1 = [c / tn for c in t1]
+    t2 = [n[1] * t1[2] - n[2] * t1[1], n[2] * t1[0] - n[0] * t1[2],
+          n[0] * t1[1] - n[1] * t1[0]]
+    Hf = np.asarray(surface.hess(p), dtype=float).tolist()
 
     def quad(a, b):
-        return np.einsum("...i,...ij,...j->...", a, Hf, b)
+        Hb = [r[0] * b[0] + r[1] * b[1] + r[2] * b[2] for r in Hf]
+        return a[0] * Hb[0] + a[1] * Hb[1] + a[2] * Hb[2]
 
-    scale = -surface.orientation / gn
-    w11 = scale * quad(t1, t1)
-    w12 = scale * quad(t1, t2)
-    w22 = scale * quad(t2, t2)
-
-    k1, k2, H, K, phi = shape_operator_eigen(w11, w12, w22)
-    c, s = np.cos(phi)[..., None], np.sin(phi)[..., None]
-    d1 = c * t1 + s * t2
-    d2 = -s * t1 + c * t2
+    scale = -o / gn
+    k1, k2, H, K, phi = shape_operator_eigen(
+        scale * quad(t1, t1), scale * quad(t1, t2), scale * quad(t2, t2))
+    c, s = math.cos(phi), math.sin(phi)
     dev = k2 - k1
-    tol = DIRECTION_TOL_FACTOR * np.maximum(
-        np.maximum(np.abs(k1), np.abs(k2)), 1.0)
     return {
-        "r": p, "normal": n, "k1": k1, "k2": k2, "H": H, "K": K,
-        "d1_xyz": d1, "d2_xyz": d2,
-        "umbilic_deviation": dev, "direction_tol": tol,
+        "r": p, "normal": np.array(n), "k1": k1, "k2": k2, "H": H, "K": K,
+        "d1_xyz": np.array([c * x + s * y for x, y in zip(t1, t2)]),
+        "d2_xyz": np.array([-s * x + c * y for x, y in zip(t1, t2)]),
+        "umbilic_deviation": dev,
+        "direction_tol": DIRECTION_TOL_FACTOR * max(abs(k1), abs(k2), 1.0),
     }
 
 
 def implicit_principal_data(surface, p):
     """PrincipalData of the level set at a single on-surface point."""
-    b = implicit_bundle(surface, np.asarray(p, dtype=float))
-    dev = float(b["umbilic_deviation"])
-    tol = float(b["direction_tol"])
+    b = implicit_bundle(surface, p)
+    dev = b["umbilic_deviation"]
     return PrincipalData(
-        k1=float(b["k1"]), k2=float(b["k2"]), H=float(b["H"]),
-        K=float(b["K"]), umbilic_deviation=dev,
-        directions_defined=dev > tol,
+        k1=b["k1"], k2=b["k2"], H=b["H"], K=b["K"], umbilic_deviation=dev,
+        directions_defined=dev > b["direction_tol"],
         d1_xyz=b["d1_xyz"], d2_xyz=b["d2_xyz"],
         normal=b["normal"], point=b["r"])
 

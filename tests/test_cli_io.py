@@ -116,6 +116,8 @@ def test_cli_cycles_work_counts_every_trace(tmp_path):
     # the closed curve of the parallel takes 72 steps; the search,
     # the FD return map and the duplicate's search take several times that
     assert work["steps"] > 300
+    # six stages per step, plus starts and closure refinement
+    assert work["evals"] > 6 * work["steps"]
     assert work["dropped_seeds"] == [{
         "foliation": "maximal", "seed": [1.5, 0.9],
         "reason": "duplicate of an earlier cycle"}]

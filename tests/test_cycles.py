@@ -162,5 +162,6 @@ def test_search_log_counts_every_trace(torus):
     # secant search, FD return map and two closing traces, not only the
     # closed curve that is kept
     assert log.steps > 3 * found[0].curve.meta["steps"]
+    assert log.evals > 6 * log.steps
     assert log.dropped == [(MAXIMAL, (1.5, 0.9),
                             "duplicate of an earlier cycle")]

@@ -5,6 +5,7 @@ import pytest
 from scipy.spatial import cKDTree
 
 from principal_config import catalog, foliation, umbilics
+from principal_config.errors import ConvergenceError
 from principal_config.foliation import (DomainSection, KnownFeatures,
                                         TraceOptions, WorldPlaneSection,
                                         omega_limit_classify,
@@ -233,6 +234,55 @@ def test_world_plane_section_on_implicit():
     assert all(abs(c.xyz[2]) < 1e-6 for c in traj.crossings)
 
 
+@pytest.mark.parametrize("surface, section, start", [
+    (catalog.cubic_levelset_surface(0.05, 3.0, 2.0),
+     WorldPlaneSection("z0", normal=(0, 0, 1), offset=0.0,
+                       axes=((1, 0, 0), (0, 1, 0))),
+     np.array([3.0 * math.cos(0.4), 2.0 * math.sin(0.4), 0.0])),
+    (catalog.rotated_cap_ellipsoid_chart(0.3),
+     DomainSection("equator", "v", 0.0), (0.4, 0.02)),
+], ids=["s_rho", "e_theta"])
+def test_crossing_costs_no_field_evaluation(surface, section, start):
+    opts = TraceOptions(rel_tol=1e-6, max_step_factor=0.1, max_length=60.0,
+                        detect_closure=False)
+    plain = trace(surface, start, MAXIMAL, opts)
+    cut = trace(surface, start, MAXIMAL, opts.with_sections([section]))
+    assert len(cut.crossings) >= 6
+    assert cut.meta["steps"] == plain.meta["steps"]
+    assert cut.meta["evals"] == plain.meta["evals"]
+    assert np.array_equal(cut.points_xyz, plain.points_xyz)
+    # a Dormand-Prince step tries six new stages
+    assert plain.meta["evals"] >= 6 * plain.meta["steps"]
+    if isinstance(section, WorldPlaneSection):
+        diam = surface.diameter()
+        assert all(abs(c.xyz[2]) <= 1e-9 * diam for c in cut.crossings)
+
+
+def test_unconverged_projection_rejects_the_step():
+    s = catalog.cubic_levelset_surface(0.05, 3.0, 2.0)
+    with pytest.raises(ConvergenceError):
+        trace(s, np.zeros(3), MAXIMAL)
+    calls = []
+
+    class Flaky(type(s)):
+        def project(self, p, tol=1e-12, max_iter=12):
+            calls.append(1)
+            if len(calls) == 6:
+                raise ConvergenceError("no projection")
+            return super().project(p, tol, max_iter)
+
+    flaky = Flaky(**{f: getattr(s, f) for f in s.__dataclass_fields__})
+    opts = TraceOptions(detect_closure=False, max_length=2.0)
+    start = np.array([3.0, 0.0, 0.0])
+    traj = trace(flaky, start, MAXIMAL, opts)
+    plain = trace(s, start, MAXIMAL, opts)
+    assert len(calls) > 6
+    assert traj.termination == plain.termination == "MaxLength"
+    assert traj.length == pytest.approx(2.0, abs=1e-12)
+    # the failed step is tried again at a quarter of its size
+    assert not np.array_equal(traj.arclength[:7], plain.arclength[:7])
+
+
 def _launch_lanes(surface, records):
     """The 24 separatrix launches of the connection scan on the ellipsoid:
     chart starts, headings, foliations and rel_tols."""
@@ -277,6 +327,7 @@ def test_trace_lanes_lane_does_not_depend_on_its_batch(ellipsoid,
             assert other.termination == alone.termination
             assert other.hit_umbilic_index == alone.hit_umbilic_index
             assert other.meta["steps"] == alone.meta["steps"]
+            assert other.meta["evals"] == alone.meta["evals"]
 
 
 def test_trace_lanes_follows_trace_and_rejects_unsupported(ellipsoid, torus):

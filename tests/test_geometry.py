@@ -1,11 +1,12 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
 from principal_config import catalog, geometry
-from principal_config.errors import (CriticalPointError, RegularityError,
-                                     UmbilicReferenceError)
+from principal_config.errors import (ConvergenceError, CriticalPointError,
+                                     RegularityError, UmbilicReferenceError)
 from principal_config.geometry import (MAXIMAL, MINIMAL, chart_bundle,
                                        curvature_gradients,
                                        fundamental_forms,
@@ -235,6 +236,42 @@ def test_implicit_critical_point_rejected():
     s = catalog.cubic_levelset_surface(0.05, 3.0, 2.0)
     with pytest.raises(CriticalPointError):
         implicit_principal_data(s, np.zeros(3))
+    # the gradient floor holds without the on-surface check too
+    with pytest.raises(CriticalPointError):
+        geometry.implicit_bundle(s, np.zeros(3), check_on_surface=False)
+    with pytest.raises(CriticalPointError):
+        implicit_principal_data(s, np.array([1.0, 1.0, 1.0]))
+
+
+def test_implicit_kernel_is_exact_under_mirror_and_orientation():
+    s_plus = catalog.cubic_levelset_surface(0.05, 3.0, 2.0)
+    s_minus = catalog.cubic_levelset_surface(-0.05, 3.0, 2.0)
+    flipped = dataclasses.replace(s_plus, orientation=-s_plus.orientation)
+    mirror = np.array([1.0, 1.0, -1.0])
+    rng = np.random.default_rng(11)
+    for _ in range(40):
+        d = rng.normal(size=3)
+        p = s_plus.project(1.5 * d / np.linalg.norm(d))
+        a = implicit_principal_data(s_plus, p)
+        # z -> -z maps S_rho onto S_-rho
+        b = implicit_principal_data(s_minus, mirror * p)
+        assert (b.k1, b.k2) == (a.k1, a.k2)
+        assert np.array_equal(b.normal, mirror * a.normal)
+        for da, db in ((a.d1_xyz, b.d1_xyz), (a.d2_xyz, b.d2_xyz)):
+            assert (np.array_equal(db, mirror * da)
+                    or np.array_equal(db, -mirror * da))
+        c = implicit_principal_data(flipped, p)
+        assert (c.k1, c.k2) == (-a.k2, -a.k1)
+        frame = np.array([a.d1_xyz, a.d2_xyz, a.normal])
+        assert np.abs(frame @ frame.T - np.eye(3)).max() <= 1e-14
+
+
+def test_project_raises_when_newton_does_not_converge():
+    s = catalog.cubic_levelset_surface(0.05, 3.0, 2.0)
+    with pytest.raises(ConvergenceError):
+        s.project(np.zeros(3))
+    p = s.project(np.array([3.1, 0.1, 0.05]))
+    assert abs(float(s.value(p))) < 1e-12 * s.diameter()
 
 
 def test_chart_vs_implicit_cross_check(ellipsoid, rng):
