@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -945,24 +946,11 @@ def stability_report(surface, budget=None):
     seeds = _low_discrepancy_seeds(surface, budget.cycle_seeds, rng, records)
     cyc_opts = cycles_mod.CycleSearchOptions(known_umbilics=records)
     found_cycles = []
+    log = cycles_mod.SearchLog()
     for fol in (MINIMAL, MAXIMAL):
         found_cycles.extend(
-            cycles_mod.find_cycles(surface, seeds, fol, cyc_opts))
-    non_hyp = []
-    for cyc in found_cycles:
-        verdict = cycles_mod.hyperbolicity(cyc)
-        if verdict != "hyperbolic":
-            non_hyp.append(cyc)
-    if non_hyp:
-        cond_b = ConditionVerdict(
-            "b", "fail",
-            f"{len(non_hyp)} of {len(found_cycles)} cycles not hyperbolic",
-            [f"{c.foliation_id} cycle, log T' = {c.log_tprime():.3e}"
-             for c in non_hyp])
-    else:
-        cond_b = ConditionVerdict(
-            "b", "pass",
-            f"{len(found_cycles)} cycle(s) found, all hyperbolic", [])
+            cycles_mod.find_cycles(surface, seeds, fol, cyc_opts, log=log))
+    cond_b = _cycle_verdict(found_cycles, log)
 
     # (c) no separatrix connections
     if records and all(r.type in ("D1", "D2", "D3") for r in records):
@@ -1011,6 +999,28 @@ def stability_report(surface, budget=None):
     else:
         overall = "PassEvidence"
     return StabilityReport(cond_a, cond_b, cond_c, cond_d, overall)
+
+
+def _cycle_verdict(found_cycles, log):
+    """Condition (b) from a cycle search: a cycle that is not hyperbolic is
+    a witness.  The seeds that gave no cycle are quoted, counted by the
+    reason in the search's ``log``."""
+    from . import cycles as cycles_mod
+
+    non_hyp = [c for c in found_cycles
+               if cycles_mod.hyperbolicity(c) != "hyperbolic"]
+    reasons = Counter(reason for _fol, _seed, reason in log.dropped)
+    dropped = [f"{n} seed(s) dropped: {reason}"
+               for reason, n in reasons.most_common()]
+    if non_hyp:
+        return ConditionVerdict(
+            "b", "fail",
+            f"{len(non_hyp)} of {len(found_cycles)} cycles not hyperbolic",
+            [f"{c.foliation_id} cycle, log T' = {c.log_tprime():.3e}"
+             for c in non_hyp] + dropped)
+    return ConditionVerdict(
+        "b", "pass", f"{len(found_cycles)} cycle(s) found, all hyperbolic",
+        dropped)
 
 
 def _connection_verdict(scan):

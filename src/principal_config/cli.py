@@ -160,7 +160,7 @@ def cmd_trace(args):
         "closed_length": t.closed_length,
         "points": len(t.points_xyz),
     } for t in trajs]}
-    work = {"steps": sum(t.meta["steps"] for t in trajs)}
+    work = {k: sum(t.meta[k] for t in trajs) for k in ("steps", "evals")}
     config = RunConfig("trace", args.surface,
                        {"start": list(start), "foliation": args.foliation,
                         "tol": args.tol, "length": args.length},

@@ -18,7 +18,7 @@ from scipy.interpolate import CubicSpline
 
 from .errors import (SEED_FAILURES, ConvergenceError, ReturnFailure,
                      UmbilicProximityError)
-from .foliation import (TERM_CLOSED, TraceOptions, WorldPlaneSection,
+from .foliation import (TERM_CLOSED, DiscSection, TraceOptions,
                         chart_point_near, trace)
 from .geometry import MAXIMAL, MINIMAL, chart_bundle, curvature_gradients
 
@@ -33,7 +33,7 @@ class CycleSearchOptions:
     max_secant_step_factor: float = 0.35
     cycle_merge_factor: float = 1e-3
     fd_offset_factor: float = 1e-3
-    max_period_factor: float = 8.0
+    max_period_factor: float = 8.0    # return budget: length per return
     hyperbolicity_tol: float = 1e-4
     quadrature_points: int = 1024
     known_umbilics: tuple = ()
@@ -146,15 +146,22 @@ class _Anchor:
         p = self.surface.point(uv[0], uv[1])
         return uv, float(np.dot(p - self.p0, self.w0))
 
-    def section(self):
-        return WorldPlaneSection("return", normal=self.t0,
-                                 offset=float(np.dot(self.t0, self.p0)))
+    def section(self, opts):
+        """The local Poincare section: the disc of radius
+        ``section_capture_factor``·diam about the anchor, normal to t0.  The
+        far side of its plane is no return, nor is the start leaving it."""
+        diam = self.surface.diameter()
+        return DiscSection("return", center=self.p0, normal=self.t0,
+                           radius=opts.section_capture_factor * diam,
+                           skip=1e-3 * diam)
 
 
 def _return_offsets(surface, anchor, foliation_id, h, opts, n_returns=2,
                     tol=None):
     """(start coordinate, section coordinates of the first ``n_returns``
-    returns near the anchor)."""
+    returns to the anchor's disc).  The trace stops at the last of them; a
+    line that does not make them within ``max_period_factor``·diam of
+    length per return raises ReturnFailure."""
     diam = surface.diameter()
     uv, w_start = anchor.start_info(h)
     b = chart_bundle(surface, uv[0], uv[1])
@@ -165,43 +172,15 @@ def _return_offsets(surface, anchor, foliation_id, h, opts, n_returns=2,
         detect_closure=False,
         max_length=opts.max_period_factor * diam * n_returns,
         initial_sign=sign, known_umbilics=opts.known_umbilics,
-        sections=(anchor.section(),), precise_crossings=True,
-        max_crossings=6 * n_returns)
+        sections=(anchor.section(opts),), precise_crossings=True,
+        max_crossings=n_returns)
     traj = anchor.log.count(trace(surface, uv, foliation_id, topts))
-    capture = opts.section_capture_factor * diam
-    hits = []
-    for c in traj.crossings:
-        # skip the on-section start; the crossing direction label is not
-        # filtered because it flips with the (tiny, curvature-sign) side
-        # of the section the start lands on
-        if c.arclength < 1e-3 * diam:
-            continue
-        if c.xyz is None:
-            continue
-        if np.linalg.norm(c.xyz - anchor.p0) > capture:
-            continue
-        hits.append(float(np.dot(c.xyz - anchor.p0, anchor.w0)))
-        if len(hits) >= n_returns:
-            break
-    if len(hits) < n_returns:
+    if len(traj.crossings) < n_returns:
         raise ReturnFailure(
-            f"trajectory produced {len(hits)} return(s) within budget "
-            f"(termination {traj.termination})")
-    return w_start, hits
-
-
-def _probe_double_return(surface, anchor, foliation_id, h, opts):
-    w_start, hits = _return_offsets(surface, anchor, foliation_id, h,
-                                    opts, 2)
-    return (hits[0] * w_start) < 0.0
-
-
-def _return_value(surface, anchor, foliation_id, h, opts, double,
-                  tol=None):
-    """(actual start coordinate, return coordinate) for nominal offset."""
-    w_start, hits = _return_offsets(surface, anchor, foliation_id, h, opts,
-                                    2 if double else 1, tol=tol)
-    return w_start, hits[1] if double else hits[0]
+            f"trajectory produced {len(traj.crossings)} return(s) within "
+            f"budget (termination {traj.termination})")
+    return w_start, [float(np.dot(c.xyz - anchor.p0, anchor.w0))
+                     for c in traj.crossings]
 
 
 # ---------------------------------------------------------------------------
@@ -247,10 +226,10 @@ def _cycle_from_seed(surface, seed, foliation_id, opts, log):
     step_cap = opts.max_secant_step_factor * diam
 
     def G(h, tight=False):
-        w_start, ret = _return_value(
-            surface, anchor, foliation_id, h, opts, double=False,
+        w_start, hits = _return_offsets(
+            surface, anchor, foliation_id, h, opts, 1,
             tol=opts.trace_tol if tight else opts.search_tol)
-        return ret - w_start
+        return hits[0] - w_start
 
     try:
         g = G(0.0)
@@ -404,9 +383,10 @@ def _is_duplicate(cyc, cycles, merge_tol):
 def return_map_derivative_fd(surface, cycle, h=None, opts=None, log=None):
     """Central difference of the return map, Richardson extrapolated over
     h and h/2.  Differences run over the actual section coordinates of the
-    start points (the nominal offsets shift by the projection sag).
-    Returns (value, error_estimate, double_return_used); the steps of its
-    traces go to ``log``."""
+    start points (the nominal offsets shift by the projection sag).  Four
+    traces: T(h), which also decides single or double return, T(-h) and
+    T(±h/2).  Returns (value, error_estimate, double_return_used); the
+    steps of its traces go to ``log``."""
     opts = opts or CycleSearchOptions()
     diam = surface.diameter()
     if h is None:
@@ -415,12 +395,16 @@ def return_map_derivative_fd(surface, cycle, h=None, opts=None, log=None):
         cycle.foliation_id)
     if float(np.dot(anchor.t0, cycle.tangent)) < 0:
         anchor.orient(cycle.foliation_id, sign=-1)
-    double = _probe_double_return(surface, anchor, cycle.foliation_id,
-                                  h, opts)
+    # the probe runs T(h)'s line (same start, same tolerance): reuse it
+    w_h, hits = _return_offsets(surface, anchor, cycle.foliation_id, h, opts)
+    double = (hits[0] * w_h) < 0.0
 
     def T(x):
-        return _return_value(surface, anchor, cycle.foliation_id, x, opts,
-                             double)
+        if x == h:
+            return w_h, hits[1] if double else hits[0]
+        w_x, ret = _return_offsets(surface, anchor, cycle.foliation_id, x,
+                                   opts, 2 if double else 1)
+        return w_x, ret[-1]
 
     def central(x):
         w_p, r_p = T(x)

@@ -79,6 +79,21 @@ class WorldPlaneSection:
         return (ang / (2 * math.pi)) % 1.0
 
 
+class DiscSection(WorldPlaneSection):
+    """Disc of ``radius`` about ``center`` in the plane through it normal to
+    ``normal``: a local Poincare section.  The trace neither records nor
+    counts a crossing outside the disc, or within ``skip`` of arclength from
+    the start (the start leaving the section it lies on)."""
+
+    def __init__(self, section_id, center, normal, radius, skip):
+        super().__init__(section_id, normal, float(np.dot(normal, center)))
+        self.center, self.radius, self.skip = center, radius, skip
+
+    def keeps(self, crossing):
+        return (crossing.arclength >= self.skip and np.linalg.norm(
+            crossing.xyz - self.center) <= self.radius)
+
+
 def _plane_basis(n):
     k = int(np.argmin(np.abs(n)))
     seed = np.zeros(3)
@@ -140,7 +155,7 @@ class TraceOptions:
     min_closed_length_factor: float = 2e-2
     angle_tol_deg: float = 0.5
     sections: tuple = ()
-    max_crossings: int | None = None
+    max_crossings: int | None = None     # stop at this many kept crossings
     precise_crossings: bool = False
 
     def with_sections(self, sections):
@@ -319,7 +334,8 @@ def _trace_core(surface, y0, foliation_id, opts, implicit):
                 cross = _refine_crossing(
                     sec, fld, locate, (y, k1, y5, stages[6], h, s),
                     g_old, g_new, opts)
-                if cross is not None:
+                keeps = getattr(sec, "keeps", None)
+                if keeps is None or keeps(cross):
                     crossings.append(cross)
                     if (opts.max_crossings is not None
                             and len(crossings) >= opts.max_crossings):

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from principal_config import catalog, foliation, umbilics
+from principal_config import catalog, cycles, foliation, umbilics
 from principal_config.catalog import (ConfocalCoordinates, QuadricSpec,
                                       confocal_coordinates, dupin_drift,
                                       make_surface, quadric_stratum,
@@ -254,3 +254,20 @@ def test_condition_c_passes_only_when_every_separatrix_is_decided():
     assert len(connected.witnesses) == 1
     assert "1.00e-13" in connected.witnesses[0]
     assert "4.00e-11" in connected.witnesses[0]
+
+
+def test_condition_b_quotes_dropped_seeds_by_reason():
+    log = cycles.SearchLog(dropped=[
+        (MINIMAL, (0.1, 0.2), "no root of the return displacement"),
+        (MAXIMAL, (0.3, 0.4), "closing trace ended HitUmbilic"),
+        (MAXIMAL, (0.1, 0.2), "no root of the return displacement")])
+    drops = ["2 seed(s) dropped: no root of the return displacement",
+             "1 seed(s) dropped: closing trace ended HitUmbilic"]
+    passed = catalog._cycle_verdict([], log)
+    assert passed.status == "pass" and passed.witnesses == drops
+    flat = cycles.PrincipalCycle(MAXIMAL, None, 6.0, (0.3, 0.9),
+                                 np.zeros(3), np.zeros(3), np.zeros(3),
+                                 tprime_fd=1.0, tprime_fd_error=1e-9)
+    failed = catalog._cycle_verdict([flat], log)
+    assert failed.status == "fail"
+    assert failed.witnesses == ["maximal cycle, log T' = 0.000e+00"] + drops

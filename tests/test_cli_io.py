@@ -140,6 +140,8 @@ def test_cli_trace_writes_csv_and_svg(tmp_path):
     assert (out / "scene.svg").exists()
     rep = json.loads((out / "report.json").read_text())
     assert rep["results"]["traces"][0]["termination"] == "Closed"
+    # six stages per step, plus the start and the closure refinement
+    assert rep["work"]["evals"] > 6 * rep["work"]["steps"]
 
 
 def test_cli_rerun_byte_identical(tmp_path):

@@ -10,7 +10,7 @@ from principal_config.cycles import (CycleSearchOptions,
                                      find_cycles, hyperbolicity,
                                      return_map_derivative_fd,
                                      return_map_derivative_integral)
-from principal_config.foliation import TraceOptions, trace
+from principal_config.foliation import TraceOptions, chart_point_near, trace
 from principal_config.geometry import (MAXIMAL, MINIMAL,
                                        FiniteDifferenceChart)
 
@@ -165,3 +165,45 @@ def test_search_log_counts_every_trace(torus):
     assert log.evals > 6 * log.steps
     assert log.dropped == [(MAXIMAL, (1.5, 0.9),
                             "duplicate of an earlier cycle")]
+
+
+def test_return_trace_never_counts_its_start(torus):
+    # a start on the section leaves it at once; whether the plane registers
+    # that as a crossing depends on the roundoff side the start lies on
+    opts = CycleSearchOptions()
+    diam = torus.diameter()
+    anchor = cycles._Anchor(torus, (0.3, 0.9)).orient(MAXIMAL)
+    counts = []
+    for nudge in (1e-13, -1e-13):
+        uv = chart_point_near(torus, anchor.p0 + nudge * diam * anchor.t0,
+                              anchor.uv)
+        traj = trace(torus, uv, MAXIMAL, TraceOptions(
+            rel_tol=opts.search_tol, detect_closure=False,
+            max_length=2 * opts.max_period_factor * diam,
+            sections=(anchor.section(opts),), precise_crossings=True,
+            max_crossings=2))
+        assert all(c.arclength >= 1e-3 * diam for c in traj.crossings)
+        counts.append(len(traj.crossings))
+    assert counts[0] == counts[1]
+
+
+def test_return_traces_stop_at_their_return(torus, monkeypatch):
+    seen = []
+
+    def recording(*args):
+        traj = trace(*args)
+        seen.append((args[3], traj))
+        return traj
+
+    monkeypatch.setattr(cycles, "trace", recording)
+    assert len(find_cycles(torus, [(0.3, 0.9)], MAXIMAL)) == 1
+    returns = [(opts, traj) for opts, traj in seen if opts.sections]
+    assert len(returns) >= 5
+    for opts, traj in returns:
+        disc, = opts.sections
+        assert len(traj.crossings) == opts.max_crossings
+        for c in traj.crossings:
+            assert np.linalg.norm(c.xyz - disc.center) <= disc.radius
+        # the last step of the trace holds its last return
+        assert (traj.arclength[-2] < traj.crossings[-1].arclength
+                <= traj.arclength[-1])
