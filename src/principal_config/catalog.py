@@ -1,8 +1,9 @@
 """Built-in surfaces, confocal coordinates, quadric strata, stability audit.
 
 The surface builders return charts whose partial derivatives are analytic
-(separable jet terms, see :mod:`principal_config.jets`), or implicit level
-sets with hand-coded gradient/Hessian/third tensors.  Orientation defaults
+(separable Harmonics/Poly terms, see :mod:`principal_config.jets`, or the
+rotated-cap ellipsoid's closed-form jet), or implicit level sets with
+hand-coded gradient/Hessian/third tensors.  Orientation defaults
 put the unit normal inward on the closed convex surfaces (positive
 principal curvatures) and outward on the torus family; each builder
 documents its choice.
@@ -10,6 +11,7 @@ documents its choice.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from collections import Counter
@@ -19,10 +21,8 @@ import numpy as np
 
 from . import foliation, umbilics
 from .errors import (DegenerateRoots, ParamError, UnsupportedSurfaceError)
-from .geometry import (MAXIMAL, MINIMAL, ImplicitSurface, SurfaceChart,
-                       chart_bundle)
-from .jets import (Const, CosOf, EvenReflect, Poly, Product, Scaled,
-                   SinOf, SmoothStep, SumFn, Wave, wave_sin)
+from .geometry import MAXIMAL, MINIMAL, ImplicitSurface, SurfaceChart, _fns
+from .jets import ORDER, Const, Harmonics, Poly, Wave, jet_mul, wave_sin
 
 
 # ---------------------------------------------------------------------------
@@ -167,26 +167,22 @@ def perturbed_torus_chart(R=2.0, r=1.0, eps=0.05):
         raise ParamError("perturbed torus needs R > r > 0")
     if abs(eps) >= 0.15:
         raise ParamError("modulation amplitude too large for a valid tube")
-    a_u = SumFn(Wave(1.0), wave_sin(2.0, amp=0.7))
+    a_u = Wave(1.0).plus(wave_sin(2.0, amp=0.7))
     b_u = wave_sin(1.0, amp=0.5)
     osc_v = Wave(2.0, phase=0.3)
     tilt_v = Wave(1.0, phase=1.1)
     terms = [
         (Wave(1.0, amp=R), Const(1.0), _ux()),
         (Wave(1.0, amp=r), Wave(1.0), _ux()),
-        (Product(a_u, Wave(1.0)), Product(osc_v, Wave(1.0)),
-         r * eps * _ux()),
-        (Product(b_u, Wave(1.0)), Product(tilt_v, Wave(1.0)),
-         r * eps * _ux()),
+        (a_u.times(Wave(1.0)), osc_v.times(Wave(1.0)), r * eps * _ux()),
+        (b_u.times(Wave(1.0)), tilt_v.times(Wave(1.0)), r * eps * _ux()),
         (wave_sin(1.0, amp=R), Const(1.0), _uy()),
         (wave_sin(1.0, amp=r), Wave(1.0), _uy()),
-        (Product(a_u, wave_sin(1.0)), Product(osc_v, Wave(1.0)),
-         r * eps * _uy()),
-        (Product(b_u, wave_sin(1.0)), Product(tilt_v, Wave(1.0)),
-         r * eps * _uy()),
+        (a_u.times(wave_sin(1.0)), osc_v.times(Wave(1.0)), r * eps * _uy()),
+        (b_u.times(wave_sin(1.0)), tilt_v.times(Wave(1.0)), r * eps * _uy()),
         (Const(r), wave_sin(1.0), _uz()),
-        (a_u, Product(osc_v, wave_sin(1.0)), r * eps * _uz()),
-        (b_u, Product(tilt_v, wave_sin(1.0)), r * eps * _uz()),
+        (a_u, osc_v.times(wave_sin(1.0)), r * eps * _uz()),
+        (b_u, tilt_v.times(wave_sin(1.0)), r * eps * _uz()),
     ]
     return SurfaceChart(terms, ((0.0, 2 * math.pi), (0.0, 2 * math.pi)),
                         periodic_u=True, periodic_v=True, orientation=1,
@@ -218,11 +214,9 @@ def monge_graph_chart(k, a, b, c, extent=0.8):
 
 
 class RotatedCapChart(SurfaceChart):
-    """Rotated-cap ellipsoid with a hand-coded scalar jet fast path.
-
-    The generic separable-term machinery handles array evaluation; single
-    points (the tracer's hot path) go through plain float arithmetic,
-    which is an order of magnitude faster for this blend-heavy chart.
+    """Rotated-cap ellipsoid: the chart is not separable (its cap blend and
+    rotation both depend on v), so it carries no terms and writes its jet
+    in closed form, one path for python floats and arrays.
 
     The chart map is analytic across the poles and re-covers the surface
     beyond |v| = pi/2 (the blend plateaus there), with the identification
@@ -247,75 +241,68 @@ class RotatedCapChart(SurfaceChart):
         return None
 
     def jet(self, u, v):
-        if np.ndim(u) or np.ndim(v):
-            return super().jet(u, v)
+        """Closed-form derivative tensor, shape ``(4, 4) + pts + (3,)``.
+
+        Python floats run on ``math``, anything else on numpy arrays, with
+        the same elementwise operations (powers written as products), so a
+        point of a batch is bit-identical to the same point alone.
+        """
+        if isinstance(u, float) and isinstance(v, float):
+            u, v = float(u), float(v)
+        else:
+            u, v = np.broadcast_arrays(np.asarray(u, dtype=float),
+                                       np.asarray(v, dtype=float))
+        fn = _fns(u)
         p = self.params
-        A, C = p["A"], p["C"]
-        delta, th = p["delta"], p["theta"]
-        phi0, phi1 = p["phi0"], p["phi1"]
-        rot0, rot1 = p["rot0"], p["rot1"]
-        u = float(u)
-        v = float(v)
+        A, C, delta, th = p["A"], p["C"], p["delta"], p["theta"]
 
-        def step4(x, a, b):
-            if x <= a:
-                return (0.0, 0.0, 0.0, 0.0)
-            if x >= b:
-                return (1.0, 0.0, 0.0, 0.0)
-            w = b - a
-            t = (x - a) / w
-            t2 = t * t
-            t3 = t2 * t
-            return (t3 * (10.0 - 15.0 * t + 6.0 * t2),
-                    30.0 * t2 * (1.0 - t) ** 2 / w,
-                    60.0 * t * (1.0 - 3.0 * t + 2.0 * t2) / (w * w),
-                    60.0 * (1.0 - 6.0 * t + 6.0 * t2) / (w * w * w))
-
-        def mul4(a, b):
-            return (a[0] * b[0],
-                    a[1] * b[0] + a[0] * b[1],
-                    a[2] * b[0] + 2 * a[1] * b[1] + a[0] * b[2],
-                    a[3] * b[0] + 3 * a[2] * b[1] + 3 * a[1] * b[2]
-                    + a[0] * b[3])
-
-        # cap scaling s(|v|) and rotation angle psi(v)
-        s_abs = step4(abs(v), phi0, phi1)
-        sign = -1.0 if v < 0 else 1.0
-        s_t = (s_abs[0], sign * s_abs[1], s_abs[2], sign * s_abs[3])
-        st = step4(v, rot0, rot1)
-        psi = (th * st[0], th * st[1], th * st[2], th * st[3])
-
-        cp0, sp0 = math.cos(psi[0]), math.sin(psi[0])
-        p1, p2, p3 = psi[1], psi[2], psi[3]
+        # cap scaling 1 + delta s(|v|), even in v, and rotation angle psi(v)
+        s = _smoothstep_jet(abs(v), p["phi0"], p["phi1"], fn)
+        sign = fn.where(v < 0, -1.0, 1.0)
+        scale = (1.0 + delta * s[0], delta * (sign * s[1]), delta * s[2],
+                 delta * (sign * s[3]))
+        psi = tuple(th * x for x in _smoothstep_jet(v, p["rot0"], p["rot1"],
+                                                    fn))
+        cp0, sp0 = fn.cos(psi[0]), fn.sin(psi[0])
+        p1, p2, p3 = psi[1:]
         cpsi = (cp0, -sp0 * p1, -sp0 * p2 - cp0 * p1 * p1,
-                -sp0 * p3 - 3 * cp0 * p1 * p2 + sp0 * p1 ** 3)
+                -sp0 * p3 - 3.0 * cp0 * p1 * p2 + sp0 * (p1 * p1 * p1))
         spsi = (sp0, cp0 * p1, cp0 * p2 - sp0 * p1 * p1,
-                cp0 * p3 - 3 * sp0 * p1 * p2 - cp0 * p1 ** 3)
+                cp0 * p3 - 3.0 * sp0 * p1 * p2 - cp0 * (p1 * p1 * p1))
 
-        cv, sv = math.cos(v), math.sin(v)
-        cosv = (cv, -sv, -cv, sv)
-        f_v = mul4((1.0 + delta * s_t[0], delta * s_t[1],
-                    delta * s_t[2], delta * s_t[3]),
-                   (A * cv, -A * sv, -A * cv, A * sv))
-        g_v = (A * cv, -A * sv, -A * cv, A * sv)
+        cv, sv = fn.cos(v), fn.sin(v)
+        g_v = (A * cv, -A * sv, -A * cv, A * sv)      # y semi-profile
+        f_v = jet_mul(scale, g_v)                     # x semi-profile
+        F = np.array((jet_mul(f_v, cpsi), jet_mul(g_v, spsi),
+                      jet_mul(f_v, spsi), jet_mul(g_v, cpsi),
+                      (C * sv, C * cv, -C * sv, -C * cv)))
+        cu, su = fn.cos(u), fn.sin(u)
+        cu4 = np.array((cu, -su, -cu, su))[:, None]
+        su4 = np.array((su, cu, -su, -cu))[:, None]
 
-        F1 = mul4(f_v, cpsi)
-        F2 = mul4(g_v, spsi)
-        F3 = mul4(f_v, spsi)
-        F4 = mul4(g_v, cpsi)
-        F5 = (C * sv, C * cv, -C * sv, -C * cv)
-
-        cu, su = math.cos(u), math.sin(u)
-        cu4 = (cu, -su, -cu, su)
-        su4 = (su, cu, -su, -cu)
-
-        out = np.empty((4, 4, 3))
-        for i in range(4):
-            for j in range(4):
-                out[i, j, 0] = F1[j] * cu4[i] - F2[j] * su4[i]
-                out[i, j, 1] = F3[j] * cu4[i] + F4[j] * su4[i]
-                out[i, j, 2] = F5[j] if i == 0 else 0.0
+        # out[i, j] = d^i/du^i d^j/dv^j of
+        # (F1 cos u - F2 sin u, F3 cos u + F4 sin u, F5)
+        out = np.empty((ORDER, ORDER) + np.shape(u) + (3,))
+        out[..., 0] = F[0] * cu4 - F[1] * su4
+        out[..., 1] = F[2] * cu4 + F[3] * su4
+        out[0, ..., 2] = F[4]
+        out[1:, ..., 2] = 0.0
         return out
+
+
+def _smoothstep_jet(x, a, b, fn):
+    """Quintic smoothstep, 0 for x <= a and 1 for x >= b (C2 at the
+    joints), with its first three derivatives; ``fn`` from ``_fns``."""
+    w = b - a
+    t = fn.clip((x - a) / w, 0.0, 1.0)
+    t2 = t * t
+    inside = (x > a) & (x < b)
+    return (t2 * t * (10.0 - 15.0 * t + 6.0 * t2),
+            fn.where(inside, 30.0 * t2 * ((1.0 - t) * (1.0 - t)) / w, 0.0),
+            fn.where(inside, 60.0 * t * (1.0 - 3.0 * t + 2.0 * t2) / (w * w),
+                     0.0),
+            fn.where(inside, 60.0 * (1.0 - 6.0 * t + 6.0 * t2) / (w * w * w),
+                     0.0))
 
 
 def rotated_cap_ellipsoid_chart(theta, A=1.0, C=0.6, delta=0.03,
@@ -347,23 +334,10 @@ def rotated_cap_ellipsoid_chart(theta, A=1.0, C=0.6, delta=0.03,
     if abs(delta) > 0.5:
         raise ParamError("cap deformation too large")
     rot0, rot1 = 0.60 * phi0, 0.95 * phi0
-    scale = SumFn(Const(1.0),
-                  Scaled(EvenReflect(SmoothStep(phi0, phi1)), delta))
-    f_v = Product(scale, Wave(1.0, amp=A))      # x semi-profile
-    g_v = Wave(1.0, amp=A)                      # y semi-profile
-    psi = SmoothStep(rot0, rot1, gain=float(theta))
-    cos_psi, sin_psi = CosOf(psi), SinOf(psi)
-    terms = [
-        (Wave(1.0), Product(f_v, cos_psi), _ux()),
-        (wave_sin(1.0), Scaled(Product(g_v, sin_psi), -1.0), _ux()),
-        (Wave(1.0), Product(f_v, sin_psi), _uy()),
-        (wave_sin(1.0), Product(g_v, cos_psi), _uy()),
-        (Const(1.0), wave_sin(1.0, amp=C), _uz()),
-    ]
     if phi1 >= math.pi / 2 + RotatedCapChart.POLE_OVERSHOOT - 0.05:
         raise ParamError("blend top too close to the pole overlap strip")
     vmax = math.pi / 2 + RotatedCapChart.POLE_OVERSHOOT + 0.2
-    return RotatedCapChart(terms, ((0.0, 2 * math.pi), (-vmax, vmax)),
+    return RotatedCapChart([], ((0.0, 2 * math.pi), (-vmax, vmax)),
                            periodic_u=True, orientation=-1, name="e_theta",
                            params={"theta": theta, "A": A, "C": C,
                                    "delta": delta, "phi0": phi0,
@@ -404,12 +378,13 @@ def perturbed_ellipsoid_chart(a=3.0, b=2.0, c=1.0, amplitude=8e-3, seed=0):
     g_terms = []
     for mono, ck in zip(_PERT_MONOMIALS, coeffs):
         us, vs = zip(*(factor(sym) for sym in mono))
-        g_terms.append((Product(*us), Product(*vs), amplitude * ck))
+        g_terms.append((functools.reduce(Harmonics.times, us),
+                        functools.reduce(Harmonics.times, vs), amplitude * ck))
 
     terms = list(base.terms)
     for tu, tv, w in base.terms:
         for gu, gv, gc in g_terms:
-            terms.append((Product(tu, gu), Product(tv, gv), w * gc))
+            terms.append((tu.times(gu), tv.times(gv), w * gc))
     return SphericalChart(
         terms, base.domain, periodic_u=True, orientation=1,
         name="perturbed_ellipsoid",
@@ -544,7 +519,10 @@ def confocal_coordinates(p, axes, degeneracy_tol=1e-9):
     and found by bisection of the rational form sum x_i^2/(a_i^2 - lam) - 1,
     which is monotone on each bracket and is the residual reported; of
     the last two bisection points the one with the smaller residual is
-    kept.
+    kept.  So each root reaches the smallest residual a float lam can
+    have (tested: no neighbouring float does better, also within 1e-3 rad
+    of the symmetry planes x = 0 and y = 0, where a root sits next to a
+    pole and that smallest residual is up to about 1e-7, not roundoff).
 
     pre: the point is generic; DegenerateRoots is raised when two roots
     approach each other or a pole closer than ``degeneracy_tol`` (relative

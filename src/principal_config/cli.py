@@ -238,14 +238,26 @@ def _equator_value(surface):
     return 0.5 * (v0 + v1)
 
 
+# rotation options with their defaults; a --sweep-rho run reads none of them
+_ROTATION_DEFAULTS = {"surface": "", "section": "equator",
+                      "foliation": MAXIMAL, "crossings": 60, "tol": 1e-7,
+                      "length": 400.0}
+
+
 def cmd_rotation(args):
     if args.sweep_rho:
+        unread = [k for k, d in _ROTATION_DEFAULTS.items()
+                  if getattr(args, k) != d]
+        if unread:
+            raise ParamError("--sweep-rho traces S_rho with fixed options "
+                             "and does not read "
+                             + ", ".join(f"--{k}" for k in unread))
         rhos = [_parse_number(t) for t in args.sweep_rho.split(",")]
         table = catalog.rho_sweep(rhos, n_seeds=args.n_seeds)
         results = {"rho_sweep": [
             {"rho": row["rho"], **row["estimate"].to_dict()}
             for row in table]}
-        config = RunConfig("rotation", args.surface or "s_rho",
+        config = RunConfig("rotation", "s_rho",
                            {"sweep_rho": args.sweep_rho,
                             "n_seeds": args.n_seeds},
                            args.out, args.seed)
@@ -373,15 +385,16 @@ def build_parser():
 
     sp = sub.add_parser("rotation", help="second-return rotation estimate")
     common(sp, surface=False)
-    sp.add_argument("--surface", default="",
+    rot = _ROTATION_DEFAULTS
+    sp.add_argument("--surface", default=rot["surface"],
                     help="required unless --sweep-rho is given")
-    sp.add_argument("--section", default="equator")
-    sp.add_argument("--foliation", default=MAXIMAL,
+    sp.add_argument("--section", default=rot["section"])
+    sp.add_argument("--foliation", default=rot["foliation"],
                     choices=[MINIMAL, MAXIMAL])
     sp.add_argument("--n-seeds", type=int, default=6)
-    sp.add_argument("--crossings", type=int, default=60)
-    sp.add_argument("--tol", type=float, default=1e-7)
-    sp.add_argument("--length", type=float, default=400.0)
+    sp.add_argument("--crossings", type=int, default=rot["crossings"])
+    sp.add_argument("--tol", type=float, default=rot["tol"])
+    sp.add_argument("--length", type=float, default=rot["length"])
     sp.add_argument("--sweep-rho", default="",
                     help="comma list of rho values for the cubic family")
     sp.set_defaults(fn=cmd_rotation)

@@ -291,7 +291,9 @@ def _trace_core(surface, y0, foliation_id, opts, implicit):
             tol = opts.rel_tol * max(h, 1e-3 * h_max)
             err_world = _world_err(err, stages[0], diam)
             accept = bool(np.isfinite(err_world)) and err_world <= tol
-            proj = surface.project(y5) if implicit and accept else None
+            # re-project only once the state has drifted off the level set
+            proj = (surface.project(y5) if implicit and accept
+                    and abs(surface.value(y5)) > 1e-9 * diam else None)
         except (FloatingPointError, RegularityError, ConvergenceError):
             # a stage landed on a chart singularity, or the step's end does
             # not project onto the level set; shorter steps dodge it unless
@@ -315,10 +317,7 @@ def _trace_core(surface, y0, foliation_id, opts, implicit):
         # the last Dormand-Prince stage sits at y5 with the same sign
         # reference (first same as last), so it is the field there
         y_new, k_new = y5, stages[6]
-        # np.allclose(proj, y5, atol=1e-14 + 1e-9 * diam), default rtol
-        if implicit and not all(
-                abs(a - b) <= 1e-14 + 1e-9 * diam + 1e-5 * abs(b)
-                for a, b in zip(proj.tolist(), y5.tolist())):
+        if proj is not None:
             y_new = proj
             k_new = fld(y_new, ref)
 

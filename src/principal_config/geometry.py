@@ -4,8 +4,9 @@ Two surface flavors are supported:
 
 * ``SurfaceChart``: an immersion ``(u, v) -> R^3`` assembled from separable
   terms ``w * U(u) * V(v)`` so that every partial derivative through order 3
-  is analytic (see :mod:`principal_config.jets`).  A finite-difference
-  fallback chart exists for user-supplied point functions.
+  is analytic (see :mod:`principal_config.jets`).  Subclasses override the
+  jet: the rotated-cap ellipsoid in closed form, and a finite-difference
+  fallback chart for user-supplied point functions.
 * ``ImplicitSurface``: a level set ``f = level`` with analytic gradient,
   Hessian and (optionally) third-derivative tensor.
 
@@ -45,8 +46,10 @@ class SurfaceChart:
 
     Parameters
     ----------
-    terms : sequence of (UFn, UFn, weight)
-        Separable decomposition of the immersion: ``sum_i w_i U_i(u) V_i(v)``.
+    terms : sequence of (U, V, weight)
+        Separable decomposition of the immersion: ``sum_i w_i U_i(u) V_i(v)``
+        with Harmonics or Poly factors (:mod:`principal_config.jets`).
+        Subclasses that override :meth:`jet` pass no terms.
     domain : ((u0, u1), (v0, v1))
         Parameter rectangle.
     periodic_u, periodic_v : bool
@@ -59,8 +62,7 @@ class SurfaceChart:
     def __init__(self, terms, domain, periodic_u=False, periodic_v=False,
                  orientation=1, name="chart", params=None,
                  euler_characteristic=None, diameter_hint=None):
-        self.terms = tuple((_unwrap(tu), _unwrap(tv),
-                            np.asarray(w, dtype=float))
+        self.terms = tuple((tu, tv, np.asarray(w, dtype=float))
                            for tu, tv, w in terms)
         self.domain = (tuple(map(float, domain[0])),
                        tuple(map(float, domain[1])))
@@ -121,8 +123,9 @@ class SurfaceChart:
         """Full derivative tensor, shape ``(4, 4) + pts + (3,)``.
 
         ``jet[i, j]`` is the mixed partial d^(i+j) P / du^i dv^j for
-        ``i + j <= 3``; higher slots are computed but unused.  Factors
-        shared between terms are evaluated once per call.  Points are the
+        ``i + j <= 3``; higher slots are computed but unused.  Harmonic
+        terms are evaluated from concatenated atom tables, the rest (Poly
+        factors: the Monge graphs) factor by factor.  Points are the
         leading axis of every contraction and each point is contracted by
         its own small matrix product, so point i of a batch is
         bit-identical to the same point evaluated alone.
@@ -139,12 +142,11 @@ class SurfaceChart:
             sides.append((_harmonic_side(*fast_u, u),
                           _harmonic_side(*fast_v, v), WT))
         if self._generic_terms:
-            ucache, vcache = {}, {}
             sides.append((
-                np.stack([np.broadcast_to(tu.jet(u, ucache), (ORDER, u.size))
+                np.stack([np.broadcast_to(tu.jet(u), (ORDER, u.size))
                           for tu, _, _ in self._generic_terms], axis=-1
                          ).transpose(1, 0, 2),
-                np.stack([np.broadcast_to(tv.jet(v, vcache), (ORDER, v.size))
+                np.stack([np.broadcast_to(tv.jet(v), (ORDER, v.size))
                           for _, tv, _ in self._generic_terms], axis=-1
                          ).transpose(1, 0, 2),
                 np.stack([w for _, _, w in self._generic_terms], axis=1)))
@@ -197,19 +199,6 @@ class SurfaceChart:
 
     def __repr__(self):
         return f"SurfaceChart({self.name}, params={self.params})"
-
-
-def _unwrap(fn):
-    """Collapse single-factor wrappers so harmonic factors stay visible."""
-    from .jets import Product, SumFn
-
-    while True:
-        if isinstance(fn, Product) and len(fn.factors) == 1:
-            fn = fn.factors[0]
-        elif isinstance(fn, SumFn) and len(fn.terms) == 1:
-            fn = fn.terms[0]
-        else:
-            return fn
 
 
 def _harmonic_side(freq, phase, coef, S, x):
@@ -405,9 +394,12 @@ class PrincipalData:
 # functions are picked per input type.
 
 _FLOAT_FNS = SimpleNamespace(sqrt=math.sqrt, hypot=math.hypot,
-                             atan2=math.atan2, cos=math.cos, sin=math.sin)
+                             atan2=math.atan2, cos=math.cos, sin=math.sin,
+                             clip=lambda x, lo, hi: min(max(x, lo), hi),
+                             where=lambda c, x, y: x if c else y)
 _ARRAY_FNS = SimpleNamespace(sqrt=np.sqrt, hypot=np.hypot, atan2=np.arctan2,
-                             cos=np.cos, sin=np.sin)
+                             cos=np.cos, sin=np.sin, clip=np.clip,
+                             where=np.where)
 
 
 def _fns(x):

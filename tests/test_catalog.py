@@ -83,6 +83,34 @@ def test_confocal_on_surface_root_is_zero(ellipsoid):
         assert cc.lam1 < 1.0 < cc.lam2 < 4.0 < cc.lam3 < 9.0
 
 
+def test_confocal_roots_near_symmetry_planes_are_float_optimal(ellipsoid):
+    # near x = 0 or y = 0 a root sits next to a pole of the rational form,
+    # steep enough there that the smallest residual a float lam can reach
+    # is up to about 1e-7; each root must reach it: no neighbouring float
+    # has a smaller residual
+    def residual(p, lam):
+        x2 = [float(x) ** 2 for x in p]
+        return abs((x2[0] / (9.0 - lam) + x2[1] / (4.0 - lam)
+                    + x2[2] / (1.0 - lam)) - 1.0)
+
+    rng = np.random.default_rng(20261018)
+    decided = 0
+    for u0 in (0.5 * math.pi, math.pi, 1.5 * math.pi):
+        for _ in range(20):
+            u = u0 + rng.uniform(-1e-3, 1e-3)
+            p = ellipsoid.point(u, rng.uniform(0.3, 2.8))
+            try:
+                cc = confocal_coordinates(p, (3, 2, 1))
+            except DegenerateRoots:
+                continue
+            decided += 1
+            for lam, res in zip(cc.as_array(), cc.residuals):
+                assert res == residual(p, lam)
+                for side in (-np.inf, np.inf):
+                    assert res <= residual(p, np.nextafter(lam, side))
+    assert decided >= 50
+
+
 def test_confocal_degenerate_axis_point():
     with pytest.raises(DegenerateRoots):
         confocal_coordinates(np.array([3.0, 0.0, 0.0]), (3, 2, 1))

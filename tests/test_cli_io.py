@@ -165,6 +165,28 @@ def test_cli_config_file_merges(tmp_path):
     assert rep["config"]["options"]["grid"] == 20
 
 
+def test_cli_sweep_rho_rejects_options_it_does_not_read(tmp_path, capsys):
+    sweep = ["rotation", "--sweep-rho=0.05", "--n-seeds", "1"]
+    for extra in (["--surface", "ellipsoid:3,2,1"], ["--tol", "1e-3"],
+                  ["--length", "5"], ["--crossings", "2"],
+                  ["--section", "v=0.1"], ["--foliation", MINIMAL]):
+        out = tmp_path / extra[0].lstrip("-")
+        assert run_cli(sweep + extra + ["--out", str(out)]) == 2, extra
+        assert extra[0] in capsys.readouterr().err
+        assert not out.exists()
+    cfg = tmp_path / "sweep.cfg"
+    cfg.write_text("surface = ellipsoid:3,2,1\ntol = 1e-3\n")
+    assert run_cli(sweep + ["--config", str(cfg),
+                            "--out", str(tmp_path / "cfg")]) == 2
+    assert "--surface, --tol" in capsys.readouterr().err
+    # the options it does read, as the benchmark passes them
+    out = tmp_path / "ok"
+    assert run_cli(sweep + ["--out", str(out)]) == 0
+    rep = json.loads((out / "report.json").read_text())
+    assert rep["config"]["surface"] == "s_rho"
+    assert [row["rho"] for row in rep["results"]["rho_sweep"]] == [0.05]
+
+
 def test_cli_entrypoint_subprocess():
     r = subprocess.run([sys.executable, "-m", "principal_config.cli",
                         "strata", "--quadric", "diag:1,1,1",

@@ -258,6 +258,19 @@ def test_crossing_costs_no_field_evaluation(surface, section, start):
         assert all(abs(c.xyz[2]) <= 1e-9 * diam for c in cut.crossings)
 
 
+def test_implicit_trace_stays_on_the_level_set():
+    # a long tight trace re-projects whenever |f| passes 1e-9 diam, so no
+    # recorded point drifts farther off S_rho
+    s = catalog.cubic_levelset_surface(0.05, 3.0, 2.0)
+    start = np.array([3.0 * math.cos(0.3), 2.0 * math.sin(0.3), 0.0])
+    traj = trace(s, start, MAXIMAL,
+                 TraceOptions(rel_tol=1e-7, max_length=120.0,
+                              detect_closure=False))
+    assert traj.termination == "MaxLength"
+    assert max(abs(float(s.value(p))) for p in traj.points_xyz) \
+        <= 1e-9 * s.diameter()
+
+
 def test_unconverged_projection_rejects_the_step():
     s = catalog.cubic_levelset_surface(0.05, 3.0, 2.0)
     with pytest.raises(ConvergenceError):
@@ -267,12 +280,14 @@ def test_unconverged_projection_rejects_the_step():
     class Flaky(type(s)):
         def project(self, p, tol=1e-12, max_iter=12):
             calls.append(1)
-            if len(calls) == 6:
+            if len(calls) == 2:      # the first projection inside the loop
                 raise ConvergenceError("no projection")
             return super().project(p, tol, max_iter)
 
     flaky = Flaky(**{f: getattr(s, f) for f in s.__dataclass_fields__})
-    opts = TraceOptions(detect_closure=False, max_length=2.0)
+    # a loose tolerance lets the state drift off the level set, so the
+    # tracer re-projects inside the loop (11 times after the start)
+    opts = TraceOptions(detect_closure=False, max_length=2.0, rel_tol=1e-4)
     start = np.array([3.0, 0.0, 0.0])
     traj = trace(flaky, start, MAXIMAL, opts)
     plain = trace(s, start, MAXIMAL, opts)

@@ -378,14 +378,12 @@ def test_batch_point_is_bit_identical_to_the_point_alone(make):
     v = rng.uniform(-0.4, 1.4, 48)
     jet = chart.jet(u, v)
     bundle = chart_bundle(chart, u, v, strict=False)
-    # e_theta has its own scalar jet for 0-d input; one-point arrays take
-    # the batch path on every chart
-    scalar = not isinstance(chart, catalog.RotatedCapChart)
     for i in range(48):
         one = u[i:i + 1], v[i:i + 1]
         assert np.array_equal(jet[..., i, :], chart.jet(*one)[..., 0, :])
-        if scalar:
-            assert np.array_equal(jet[..., i, :], chart.jet(u[i], v[i]))
+        assert np.array_equal(jet[..., i, :], chart.jet(u[i], v[i]))
+        assert np.array_equal(jet[..., i, :],
+                              chart.jet(float(u[i]), float(v[i])))
         alone = chart_bundle(chart, *one, strict=False)
         for key, value in bundle.items():
             assert np.array_equal(value[i], alone[key][0], equal_nan=True), key

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from principal_config import jets
+from principal_config import catalog, jets
 
 
 def fd4(fn, x, h=1e-3):
@@ -30,17 +30,10 @@ def test_harmonics_jet_matches_fd(x):
 def test_harmonics_product_is_exact():
     a = jets.Harmonics([(1.0, 0.2, 0.7), (2.0, -0.4, 1.1)])
     b = jets.Harmonics([(3.0, 0.9, 0.5), (0.0, 0.0, 0.3)])
-    prod = a.times(b)
     xs = np.linspace(-3, 3, 37)
     direct = a.jet(xs)[0] * b.jet(xs)[0]
-    assert np.allclose(prod.jet(xs)[0], direct, atol=1e-13)
-
-
-def test_product_and_sum_collapse_to_harmonics():
-    a = jets.Wave(1.0)
-    b = jets.wave_sin(2.0, amp=0.5)
-    assert isinstance(jets.Product(a, b), jets.Harmonics)
-    assert isinstance(jets.SumFn(a, b), jets.Harmonics)
+    assert np.allclose(a.times(b).jet(xs)[0], direct, atol=1e-13)
+    assert np.allclose(a.plus(b).jet(xs), a.jet(xs) + b.jet(xs), atol=1e-13)
 
 
 def test_poly_jet():
@@ -54,36 +47,49 @@ def test_poly_jet():
     assert got[3] == pytest.approx(18.0)
 
 
-def test_smoothstep_limits_and_continuity():
-    s = jets.SmoothStep(0.2, 0.8)
-    assert s.jet(0.1)[0] == 0.0
-    assert s.jet(0.9)[0] == 1.0
-    assert np.all(s.jet(0.1)[1:] == 0.0)
-    # C2 at the joints: value/1st/2nd continuous, 3rd jumps
-    eps = 1e-9
-    lo, hi = s.jet(0.2 - eps), s.jet(0.2 + eps)
-    assert np.allclose(lo[:3], hi[:3], atol=1e-6)
-    assert abs(lo[3] - hi[3]) > 1.0
 
 
-def test_even_reflect_flips_odd_derivatives():
-    inner = jets.SmoothStep(0.2, 0.8)
-    r = jets.EvenReflect(inner)
-    plus = r.jet(0.5)
-    minus = r.jet(-0.5)
-    assert minus[0] == plus[0]
-    assert minus[1] == -plus[1]
-    assert minus[2] == plus[2]
+# e_theta (theta = 1): cap blend on |v| in [0.55, 1.05], rotation ramp on
+# v in [0.33, 0.5225]; v of both signs inside and outside each band, and
+# past the poles
+E_THETA_V = (0.2, -0.2, 0.4, -0.4, 0.8, -0.8, 1.3, -1.3, 1.8, -1.8)
 
 
-def test_cos_of_composition():
-    inner = jets.SmoothStep(0.0, 1.0, gain=0.9)
-    c = jets.CosOf(inner)
+def _fd_partials(point, u, v, h):
+    """d^(i+j) point / du^i dv^j for i + j <= 3 by fourth-order central
+    differences on a 7 x 7 grid of chart points."""
+    stencils = [np.array([0, 0, 0, 1.0, 0, 0, 0]),
+                np.array([0, 1.0, -8.0, 0, 8.0, -1.0, 0]) / (12 * h),
+                np.array([0, -1.0, 16.0, -30.0, 16.0, -1.0, 0])
+                / (12 * h * h),
+                np.array([1.0, -8.0, 13.0, 0, -13.0, 8.0, -1.0])
+                / (8 * h ** 3)]
+    offs = np.arange(-3, 4) * h
+    grid = point(u + offs[:, None], v + offs[None, :])     # (7, 7, 3)
+    return {(i, j): np.einsum("a,b,abc->c", stencils[i], stencils[j], grid)
+            for i in range(4) for j in range(4 - i)}
 
-    def f(x):
-        t = np.clip(x, 0, 1)
-        s = t ** 3 * (10 - 15 * t + 6 * t * t)
-        return np.cos(0.9 * s)
 
-    got = c.jet(0.43)
-    assert np.allclose(got, fd4(f, 0.43, h=1e-4), rtol=1e-4, atol=1e-4)
+@pytest.mark.parametrize("v", E_THETA_V)
+def test_e_theta_jet_matches_finite_differences(v):
+    chart = catalog.rotated_cap_ellipsoid_chart(1.0)
+    u = 0.7
+    jet = chart.jet(u, v)
+    for (i, j), want in _fd_partials(chart.point, u, v, 1e-3).items():
+        scale = max(1.0, np.abs(jet[i, j]).max())
+        assert np.allclose(jet[i, j], want, rtol=0.0, atol=1e-5 * scale), \
+            (i, j)
+
+
+def test_e_theta_jet_is_c2_across_the_blend_joints():
+    chart = catalog.rotated_cap_ellipsoid_chart(1.0)
+    p = chart.params
+    eps = 1e-12
+    for joint in (p["phi0"], -p["phi0"], p["phi1"], -p["phi1"], p["rot0"],
+                  p["rot1"]):
+        lo = chart.jet(0.7, joint - eps)
+        hi = chart.jet(0.7, joint + eps)
+        # value and the first two v-derivatives (every u order) agree;
+        # the third v-derivative jumps
+        assert np.allclose(lo[:, :3], hi[:, :3], rtol=0.0, atol=1e-6), joint
+        assert np.abs(lo[0, 3] - hi[0, 3]).max() > 1.0, joint

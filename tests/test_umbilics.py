@@ -74,7 +74,7 @@ def test_monge_form_rotated_graph_recovers_coefficients():
     # build the graph pre-rotated by 17 degrees in the parameter plane;
     # the 2D rotation of the cubic is the independent oracle
     from principal_config.geometry import SurfaceChart
-    from principal_config.jets import Const, Poly, Product
+    from principal_config.jets import Const, Poly
 
     k, a, b, c = 1.0, 4.0, 1.0, 0.0
     phi = math.radians(17.0)
