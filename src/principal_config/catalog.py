@@ -880,8 +880,10 @@ def stability_report(surface, budget=None):
 
     (a) every umbilic Darbouxian, (b) every found cycle hyperbolic, (c) no
     separatrix connections, (d) sampled limit sets all umbilic or cycle.
-    FailWitness whenever a concrete counterexample is found; PassEvidence
-    otherwise, with the explicit caveat that (d) is evidence only.
+    FailWitness whenever a concrete counterexample is found; Inconclusive
+    when a condition is left undecided ((c) or (d) pass only when every
+    separatrix or sampled line is decided); PassEvidence otherwise, with
+    the explicit caveat that (d) is evidence only.
     """
     from . import cycles as cycles_mod
 
@@ -948,26 +950,10 @@ def stability_report(surface, budget=None):
     opts = foliation.TraceOptions(
         rel_tol=1e-7, max_length=budget.trace_length_factor * diam,
         known_umbilics=records)
-    recurrent, undetermined = [], 0
-    for seed in omega_seeds:
-        for fol in (MINIMAL, MAXIMAL):
-            traj = foliation.trace(surface, seed, fol, opts)
-            res = foliation.omega_limit_classify(surface, traj, known)
-            if res.verdict == "RecurrentOrUndetermined":
-                if res.recurrent_evidence:
-                    recurrent.append(res)
-                else:
-                    undetermined += 1
-    if recurrent:
-        cond_d = ConditionVerdict(
-            "d", "fail",
-            f"recurrent evidence on {len(recurrent)} trace(s)",
-            [f"{r.detail}" for r in recurrent])
-    else:
-        cond_d = ConditionVerdict(
-            "d", "pass",
-            f"no recurrence witness ({undetermined} undetermined trace(s))",
-            [])
+    cond_d = _omega_verdict([
+        foliation.omega_limit_classify(
+            surface, foliation.trace(surface, seed, fol, opts), known)
+        for seed in omega_seeds for fol in (MINIMAL, MAXIMAL)])
 
     conds = [cond_a, cond_b, cond_c, cond_d]
     if any(c.status == "fail" for c in conds):
@@ -999,6 +985,24 @@ def _cycle_verdict(found_cycles, log):
     return ConditionVerdict(
         "b", "pass", f"{len(found_cycles)} cycle(s) found, all hyperbolic",
         dropped)
+
+
+def _omega_verdict(results):
+    """Condition (d) from the limit-set verdicts of the sampled lines:
+    recurrence evidence is a witness; "pass" needs every line decided (it
+    ends at an umbilic, closes, or approaches a known cycle)."""
+    recurrent = [r.detail for r in results if r.recurrent_evidence]
+    if recurrent:
+        return ConditionVerdict(
+            "d", "fail", f"recurrent evidence on {len(recurrent)} trace(s)",
+            recurrent)
+    n = Counter(r.verdict for r in results)
+    undetermined = n["RecurrentOrUndetermined"]
+    return ConditionVerdict(
+        "d", "inconclusive" if undetermined else "pass",
+        f"no recurrence witness: of {len(results)} trace(s), "
+        f"{n['Umbilic']} reach an umbilic, {n['Cycle']} a cycle and "
+        f"{undetermined} are undetermined", [])
 
 
 def _connection_verdict(scan):

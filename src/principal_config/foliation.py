@@ -1,11 +1,14 @@
 """Principal line-field integration and limit-behavior classification.
 
 Principal foliations are line fields: the eigendirection has no global
-sign.  The tracer integrates with a Dormand-Prince 5(4) embedded pair and
-transports the eigen-sign along the curve (each stage picks the sign that
-maximizes the dot product with the tangent at the step start), which is the
-mechanism that lets a single trajectory pass through regions where no
-consistent global orientation exists.
+sign.  Every principal line of the package is integrated here, by one
+Dormand-Prince 5(4) pair with one step control: :func:`trace` runs one
+line, :func:`trace_lanes` the lines of a chart in lockstep.  The
+eigen-sign is transported along the curve (each stage picks the sign that
+maximizes the dot product with the tangent at the step start), which lets
+a single trajectory pass through regions where no consistent global
+orientation exists.  Section crossings and the closure onto the start are
+located on the Hermite interpolant of the accepted step that holds them.
 """
 
 from __future__ import annotations
@@ -18,8 +21,8 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ConvergenceError, RegularityError, TransversalityError
-from .geometry import (MAXIMAL, MINIMAL, ImplicitSurface, SurfaceChart,
-                       chart_bundle, implicit_bundle)
+from .geometry import (MAXIMAL, MINIMAL, ImplicitSurface, chart_bundle,
+                       implicit_bundle)
 
 TERM_CLOSED = "Closed"
 TERM_HIT_UMBILIC = "HitUmbilic"
@@ -93,6 +96,18 @@ class DiscSection(WorldPlaneSection):
         return (crossing.arclength >= self.skip and np.linalg.norm(
             crossing.xyz - self.center) <= self.radius)
 
+    def may_keep(self, p_old, p_new, s_last, h):
+        """False when no crossing inside a step of length ``h`` from
+        ``p_old`` to ``p_new`` can be kept: ``s_last``, the largest
+        arclength a crossing located in the step can have, is below
+        ``skip``, or both ends lie farther than radius + h from the centre
+        (a crossing lies within about h / 2 of one end).  The tracer then
+        does not locate the crossing."""
+        far = self.radius + h
+        return s_last >= self.skip and (
+            np.linalg.norm(p_old - self.center) <= far
+            or np.linalg.norm(p_new - self.center) <= far)
+
 
 def _plane_basis(n):
     k = int(np.argmin(np.abs(n)))
@@ -143,17 +158,12 @@ class Trajectory:
 class TraceOptions:
     rel_tol: float = 1e-8
     max_step_factor: float = 0.04        # times surface diameter
-    min_step_factor: float = 1e-12
     max_length: float | None = None      # default 50 * diameter
     max_steps: int = 400000
     initial_sign: int = 1
     known_umbilics: Sequence = ()
     exclusion_radius_factor: float = 1e-3
     detect_closure: bool = True
-    closure_tol_factor: float = 1e-5
-    capture_factor: float = 1e-3
-    min_closed_length_factor: float = 2e-2
-    angle_tol_deg: float = 0.5
     sections: tuple = ()
     max_crossings: int | None = None     # stop at this many kept crossings
     precise_crossings: bool = False
@@ -162,8 +172,20 @@ class TraceOptions:
         return replace(self, sections=tuple(sections))
 
 
+# tracer constants; lengths are in units of the surface diameter
+_MIN_STEP = 1e-12             # a shorter step fails the trace
+# A trace closes where it crosses the plane through its start normal to
+# its start tangent, within _CLOSURE_TOL of the start point and 0.5 deg of
+# the start tangent, after _CLOSURE_MIN_LENGTH of arclength.  The crossing
+# is located only when its linear estimate lies within _CLOSURE_CAPTURE.
+_CLOSURE_TOL = 1e-5
+_CLOSURE_COS = math.cos(math.radians(0.5))
+_CLOSURE_CAPTURE = 0.02
+_CLOSURE_MIN_LENGTH = 2e-2
+_BISECTIONS = 40             # per crossing or closure, see _bisect_step
+_T_LAST = 1.0 - 0.5 ** (_BISECTIONS + 1)   # the largest fraction it returns
+
 # Dormand-Prince 5(4) tableau
-_DP_C = np.array([0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0])
 _DP_A = [
     [],
     [1 / 5],
@@ -246,14 +268,8 @@ def _trace_core(surface, y0, foliation_id, opts, implicit):
               else (lambda y: surface.point(y[0], y[1])))
     max_len = opts.max_length if opts.max_length is not None else 50.0 * diam
     h_max = opts.max_step_factor * diam
-    h_min = opts.min_step_factor * diam
+    h_min = _MIN_STEP * diam
     excl = opts.exclusion_radius_factor * diam
-    closure_tol = opts.closure_tol_factor * diam
-    capture = max(opts.capture_factor * diam, 4.0 * closure_tol,
-                  0.02 * diam)
-    min_closed = opts.min_closed_length_factor * diam
-    cos_tol = math.cos(math.radians(opts.angle_tol_deg))
-
     umb_pts = _umbilic_points(opts.known_umbilics)
 
     y = np.array(y0, dtype=float)
@@ -323,17 +339,19 @@ def _trace_core(surface, y0, foliation_id, opts, implicit):
 
         s_new = s + h
         p_new = k_new.xyz
+        step = (y, k1, y5, stages[6], h, s)
 
         # section crossings
         stop_on_crossings = False
         for i, sec in enumerate(opts.sections):
             g_old = sec_offsets[i]
             g_new = sec.offset(y_new, p_new)
-            if g_old * g_new < 0.0 and abs(g_old) + abs(g_new) < math.pi:
-                cross = _refine_crossing(
-                    sec, fld, locate, (y, k1, y5, stages[6], h, s),
-                    g_old, g_new, opts)
-                keeps = getattr(sec, "keeps", None)
+            keeps = getattr(sec, "keeps", None)
+            if (g_old * g_new < 0.0 and abs(g_old) + abs(g_new) < math.pi
+                    and (keeps is None or sec.may_keep(
+                        ps[-1], p_new, s + h * _T_LAST, h))):
+                cross = _refine_crossing(sec, fld, locate, step, g_old,
+                                         g_new, opts)
                 if keeps is None or keeps(cross):
                     crossings.append(cross)
                     if (opts.max_crossings is not None
@@ -352,21 +370,23 @@ def _trace_core(surface, y0, foliation_id, opts, implicit):
                 break
 
         # closure against the start section
-        if opts.detect_closure and s_new > min_closed:
+        if opts.detect_closure and s_new > _CLOSURE_MIN_LENGTH * diam:
             g0_old = float(np.dot(ps[-1] - p0, t0))
             g0_new = float(np.dot(p_new - p0, t0))
             if g0_old < 0.0 <= g0_new:
                 t_lin = g0_old / (g0_old - g0_new)
                 p_lin = ps[-1] + t_lin * (p_new - ps[-1])
-                if np.linalg.norm(p_lin - p0) < capture:
-                    y_c, ev_c, s_c = _refine_plane_hit(
-                        fld, y, k1, h, s, p0, t0)
+                if np.linalg.norm(p_lin - p0) < _CLOSURE_CAPTURE * diam:
+                    t_c, _, _ = _bisect_step(
+                        step, lambda _y, p: float(np.dot(p - p0, t0)),
+                        locate, g0_old)
+                    y_c, ev_c = _restep(fld, step, t_c)
                     dist = float(np.linalg.norm(ev_c.xyz - p0))
                     align = float(np.dot(ev_c.tangent, t0))
-                    if dist < closure_tol and align > cos_tol:
-                        _append(ys, ps, ts, ns, ss, y_c, ev_c, s_c)
+                    if dist < _CLOSURE_TOL * diam and align > _CLOSURE_COS:
+                        closed_len = s + h * t_c
+                        _append(ys, ps, ts, ns, ss, y_c, ev_c, closed_len)
                         termination = TERM_CLOSED
-                        closed_len = s_c
                         break
 
         # exit from the chart domain or the implicit surface's box
@@ -428,12 +448,11 @@ def trace_lanes(surface, starts, foliation_id, opts=None, headings=None,
     Each lane runs the Dormand-Prince 5(4) step and step-size control of
     :func:`trace` with its own step size, acceptance and rejection,
     eigen-sign transport and termination.  Options honoured: ``rel_tol``,
-    ``max_step_factor``, ``min_step_factor``, ``max_length``,
-    ``max_steps``, ``initial_sign``, ``known_umbilics`` with
-    ``exclusion_radius_factor`` (HitUmbilic), plus domain exit and the
-    chart's ``rebase_state`` (``fold``).  Sections and closure detection
-    are not implemented: ``opts.sections`` must be empty and
-    ``opts.detect_closure`` False, or ValueError is raised (so
+    ``max_step_factor``, ``max_length``, ``max_steps``, ``initial_sign``,
+    ``known_umbilics`` with ``exclusion_radius_factor`` (HitUmbilic), plus
+    domain exit and the chart's ``rebase_state`` (``fold``).  Sections
+    and closure detection are not implemented: ``opts.sections`` must be
+    empty and ``opts.detect_closure`` False, or ValueError is raised (so
     ``max_crossings`` and ``precise_crossings`` have nothing to act on).
     A lane whose start is not a regular chart point ends at once with
     StepFailure.  The field comes from batched ``chart_bundle`` calls
@@ -460,7 +479,7 @@ def trace_lanes(surface, starts, foliation_id, opts=None, headings=None,
     diam = surface.diameter()
     max_len = opts.max_length if opts.max_length is not None else 50.0 * diam
     h_max = opts.max_step_factor * diam
-    h_min = opts.min_step_factor * diam
+    h_min = _MIN_STEP * diam
     excl = opts.exclusion_radius_factor * diam
     umb_pts = _umbilic_points(opts.known_umbilics)
     rebase = getattr(surface, "rebase_state", None)
@@ -665,30 +684,47 @@ def _hermite(y0, f0, y1, f1, h, t):
     return h00 * y0 + h10 * h * f0 + h01 * y1 + h11 * h * f1
 
 
-def _refine_crossing(sec, fld, locate, step, g_old, g_new, opts):
-    """Locate a section crossing inside the accepted ``step`` = (y_old,
-    k_old, y1, k_end, h, s_old): y1 is the step's fifth-order end before
-    any projection and k_end its last Dormand-Prince stage, the field at
-    y1.  The bisection on the cubic Hermite interpolant evaluates only the
-    point ``locate(y)``, no field."""
-    y_old, k_old, y1, k_end, h, s_old = step
+def _bisect_step(step, offset, locate, g_old):
+    """Locate the sign change of ``offset(y, xyz)`` inside the accepted
+    ``step`` = (y_old, k_old, y1, k_end, h, s_old): y1 is the step's
+    fifth-order end before any projection and k_end its last
+    Dormand-Prince stage, the field at y1.  The bisections run on the
+    cubic Hermite interpolant of the state and evaluate only the point
+    ``locate(y)``, no field.  Returns the step fraction t in [0, _T_LAST]
+    and the last interpolated state and its point."""
+    y_old, k_old, y1, k_end, h, _ = step
     lo, hi, g_lo = 0.0, 1.0, g_old
-    for _ in range(40):
+    for _ in range(_BISECTIONS):
         mid = 0.5 * (lo + hi)
         yt = _hermite(y_old, k_old.vel, y1, k_end.vel, h, mid)
         xyz = locate(yt)
-        g_mid = sec.offset(yt, xyz)
+        g_mid = offset(yt, xyz)
         if g_mid == 0.0:
             break
         if math.copysign(1.0, g_mid) == math.copysign(1.0, g_lo):
             lo, g_lo = mid, g_mid
         else:
             hi = mid
-    t_star = 0.5 * (lo + hi)
+    return 0.5 * (lo + hi), yt, xyz
+
+
+def _restep(fld, step, t):
+    """One Dormand-Prince step from the start of ``step`` to the fraction
+    ``t`` of its length, for integrator accuracy there: the state and the
+    field at it (7 field evaluations)."""
+    y_old, k_old, _, _, h, _ = step
+    yt, _, _ = _dp_step(fld, y_old, k_old, h * t)
+    return yt, fld(yt, k_old.tangent)
+
+
+def _refine_crossing(sec, fld, locate, step, g_old, g_new, opts):
+    """A section crossing inside the accepted ``step`` (see
+    :func:`_bisect_step`), re-stepped to when ``opts.precise_crossings``."""
+    h, s_old = step[4], step[5]
+    t_star, yt, xyz = _bisect_step(step, sec.offset, locate, g_old)
     if opts.precise_crossings:
-        # re-step exactly to the crossing parameter for integrator accuracy
-        yt, _, _ = _dp_step(fld, y_old, k_old, h * t_star)
-        xyz = fld(yt, k_old.tangent).xyz
+        yt, ev = _restep(fld, step, t_star)
+        xyz = ev.xyz
     tangent_rate = abs(g_new - g_old) / max(h, 1e-300)
     if tangent_rate < 1e-7:
         raise TransversalityError(
@@ -700,27 +736,6 @@ def _refine_crossing(sec, fld, locate, step, g_old, g_new, opts):
         direction=direction,
         arclength=float(s_old + h * t_star),
         xyz=np.asarray(xyz, dtype=float))
-
-
-def _refine_plane_hit(fld, y_old, k_old, h, s_old, p0, t0):
-    """Exact re-step onto the plane (p - p0) . t0 = 0 inside the step."""
-    ref = k_old.tangent
-    lo, hi = 0.0, 1.0
-    y_best, ev_best, t_best = y_old, k_old, 0.0
-    g_lo = float(np.dot(k_old.xyz - p0, t0))
-    for _ in range(50):
-        mid = 0.5 * (lo + hi)
-        y_mid, _, _ = _dp_step(fld, y_old, k_old, h * mid)
-        ev_mid = fld(y_mid, ref)
-        g_mid = float(np.dot(ev_mid.xyz - p0, t0))
-        y_best, ev_best, t_best = y_mid, ev_mid, mid
-        if g_mid == 0.0 or (hi - lo) < 1e-14:
-            break
-        if math.copysign(1.0, g_mid) == math.copysign(1.0, g_lo):
-            lo, g_lo = mid, g_mid
-        else:
-            hi = mid
-    return y_best, ev_best, s_old + h * t_best
 
 
 # ---------------------------------------------------------------------------

@@ -17,6 +17,7 @@ import numpy as np
 
 from .errors import (SEED_FAILURES, ConvergenceError, FrameError,
                      InconclusiveError, RegularityError)
+from .foliation import TraceOptions, trace_lanes
 from .geometry import MAXIMAL, MINIMAL, chart_bundle, frame_operator
 
 D1, D2, D3 = "D1", "D2", "D3"
@@ -568,13 +569,14 @@ def separatrix_directions(surface, rec, radius_factor=1e-3,
     Two-stage fate search.  Stage 1 scans a small circle around the
     umbilic for angles where the foliation is radially aligned (leaves can
     only reach the umbilic along such directions) and sharpens each zero
-    by bisection.  Stage 2 integrates bracketing launches inward and
-    classifies their terminal fate: a ray bounding a hyperbolic sector has
-    a sweeping side (launches exit the horizon), while interior directions
-    of a parabolic fan see deep entries on both sides and are dropped.  If
-    no ray has a sweeping side the structure is a pure fan (lemon) and the
-    approach directions themselves are the separatrices.  Confidence
-    records whether the count matches the Darbouxian subscript.
+    by bisection.  Stage 2 traces bracketing launches inward, as the lanes
+    of one :func:`foliation.trace_lanes` call, and classifies their
+    terminal fate (:func:`_terminal_fate`): a ray bounding a hyperbolic
+    sector has a sweeping side (launches exit the horizon), while interior
+    directions of a parabolic fan see deep entries on both sides and are
+    dropped.  If no ray has a sweeping side the structure is a pure fan
+    (lemon) and the approach directions themselves are the separatrices.
+    Confidence records whether the count matches the Darbouxian subscript.
     """
     if rec.type not in (D1, D2, D3):
         return {}, {MINIMAL: "unsupported-type", MAXIMAL: "unsupported-type"}
@@ -729,61 +731,38 @@ _FATE_ENTER = 1
 _FATE_STUCK = 2
 
 
-def _terminal_fate(surface, lanes, alphas, r0, depth=2e-3, max_steps=2500):
+def _terminal_fate(surface, lanes, alphas, r0, depth=2e-3):
     """Terminal fate of inward launches: deep entry versus horizon exit.
 
     Launch i leaves from angle ``alphas[i]`` on the circle of radius r0
-    in the frame of lane i, along that lane's foliation.  Integrates the
-    foliation inward with steps scaled to the current distance (the field
-    varies on that scale).  A launch "enters" when it descends below
-    ``depth * r0`` and "exits" past the 5 r0 horizon; leaves hugging a
-    hyperbolic sector eventually exit, fan leaves terminate at the
-    umbilic, which is what separates the two sector types.
+    in the frame of lane i, along that lane's foliation, heading for the
+    umbilic.  All launches run as the lanes of one :func:`trace_lanes`
+    call (``rel_tol`` 1e-6, 8 r0 of length) that stops a lane in the
+    ``depth * r0`` ball about any lane's umbilic, so a launch ends alike
+    alone and in its batch unless another umbilic lies within about 9 r0
+    of its own.  The first recorded point outside the annulus from
+    ``depth * r0`` to 5 r0 about the launch's umbilic decides its fate:
+    inside, it "enters"; beyond, it "exits"; with no such point it is
+    stuck.  Leaves hugging a hyperbolic sector eventually exit, fan leaves
+    terminate at the umbilic, which is what separates the two sector
+    types.
     """
+    diam = surface.diameter()
     uv = lanes.circle_uv(surface, alphas, r0)
-    b = chart_bundle(surface, uv[:, 0], uv[:, 1])
-    d = lanes.pick(b, "xyz")
-    sign = -np.sign(np.sum(d * (b["r"] - lanes.x0), axis=1))
-    sign[sign == 0.0] = 1.0
-    ref = d * sign[:, None]
-
-    r_deep = depth * r0
-    r_far = 5.0 * r0
-    active = np.ones(len(alphas), dtype=bool)
+    opts = TraceOptions(rel_tol=1e-6, max_length=8.0 * r0,
+                        detect_closure=False,
+                        known_umbilics=tuple(np.unique(lanes.x0, axis=0)),
+                        exclusion_radius_factor=depth * r0 / diam)
+    trajs = trace_lanes(
+        surface, uv, [MINIMAL if m else MAXIMAL for m in lanes.minimal],
+        opts, headings=lanes.x0 - surface.point(uv[:, 0], uv[:, 1]))
+    r_deep = opts.exclusion_radius_factor * diam    # the lanes' own radius
     fate = np.full(len(alphas), _FATE_STUCK, dtype=int)
-
-    def field(lns, uv_pts, ref_dirs):
-        bb = chart_bundle(surface, uv_pts[:, 0], uv_pts[:, 1])
-        dd_uv, dd_xyz = lns.pick(bb, "uv"), lns.pick(bb, "xyz")
-        s = np.sign(np.sum(dd_xyz * ref_dirs, axis=1))
-        s[s == 0.0] = 1.0
-        return dd_uv * s[:, None], dd_xyz * s[:, None], bb["r"]
-
-    pos = b["r"]
-    for _ in range(max_steps):
-        if not active.any():
-            break
-        idx = np.where(active)[0]
-        lns = lanes.take(idx)
-        y = uv[idx]
-        rf = ref[idx]
-        dist_now = np.linalg.norm(pos[idx] - lns.x0, axis=1)
-        ds = np.maximum(dist_now / 7.0, r_deep / 4.0)[:, None]
-        k1u, _, _ = field(lns, y, rf)
-        k2u, _, _ = field(lns, y + 0.5 * ds * k1u, rf)
-        k3u, _, _ = field(lns, y + 0.5 * ds * k2u, rf)
-        k4u, _, _ = field(lns, y + ds * k3u, rf)
-        uv_new = y + (ds / 6.0) * (k1u + 2 * k2u + 2 * k3u + k4u)
-        _, d_new, p_new = field(lns, uv_new, rf)
-        uv[idx] = uv_new
-        ref[idx] = d_new
-        pos[idx] = p_new
-        dist = np.linalg.norm(p_new - lns.x0, axis=1)
-        enter_now = dist < r_deep
-        out_now = (dist > r_far) & ~enter_now
-        fate[idx[enter_now]] = _FATE_ENTER
-        fate[idx[out_now]] = _FATE_EXIT
-        active[idx[enter_now | out_now]] = False
+    for i, traj in enumerate(trajs):
+        dist = np.linalg.norm(traj.points_xyz - lanes.x0[i], axis=1)
+        ends = np.flatnonzero((dist < r_deep) | (dist > 5.0 * r0))
+        if len(ends):
+            fate[i] = _FATE_ENTER if dist[ends[0]] < r_deep else _FATE_EXIT
     return fate
 
 

@@ -299,3 +299,25 @@ def test_condition_b_quotes_dropped_seeds_by_reason():
     failed = catalog._cycle_verdict([flat], log)
     assert failed.status == "fail"
     assert failed.witnesses == ["maximal cycle, log T' = 0.000e+00"] + drops
+
+
+def test_condition_d_passes_only_when_every_line_is_decided():
+    def res(verdict, evidence=False):
+        return foliation.OmegaLimitResult(verdict, evidence, "detail")
+
+    decided = [res("Umbilic"), res("Umbilic"), res("Cycle")]
+    passed = catalog._omega_verdict(decided)
+    assert passed.status == "pass"
+    assert passed.detail == ("no recurrence witness: of 3 trace(s), 2 reach "
+                             "an umbilic, 1 a cycle and 0 are undetermined")
+    open_line = catalog._omega_verdict(decided + [
+        res("RecurrentOrUndetermined")])
+    assert open_line.status == "inconclusive"
+    assert open_line.detail == ("no recurrence witness: of 4 trace(s), 2 "
+                                "reach an umbilic, 1 a cycle and 1 are "
+                                "undetermined")
+    recurrent = catalog._omega_verdict(decided + [
+        res("RecurrentOrUndetermined"),
+        res("RecurrentOrUndetermined", True)])
+    assert recurrent.status == "fail"
+    assert recurrent.witnesses == ["detail"]

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from principal_config import catalog, cycles
+from principal_config import catalog, cycles, foliation
 from principal_config.errors import RegularityError
 from principal_config.cycles import (CycleSearchOptions,
                                      cycle_from_closed_trajectory,
@@ -188,17 +188,27 @@ def test_return_trace_never_counts_its_start(torus):
 
 
 def test_return_traces_stop_at_their_return(torus, monkeypatch):
-    seen = []
+    seen, located = [], []
 
     def recording(*args):
         traj = trace(*args)
         seen.append((args[3], traj))
         return traj
 
+    def locating(*args):
+        located.append(refine(*args))
+        return located[-1]
+
+    refine = foliation._refine_crossing
     monkeypatch.setattr(cycles, "trace", recording)
+    monkeypatch.setattr(foliation, "_refine_crossing", locating)
     assert len(find_cycles(torus, [(0.3, 0.9)], MAXIMAL)) == 1
     returns = [(opts, traj) for opts, traj in seen if opts.sections]
     assert len(returns) >= 5
+    # the disc's far side and the start leaving it are never located
+    kept = [c for _, traj in returns for c in traj.crossings]
+    assert len(located) == len(kept)
+    assert all(a is b for a, b in zip(located, kept))
     for opts, traj in returns:
         disc, = opts.sections
         assert len(traj.crossings) == opts.max_crossings

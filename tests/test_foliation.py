@@ -56,6 +56,19 @@ def test_ellipsoid_principal_lines_close(ellipsoid):
         assert traj.closed_length > 1.0
 
 
+@pytest.mark.parametrize("fol", [MINIMAL, MAXIMAL])
+def test_closure_costs_one_restep(torus, fol):
+    # the closure is located on the interpolant of the step that holds it,
+    # then reached by one Dormand-Prince re-step: 6 stages and the field
+    # at its end, where a bisection of re-steps took up to 350
+    closed = trace(torus, (0.3, 0.9), fol, TraceOptions())
+    assert closed.termination == "Closed"
+    unclosed = trace(torus, (0.3, 0.9), fol, TraceOptions(
+        detect_closure=False, max_length=closed.closed_length))
+    assert unclosed.meta["steps"] == closed.meta["steps"]
+    assert closed.meta["evals"] - unclosed.meta["evals"] == 7
+
+
 def test_tangency_along_trajectory(torus):
     traj = trace(torus, (0.3, 0.9), MAXIMAL, TraceOptions())
     seg = np.diff(traj.points_xyz, axis=0)

@@ -6,7 +6,7 @@ import pytest
 from principal_config import catalog, umbilics
 from principal_config.errors import (ConvergenceError, InconclusiveError,
                                      RegularityError)
-from principal_config.geometry import FiniteDifferenceChart
+from principal_config.geometry import MAXIMAL, MINIMAL, FiniteDifferenceChart
 from principal_config.umbilics import (AllUmbilicSurface, classify,
                                        classify_direct, classify_umbilic,
                                        index_sum_check, locate_umbilics,
@@ -215,6 +215,42 @@ def test_separatrix_counts_match_subscript(abc, count):
         angs = rec.separatrices["minimal"]
         gaps = np.diff(sorted(angs))
         assert np.all(gaps > math.radians(20.0))
+
+
+def _d2_graph_record():
+    g = catalog.monge_graph_chart(1.0, 1.5, 1.0, 0.0, extent=0.6)
+    rec = classify_umbilic(g, refine_umbilic_record(g, (0.0, 0.0)))
+    assert rec.type == "D2"
+    return g, rec
+
+
+def test_fate_tells_the_parabolic_fan_from_a_hyperbolic_sector():
+    g, rec = _d2_graph_record()
+    # the two minimal separatrices of the monstar bound its parabolic fan
+    lo, hi = rec.separatrices[MINIMAL]
+    fan = 0.5 * (lo + hi)
+    lanes = umbilics._Lanes.of([rec, rec], [MINIMAL, MINIMAL])
+    fate = umbilics._terminal_fate(g, lanes, np.array([fan, fan + math.pi]),
+                                   1e-3 * g.diameter())
+    assert list(fate) == [umbilics._FATE_ENTER, umbilics._FATE_EXIT]
+
+
+def test_fate_lane_does_not_depend_on_its_batch(ellipsoid,
+                                                ellipsoid_records):
+    g, rec = _d2_graph_record()
+    angles = np.radians(np.arange(0.0, 360.0, 30.0))
+    for surface, recs in ((g, [rec]), (ellipsoid, ellipsoid_records[:2])):
+        r0 = 1e-3 * surface.diameter()
+        owners = [(r, fol) for r in recs for fol in (MINIMAL, MAXIMAL)]
+        lanes = umbilics._Lanes.of(*zip(*[o for o in owners
+                                          for _ in angles]))
+        alphas = np.tile(angles, len(owners))
+        batch = umbilics._terminal_fate(surface, lanes, alphas, r0)
+        assert set(batch) == {umbilics._FATE_ENTER, umbilics._FATE_EXIT}
+        for k in range(0, len(alphas), 5):
+            alone = umbilics._terminal_fate(surface, lanes.take([k]),
+                                            alphas[k:k + 1], r0)
+            assert alone[0] == batch[k]
 
 
 def test_d3_alignment_oracle_at_reported_rays():
