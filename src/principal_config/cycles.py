@@ -20,7 +20,7 @@ from .errors import (SEED_FAILURES, ConvergenceError, ReturnFailure,
                      UmbilicProximityError)
 from .foliation import (TERM_CLOSED, DiscSection, TraceOptions,
                         chart_point_near, trace)
-from .geometry import MAXIMAL, MINIMAL, chart_bundle, curvature_gradients
+from .geometry import MINIMAL, chart_bundle, curvature_gradients
 
 
 @dataclass(frozen=True)

@@ -22,13 +22,13 @@ import copy
 import math
 from dataclasses import dataclass, field
 from types import SimpleNamespace
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
 from .errors import (ConvergenceError, CriticalPointError,
                      RegularityError, UmbilicReferenceError)
-from .jets import ORDER
+from .jets import ORDER, Harmonics
 
 MINIMAL = "minimal"
 MAXIMAL = "maximal"
@@ -78,44 +78,25 @@ class SurfaceChart:
         self._build_fast_path()
 
     def _build_fast_path(self):
-        """Concatenate all-harmonic terms into single evaluation tables."""
-        from .jets import Harmonics
+        """Evaluation tables for the all-harmonic terms, one per side.
 
-        fast, generic = [], []
-        for idx, (tu, tv, w) in enumerate(self.terms):
-            if isinstance(tu, Harmonics) and isinstance(tv, Harmonics):
-                fast.append(idx)
-            else:
-                generic.append(idx)
-        self._generic_terms = [self.terms[i] for i in generic]
+        Each side's table holds one atom per distinct (freq, phase) pair of
+        its factors and the folded coefficient matrix of
+        :func:`_harmonic_table`; terms with a Poly factor stay generic.
+        """
+        def harmonic(term):
+            return (isinstance(term[0], Harmonics)
+                    and isinstance(term[1], Harmonics))
+
+        fast = [term for term in self.terms if harmonic(term)]
+        self._generic_terms = [term for term in self.terms
+                               if not harmonic(term)]
         self._fast_tables = None
-        if not fast:
-            return
-        ks = np.arange(ORDER)
-
-        def side_tables(funcs):
-            freqs, phases, blocks = [], [], []
-            for t, fn in enumerate(funcs):
-                freqs.append(fn.freq)
-                phases.append(fn.phase)
-                coef = fn.amp[:, None] * fn.freq[:, None] ** ks[None, :]
-                blocks.append((t, coef))
-            freq = np.concatenate(freqs)
-            phase = np.concatenate(phases)
-            # atom coefficients amp * freq^k with the signs of the
-            # derivatives of cos (+, -, -, +), as [[k=0, k=1], [k=2, k=3]],
-            # and the 0/1 matrix that sums each term's atoms
-            coef = (np.concatenate([c for _, c in blocks]).T
-                    * np.array([1.0, -1.0, -1.0, 1.0])[:, None])
-            owner = np.concatenate([np.full(len(c), t) for t, c in blocks])
-            S = np.zeros((len(freq), len(funcs)))
-            S[np.arange(len(freq)), owner] = 1.0
-            return freq, phase, coef.reshape(2, 2, -1), S
-
-        self._fast_tables = (side_tables([self.terms[i][0] for i in fast]),
-                             side_tables([self.terms[i][1] for i in fast]),
-                             np.stack([self.terms[i][2] for i in fast],
-                                      axis=1))
+        if fast:
+            self._fast_tables = (
+                _harmonic_table([tu for tu, _, _ in fast]),
+                _harmonic_table([tv for _, tv, _ in fast]),
+                np.stack([w for _, _, w in fast], axis=1))
 
     # -- evaluation --------------------------------------------------------
 
@@ -124,8 +105,10 @@ class SurfaceChart:
 
         ``jet[i, j]`` is the mixed partial d^(i+j) P / du^i dv^j for
         ``i + j <= 3``; higher slots are computed but unused.  Harmonic
-        terms are evaluated from concatenated atom tables, the rest (Poly
-        factors: the Monge graphs) factor by factor.  Points are the
+        terms are evaluated from one table per variable: one cos and one
+        sin per distinct (freq, phase) pair, times the folded coefficient
+        matrix of :func:`_harmonic_table`.  The rest (Poly factors: the
+        Monge graphs) are evaluated factor by factor.  Points are the
         leading axis of every contraction and each point is contracted by
         its own small matrix product, so point i of a batch is
         bit-identical to the same point evaluated alone.
@@ -201,18 +184,54 @@ class SurfaceChart:
         return f"SurfaceChart({self.name}, params={self.params})"
 
 
-def _harmonic_side(freq, phase, coef, S, x):
-    """(N, 4, T) jets of concatenated harmonic factors at N points ``x``.
+# signs of the derivatives of cos: cos, -sin, -cos, sin
+_COS_SIGNS = np.array([1.0, -1.0, -1.0, 1.0])
 
-    Derivative k of an atom is coef[k] times cos (k even) or sin (k odd);
-    the atoms are summed into their terms by a per-point product with the
-    0/1 owner matrix ``S``.
+
+def _harmonic_table(funcs):
+    """(freq, phase, M) of the factors ``funcs`` over their distinct atoms.
+
+    One atom stands for each distinct (freq, phase) pair.  The
+    coefficient matrix M has shape (2A, 4T): row a (row A + a) multiplies
+    cos (sin) of atom a, and column k*T + t collects derivative k of
+    factor t.  Its entries are the atom's amp * freq**k times the sign of
+    the k-th derivative of cos, in the cos half for even k and the sin
+    half for odd k: the coefficient ``Harmonics.jet`` uses (summed where
+    a factor lists one pair twice).
     """
+    ks = np.arange(ORDER)
+    entries = []
+    for t, fn in enumerate(funcs):
+        coef = (fn.amp[:, None] * fn.freq[:, None] ** ks[None, :]
+                * _COS_SIGNS)
+        for f, p, c in zip(fn.freq.tolist(), fn.phase.tolist(), coef):
+            entries.append(((f, p), t, c))
+    # sorted like each factor's own atoms, so a term's products are summed
+    # in the order of its atom list
+    atoms = sorted({key for key, _, _ in entries})
+    index = {key: a for a, key in enumerate(atoms)}
+    n_atoms, n_terms = len(atoms), len(funcs)
+    M = np.zeros((2 * n_atoms, ORDER * n_terms))
+    for key, t, c in entries:
+        for k in range(ORDER):
+            M[index[key] + n_atoms * (k % 2), k * n_terms + t] += c[k]
+    freq, phase = (np.array(col, dtype=float) for col in zip(*atoms))
+    return freq, phase, M
+
+
+def _harmonic_side(freq, phase, M, x):
+    """(N, 4, T) jets of the harmonic factors of one table at N points.
+
+    One cos and one sin per distinct atom; each point's (1, 2A) row of
+    them is multiplied by the coefficient matrix on its own, so a batch
+    point is bit-identical to the point alone.
+    """
+    n, n_atoms = len(x), len(freq)
     theta = x[:, None] * freq + phase
-    trig = np.empty((len(x), 1, 2) + theta.shape[1:])    # (N, 1, 2, A)
-    np.cos(theta, out=trig[:, 0, 0])
-    np.sin(theta, out=trig[:, 0, 1])
-    return np.matmul((trig * coef).reshape(len(x), 4, len(freq)), S)
+    trig = np.empty((n, 1, 2 * n_atoms))
+    np.cos(theta, out=trig[:, 0, :n_atoms])
+    np.sin(theta, out=trig[:, 0, n_atoms:])
+    return np.matmul(trig, M).reshape(n, ORDER, M.shape[1] // ORDER)
 
 
 # stencil weights, 4th order accurate central differences
@@ -462,10 +481,17 @@ def chart_bundle(surface, u, v, strict=True):
     J = surface.jet(u, v)
     r = J[0, 0]
     ru, rv = J[1, 0], J[0, 1]
-    ruu, ruv, rvv = J[2, 0], J[1, 1], J[0, 2]
+    pts = r.shape[:-1]
+    ux, uy, uz = ru[..., 0], ru[..., 1], ru[..., 2]
+    vx, vy, vz = rv[..., 0], rv[..., 1], rv[..., 2]
 
-    W = np.cross(ru, rv)
-    wn = np.linalg.norm(W, axis=-1)
+    # W = a_u x a_v and the dot products written out per component, as the
+    # products and left-to-right sums that np.cross and np.sum compute
+    W = np.empty(pts + (3,))
+    W[..., 0] = uy * vz - uz * vy
+    W[..., 1] = uz * vx - ux * vz
+    W[..., 2] = ux * vy - uy * vx
+    wn = np.sqrt(_dot3(W, W))
     floor = surface.regularity_floor()
     bad = wn <= floor
     any_bad = bool(np.any(bad))
@@ -476,12 +502,10 @@ def chart_bundle(surface, u, v, strict=True):
     wn_safe = np.where(bad, 1.0, wn)
     n = surface.orientation * W / wn_safe[..., None]
 
-    E = np.sum(ru * ru, axis=-1)
-    F = np.sum(ru * rv, axis=-1)
-    G = np.sum(rv * rv, axis=-1)
-    e = np.sum(n * ruu, axis=-1)
-    f = np.sum(n * ruv, axis=-1)
-    g = np.sum(n * rvv, axis=-1)
+    E = ux * ux + uy * uy + uz * uz
+    F = ux * vx + uy * vy + uz * vz
+    G = vx * vx + vy * vy + vz * vz
+    e, f, g = _dot3(n, J[2, 0]), _dot3(n, J[1, 1]), _dot3(n, J[0, 2])
     if any_bad:
         # a unit frame at failed points; all their outputs become NaN below
         E, F, G = (np.where(bad, 1.0, E), np.where(bad, 0.0, F),
@@ -489,9 +513,9 @@ def chart_bundle(surface, u, v, strict=True):
 
     w, frame = frame_operator(E, F, G, e, f, g)
     k1, k2, H, K, phi = shape_operator_eigen(*w)
-    d1, d2 = principal_uv(phi, frame)
-    d1_uv = np.stack(d1, axis=-1)
-    d2_uv = np.stack(d2, axis=-1)
+    d1_uv, d2_uv = np.empty(pts + (2,)), np.empty(pts + (2,))
+    (d1_uv[..., 0], d1_uv[..., 1]), (d2_uv[..., 0], d2_uv[..., 1]) = \
+        principal_uv(phi, frame)
     d1_xyz = d1_uv[..., :1] * ru + d1_uv[..., 1:] * rv
     d2_xyz = d2_uv[..., :1] * ru + d2_uv[..., 1:] * rv
 
@@ -514,6 +538,12 @@ def chart_bundle(surface, u, v, strict=True):
         "d1_xyz": d1_xyz, "d2_xyz": d2_xyz,
         "umbilic_deviation": dev, "direction_tol": tol,
     }
+
+
+def _dot3(a, b):
+    """Dot product over the last axis (length 3), summed left to right."""
+    return (a[..., 0] * b[..., 0] + a[..., 1] * b[..., 1]
+            + a[..., 2] * b[..., 2])
 
 
 def principal_direction_fast(surface, u, v, minimal):
@@ -694,9 +724,7 @@ def curvature_gradients(surface, u, v):
     ruu, ruv, rvv = J[2, 0], J[1, 1], J[0, 2]
     ruuu, ruuv, ruvv, rvvv = J[3, 0], J[2, 1], J[1, 2], J[0, 3]
 
-    def dot(a, b):
-        return np.sum(a * b, axis=-1)
-
+    dot = _dot3
     E, F, G = dot(ru, ru), dot(ru, rv), dot(rv, rv)
     Eu, Ev = 2 * dot(ru, ruu), 2 * dot(ru, ruv)
     Fu, Fv = dot(ruu, rv) + dot(ru, ruv), dot(ruv, rv) + dot(ru, rvv)

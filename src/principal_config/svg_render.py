@@ -9,8 +9,6 @@ order), which makes the output diff-able in golden tests.
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 WIDTH, HEIGHT, MARGIN = 800.0, 600.0, 40.0

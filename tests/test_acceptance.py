@@ -1,16 +1,14 @@
 """Acceptance suite: one test per criterion, each printing a PASS/FAIL
 line with the measured quantity against its stated tolerance."""
 
-import json
 import math
 
 import numpy as np
 import pytest
 
 from principal_config import catalog, cli, cycles, foliation, umbilics
-from principal_config.geometry import (MAXIMAL, MINIMAL, chart_bundle,
-                                       fundamental_forms, normal_curvature,
-                                       principal_data)
+from principal_config.geometry import (MAXIMAL, MINIMAL, fundamental_forms,
+                                       normal_curvature, principal_data)
 
 
 def _report(ok, label, detail):

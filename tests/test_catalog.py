@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from principal_config import catalog, cycles, foliation, umbilics
+from principal_config import catalog, cycles, foliation
 from principal_config.catalog import (ConfocalCoordinates, QuadricSpec,
                                       confocal_coordinates, dupin_drift,
                                       make_surface, quadric_stratum,

@@ -1,13 +1,11 @@
 import json
-import math
 import subprocess
 import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
 
-from principal_config import cli, foliation
+from principal_config import foliation
 from principal_config.cli import (load_config_file, main,
                                   parse_quadric_spec, parse_surface_spec)
 from principal_config.geometry import MAXIMAL, MINIMAL

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from principal_config import catalog, cycles, foliation
+from principal_config import cycles, foliation
 from principal_config.errors import RegularityError
 from principal_config.cycles import (CycleSearchOptions,
                                      cycle_from_closed_trajectory,

@@ -7,8 +7,7 @@ import pytest
 from principal_config import catalog, geometry
 from principal_config.errors import (ConvergenceError, CriticalPointError,
                                      RegularityError, UmbilicReferenceError)
-from principal_config.geometry import (MAXIMAL, MINIMAL, chart_bundle,
-                                       curvature_gradients,
+from principal_config.geometry import (chart_bundle, curvature_gradients,
                                        fundamental_forms,
                                        implicit_principal_data,
                                        normal_curvature, principal_at,
@@ -370,6 +369,8 @@ def test_with_orientation_keeps_class_and_state(make):
     lambda: catalog.perturbed_ellipsoid_chart(3, 2, 1, 0.008, 0),
     lambda: catalog.perturbed_torus_chart(2.0, 1.0, 0.05),
     lambda: catalog.rotated_cap_ellipsoid_chart(0.3),
+    lambda: catalog.torus_chart(2.0, 1.0),
+    lambda: catalog.monge_graph_chart(1.0, 0.5, 1.0, 0.2),
 ])
 def test_batch_point_is_bit_identical_to_the_point_alone(make):
     chart = make()
@@ -387,3 +388,38 @@ def test_batch_point_is_bit_identical_to_the_point_alone(make):
         alone = chart_bundle(chart, *one, strict=False)
         for key, value in bundle.items():
             assert np.array_equal(value[i], alone[key][0], equal_nan=True), key
+
+
+# chart_bundle keys that a failed point fills with NaN
+_NAN_FILLED = ("normal", "E", "F", "G", "e", "f", "g", "k1", "k2", "H", "K",
+               "d1_uv", "d2_uv", "d1_xyz", "d2_xyz", "umbilic_deviation")
+
+
+def test_bundle_nan_rows_only_at_a_failed_point(ellipsoid):
+    u = np.array([0.7, 0.3, 1.9, 4.0])
+    v = np.array([1.2, 0.0, 2.5, 0.4])        # point 1 is the pole
+    bundle = chart_bundle(ellipsoid, u, v, strict=False)
+    alone = {i: chart_bundle(ellipsoid, u[i:i + 1], v[i:i + 1])
+             for i in (0, 2, 3)}
+    for key, value in bundle.items():
+        if key in _NAN_FILLED:
+            assert np.all(np.isnan(value[1])), key
+        for i, one in alone.items():
+            assert not np.any(np.isnan(value[i])), key
+            assert np.array_equal(value[i], one[key][0]), key
+    with pytest.raises(RegularityError):
+        chart_bundle(ellipsoid, u, v, strict=True)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: catalog.ellipsoid_chart(3.0, 2.0, 1.0),
+    lambda: catalog.monge_graph_chart(1.0, 0.5, 1.0, 0.2),
+    lambda: catalog.rotated_cap_ellipsoid_chart(0.3),
+])
+def test_bundle_of_no_points(make):
+    bundle = chart_bundle(make(), np.empty(0), np.empty(0))
+    vectors = ("r", "ru", "rv", "normal", "d1_xyz", "d2_xyz")
+    for key, value in bundle.items():
+        want = ((0, 2) if key in ("d1_uv", "d2_uv")
+                else (0, 3) if key in vectors else (0,))
+        assert value.shape == want, key

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from principal_config import catalog, jets
+from principal_config.geometry import SurfaceChart
 
 
 def fd4(fn, x, h=1e-3):
@@ -93,3 +94,52 @@ def test_e_theta_jet_is_c2_across_the_blend_joints():
         # the third v-derivative jumps
         assert np.allclose(lo[:, :3], hi[:, :3], rtol=0.0, atol=1e-6), joint
         assert np.abs(lo[0, 3] - hi[0, 3]).max() > 1.0, joint
+
+
+SEPARABLE_CHARTS = {
+    "ellipsoid": lambda: catalog.ellipsoid_chart(3.0, 2.0, 1.0),
+    "torus": lambda: catalog.torus_chart(2.0, 1.0),
+    "perturbed_torus": lambda: catalog.perturbed_torus_chart(2.0, 1.0, 0.05),
+    "perturbed_ellipsoid":
+        lambda: catalog.perturbed_ellipsoid_chart(3, 2, 1, 0.008, 0),
+    "monge_graph": lambda: catalog.monge_graph_chart(1.0, 0.5, 1.0, 0.2),
+    # factors that share harmonics, and one that lists a harmonic twice
+    "shared_atoms": lambda: SurfaceChart(
+        [(jets.Harmonics([(1.0, 0.3, 0.7), (1.0, 0.3, 0.2), (0.0, 0.5, 1.0)]),
+          jets.Harmonics([(2.0, -0.5, 1.0), (0.0, 0.5, 0.5)]), (1.0, 0, 0)),
+         (jets.Wave(1.0, 0.3), jets.wave_sin(2.0, -0.5), (0, 1.0, 0)),
+         (jets.Const(), jets.Wave(2.0, -0.5), (0, 0, 1.0))],
+        ((0, 2 * np.pi), (0, 2 * np.pi)), periodic_u=True, periodic_v=True),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SEPARABLE_CHARTS))
+def test_chart_jet_matches_the_factor_by_factor_sum(name):
+    """The chart's evaluation tables against sum_t w_t U_t^(i) V_t^(j),
+    with each factor's own jet."""
+    chart = SEPARABLE_CHARTS[name]()
+    rng = np.random.default_rng(17)
+    u = rng.uniform(-0.7, 0.7, 24) + (0.0 if name == "monge_graph" else 3.0)
+    v = rng.uniform(-0.7, 0.7, 24) + (0.0 if name == "monge_graph" else 1.5)
+    jet = chart.jet(u, v)
+    want = np.zeros_like(jet)
+    for tu, tv, w in chart.terms:
+        ju, jv = tu.jet(u), tv.jet(v)
+        want += (ju[:, None, :] * jv[None, :, :])[..., None] * w
+    tol = 1e-12 * chart.diameter()
+    for i in range(4):
+        for j in range(4 - i):
+            assert np.abs(jet[i, j] - want[i, j]).max() <= tol, (i, j)
+
+
+def test_tables_hold_one_atom_per_distinct_harmonic():
+    chart = SEPARABLE_CHARTS["perturbed_ellipsoid"]()
+    (freq_u, _, M_u), (freq_v, _, M_v), WT = chart._fast_tables
+    n_terms = WT.shape[1]
+    assert n_terms == len(chart.terms)
+    # the terms carry 62 and 84 atoms, over 19 and 20 distinct harmonics
+    assert sum(len(tu.freq) for tu, _, _ in chart.terms) == 62
+    assert sum(len(tv.freq) for _, tv, _ in chart.terms) == 84
+    assert (len(freq_u), len(freq_v)) == (19, 20)
+    assert M_u.shape == (2 * 19, 4 * n_terms)
+    assert M_v.shape == (2 * 20, 4 * n_terms)
