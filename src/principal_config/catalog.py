@@ -512,7 +512,10 @@ def _confocal_poly(p, axes):
     return poly, a2
 
 
-def confocal_coordinates(p, axes, degeneracy_tol=1e-9):
+_DEGENERACY_TOL = 1e-9       # relative to a^2 - c^2
+
+
+def confocal_coordinates(p, axes):
     """Solve the confocal equation by bisection on the bracketing intervals.
 
     Each root is bracketed by sign changes of the cubic (polynomial) form
@@ -525,7 +528,7 @@ def confocal_coordinates(p, axes, degeneracy_tol=1e-9):
     pole and that smallest residual is up to about 1e-7, not roundoff).
 
     pre: the point is generic; DegenerateRoots is raised when two roots
-    approach each other or a pole closer than ``degeneracy_tol`` (relative
+    approach each other or a pole closer than ``_DEGENERACY_TOL`` (relative
     to a^2 - c^2), which happens on the focal conics and symmetry axes.
     """
     a, b, c = sorted(axes, reverse=True)
@@ -575,7 +578,7 @@ def confocal_coordinates(p, axes, degeneracy_tol=1e-9):
     gaps = np.array([c * c - lam[0], lam[1] - c * c, b * b - lam[1],
                      lam[2] - b * b, a * a - lam[2], lam[1] - lam[0],
                      lam[2] - lam[1]])
-    if np.min(np.abs(gaps)) < degeneracy_tol * span:
+    if np.min(np.abs(gaps)) < _DEGENERACY_TOL * span:
         raise DegenerateRoots("two confocal roots coincide within tolerance")
 
     residuals = tuple(abs(rational(float(x))) for x in lam)
@@ -594,7 +597,10 @@ class DupinDrift:
     skipped: int
 
 
-def dupin_drift(surface, trajectory, max_samples=400):
+_DUPIN_SAMPLES = 400         # trajectory points checked, evenly spread
+
+
+def dupin_drift(surface, trajectory):
     """Drift of the hyperboloid-family confocal root along a trajectory.
 
     A principal line on the triaxial ellipsoid follows the intersection
@@ -610,8 +616,8 @@ def dupin_drift(surface, trajectory, max_samples=400):
     if not (a > b > c > 0) or (a - b) < 1e-12 or (b - c) < 1e-12:
         raise DegenerateRoots("confocal system degenerate for these axes")
     pts = trajectory.points_xyz
-    if len(pts) > max_samples:
-        idx = np.linspace(0, len(pts) - 1, max_samples).astype(int)
+    if len(pts) > _DUPIN_SAMPLES:
+        idx = np.linspace(0, len(pts) - 1, _DUPIN_SAMPLES).astype(int)
         pts = pts[idx]
     span = a * a - c * c
     lam2, lam3 = [], []
@@ -736,7 +742,7 @@ class RotationEstimate:
         }
 
 
-def _second_return_increments(crossings, period=2 * math.pi):
+def _second_return_increments(crossings):
     """Per-class angle increments between same-direction crossings.
 
     The two crossing-direction classes rotate by the same angle with
@@ -746,7 +752,7 @@ def _second_return_increments(crossings, period=2 * math.pi):
     """
     by_sign = {}
     for c in crossings:
-        by_sign.setdefault(c.direction, []).append(c.coordinate * period)
+        by_sign.setdefault(c.direction, []).append(c.coordinate * math.tau)
     out = {}
     for sign, vals in by_sign.items():
         incs = []
@@ -814,16 +820,18 @@ def rotation_estimate(surface, section, seeds, foliation_id=MAXIMAL,
                             crossings, used)
 
 
-def rho_sweep(rho_values, a=3.0, b=2.0, n_seeds=4, opts=None):
+def rho_sweep(rho_values, n_seeds=4):
     """Rotation-vs-rho table for the cubic level-set family.
 
-    Produces one RotationEstimate per rho using seeds on the z = 0 section
-    curve (which lies on the surface for every rho).  Reproducible
-    bit-for-bit for a fixed seed set and budget; no density claim is made.
+    Produces one RotationEstimate per rho of S_rho at its default
+    semi-axes, using seeds on the z = 0 section curve (which lies on the
+    surface for every rho).  Reproducible bit-for-bit for a fixed seed
+    set; no density claim is made.
     """
     table = []
     for rho in rho_values:
-        surf = cubic_levelset_surface(float(rho), a, b)
+        surf = cubic_levelset_surface(float(rho))
+        a, b = surf.params["a"], surf.params["b"]
         section = foliation.WorldPlaneSection("z0", normal=(0, 0, 1),
                                               offset=0.0,
                                               axes=((1, 0, 0), (0, 1, 0)))
@@ -831,7 +839,7 @@ def rho_sweep(rho_values, a=3.0, b=2.0, n_seeds=4, opts=None):
         seeds = [np.array([a * math.cos(t), b * math.sin(t), 0.0])
                  for t in taus]
         est = rotation_estimate(surf, section, seeds, MAXIMAL,
-                                opts or foliation.TraceOptions(
+                                foliation.TraceOptions(
                                     rel_tol=1e-7, max_length=120.0,
                                     max_crossings=30,
                                     detect_closure=False))
@@ -924,12 +932,11 @@ def stability_report(surface, budget=None):
 
     # (b) principal cycles hyperbolic
     seeds = _low_discrepancy_seeds(surface, budget.cycle_seeds, rng, records)
-    cyc_opts = cycles_mod.CycleSearchOptions(known_umbilics=records)
     found_cycles = []
     log = cycles_mod.SearchLog()
     for fol in (MINIMAL, MAXIMAL):
-        found_cycles.extend(
-            cycles_mod.find_cycles(surface, seeds, fol, cyc_opts, log=log))
+        found_cycles.extend(cycles_mod.find_cycles(
+            surface, seeds, fol, known_umbilics=records, log=log))
     cond_b = _cycle_verdict(found_cycles, log)
 
     # (c) no separatrix connections
@@ -969,10 +976,7 @@ def _cycle_verdict(found_cycles, log):
     """Condition (b) from a cycle search: a cycle that is not hyperbolic is
     a witness.  The seeds that gave no cycle are quoted, counted by the
     reason in the search's ``log``."""
-    from . import cycles as cycles_mod
-
-    non_hyp = [c for c in found_cycles
-               if cycles_mod.hyperbolicity(c) != "hyperbolic"]
+    non_hyp = [c for c in found_cycles if not c.hyperbolic]
     reasons = Counter(reason for _fol, _seed, reason in log.dropped)
     dropped = [f"{n} seed(s) dropped: {reason}"
                for reason, n in reasons.most_common()]

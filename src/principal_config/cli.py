@@ -182,13 +182,12 @@ def cmd_cycles(args):
               for chunk in args.seeds.split(";") if chunk]
              if args.seeds else _seed_points(surface, args.n_seeds,
                                              args.seed))
-    opts = cycles.CycleSearchOptions()
     foliations = ([MINIMAL, MAXIMAL] if args.foliation == "both"
                   else [args.foliation])
     found = []
     log = cycles.SearchLog()
     for fol in foliations:
-        found.extend(cycles.find_cycles(surface, seeds, fol, opts, log=log))
+        found.extend(cycles.find_cycles(surface, seeds, fol, log=log))
     results = {"cycles": [c.to_dict() for c in found],
                "verdicts": [cycles.hyperbolicity(c) for c in found]}
     work = {"cycles_found": len(found), "steps": log.steps,

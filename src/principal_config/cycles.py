@@ -23,20 +23,20 @@ from .foliation import (TERM_CLOSED, DiscSection, TraceOptions,
 from .geometry import MINIMAL, chart_bundle, curvature_gradients
 
 
-@dataclass(frozen=True)
-class CycleSearchOptions:
-    trace_tol: float = 1e-11          # derivative-quality traces
-    search_tol: float = 1e-8          # cycle hunting traces
-    section_capture_factor: float = 0.12
-    newton_tol_factor: float = 1e-9
-    max_newton: int = 18
-    max_secant_step_factor: float = 0.35
-    cycle_merge_factor: float = 1e-3
-    fd_offset_factor: float = 1e-3
-    max_period_factor: float = 8.0    # return budget: length per return
-    hyperbolicity_tol: float = 1e-4
-    quadrature_points: int = 1024
-    known_umbilics: tuple = ()
+# cycle search constants; lengths are in units of the surface diameter
+_TRACE_TOL = 1e-11              # derivative-quality traces
+_SEARCH_TOL = 1e-8              # cycle hunting traces
+_SECTION_CAPTURE_FACTOR = 0.12  # radius of the return disc
+_NEWTON_TOL_FACTOR = 1e-9       # a root of the return displacement
+_MAX_NEWTON = 18                # secant iterations from a seed
+_MAX_SECANT_STEP_FACTOR = 0.35
+_BRACKET_SPAN_FACTOR = 0.35     # the bracket scan covers +-span, in
+_BRACKET_PROBES = 6             # this many probes per side
+_CYCLE_MERGE_FACTOR = 1e-3      # Hausdorff distance of one cycle
+_FD_OFFSET_FACTOR = 1e-3        # section offset h of the FD return map
+_MAX_PERIOD_FACTOR = 8.0        # return budget: length per return
+_HYPERBOLICITY_TOL = 1e-4       # |log T'| above it is hyperbolic
+_CURVATURE_FLOOR_REL = 1e-6     # sqrt(H^2 - K) floor along a cycle
 
 
 @dataclass
@@ -104,25 +104,24 @@ class PrincipalCycle:
 # ---------------------------------------------------------------------------
 
 class _Anchor:
-    """Poincare section through a point, normal to the cycle tangent.
+    """Poincare section through a chart point, normal to the tangent t0 of
+    the ``foliation_id`` line there (along the world vector ``direction``
+    when given).  Every return trace made from it stops at
+    ``known_umbilics`` and puts its steps in ``log``."""
 
-    The steps of every return trace made from it go to ``log``.
-    """
-
-    def __init__(self, surface, uv, log=None):
+    def __init__(self, surface, uv, foliation_id, direction=None, log=None,
+                 known_umbilics=()):
         b = chart_bundle(surface, uv[0], uv[1])
         self.surface = surface
+        self.foliation_id = foliation_id
         self.log = log if log is not None else SearchLog()
+        self.known_umbilics = known_umbilics
         self.uv = (float(uv[0]), float(uv[1]))
         self.p0 = b["r"]
-        self.n0 = b["normal"]
-
-    def orient(self, foliation_id, sign=1):
-        b = chart_bundle(self.surface, self.uv[0], self.uv[1])
-        d = b["d1_xyz"] if foliation_id == MINIMAL else b["d2_xyz"]
-        self.t0 = sign * d
-        self.w0 = np.cross(self.n0, self.t0)
-        return self
+        self.t0 = b["d1_xyz"] if foliation_id == MINIMAL else b["d2_xyz"]
+        if direction is not None and float(np.dot(self.t0, direction)) < 0:
+            self.t0 = -self.t0
+        self.w0 = np.cross(b["normal"], self.t0)
 
     def start_at_offset(self, h):
         """Chart point for the section coordinate h (0 is the anchor)."""
@@ -146,33 +145,32 @@ class _Anchor:
         p = self.surface.point(uv[0], uv[1])
         return uv, float(np.dot(p - self.p0, self.w0))
 
-    def section(self, opts):
+    def section(self):
         """The local Poincare section: the disc of radius
-        ``section_capture_factor``·diam about the anchor, normal to t0.  The
+        ``_SECTION_CAPTURE_FACTOR``·diam about the anchor, normal to t0.  The
         far side of its plane is no return, nor is the start leaving it."""
         diam = self.surface.diameter()
         return DiscSection("return", center=self.p0, normal=self.t0,
-                           radius=opts.section_capture_factor * diam,
+                           radius=_SECTION_CAPTURE_FACTOR * diam,
                            skip=1e-3 * diam)
 
 
-def _return_offsets(surface, anchor, foliation_id, h, opts, n_returns=2,
-                    tol=None):
+def _return_offsets(anchor, h, n_returns=2, tol=_TRACE_TOL):
     """(start coordinate, section coordinates of the first ``n_returns``
     returns to the anchor's disc).  The trace stops at the last of them; a
-    line that does not make them within ``max_period_factor``·diam of
+    line that does not make them within ``_MAX_PERIOD_FACTOR``·diam of
     length per return raises ReturnFailure."""
+    surface, foliation_id = anchor.surface, anchor.foliation_id
     diam = surface.diameter()
     uv, w_start = anchor.start_info(h)
     b = chart_bundle(surface, uv[0], uv[1])
     d = b["d1_xyz"] if foliation_id == MINIMAL else b["d2_xyz"]
     sign = 1 if float(np.dot(d, anchor.t0)) >= 0.0 else -1
     topts = TraceOptions(
-        rel_tol=tol if tol is not None else opts.trace_tol,
-        detect_closure=False,
-        max_length=opts.max_period_factor * diam * n_returns,
-        initial_sign=sign, known_umbilics=opts.known_umbilics,
-        sections=(anchor.section(opts),), precise_crossings=True,
+        rel_tol=tol, detect_closure=False,
+        max_length=_MAX_PERIOD_FACTOR * diam * n_returns,
+        initial_sign=sign, known_umbilics=anchor.known_umbilics,
+        sections=(anchor.section(),), precise_crossings=True,
         max_crossings=n_returns)
     traj = anchor.log.count(trace(surface, uv, foliation_id, topts))
     if len(traj.crossings) < n_returns:
@@ -187,57 +185,57 @@ def _return_offsets(surface, anchor, foliation_id, h, opts, n_returns=2,
 # cycle detection
 # ---------------------------------------------------------------------------
 
-def find_cycles(surface, seeds, foliation_id, opts=None, log=None):
+def find_cycles(surface, seeds, foliation_id, known_umbilics=(), log=None):
     """Trace seeds, converge each onto a nearby cycle, deduplicate.
 
     Every seed is refined by a secant iteration on the section return
     displacement T(h) - h (Newton on the return map), so isolated cycles
     are found from seeds merely near them; non-converging seeds are
     dropped.  Cycles closer than the merge tolerance (Hausdorff distance)
-    are reported once, in seed order.  A :class:`SearchLog` passed as
-    ``log`` receives the steps of every trace and the dropped seeds.
+    are reported once, in seed order.  Traces stop at ``known_umbilics``;
+    a :class:`SearchLog` passed as ``log`` receives the steps of every
+    trace and the dropped seeds.
     """
-    opts = opts or CycleSearchOptions()
     log = log if log is not None else SearchLog()
     diam = surface.diameter()
     cycles = []
     for seed in seeds:
-        cyc, reason = _cycle_from_seed(surface, seed, foliation_id, opts,
-                                       log)
+        cyc, reason = _cycle_from_seed(surface, seed, foliation_id,
+                                       known_umbilics, log)
         if cyc is not None and _is_duplicate(
-                cyc, cycles, opts.cycle_merge_factor * diam):
+                cyc, cycles, _CYCLE_MERGE_FACTOR * diam):
             reason = "duplicate of an earlier cycle"
         if reason is not None:
             log.dropped.append((foliation_id, tuple(map(float, seed)),
                                 reason))
             continue
-        cycles.append(attach_estimates(surface, cyc, opts, log))
+        cycles.append(attach_estimates(surface, cyc, log, known_umbilics))
     return cycles
 
 
-def _cycle_from_seed(surface, seed, foliation_id, opts, log):
+def _cycle_from_seed(surface, seed, foliation_id, known_umbilics, log):
     """(cycle, None) from a seed, or (None, why the seed was dropped)."""
     diam = surface.diameter()
     try:
-        anchor = _Anchor(surface, seed, log).orient(foliation_id)
+        anchor = _Anchor(surface, seed, foliation_id, log=log,
+                         known_umbilics=known_umbilics)
     except SEED_FAILURES as exc:
         return None, f"no anchor: {type(exc).__name__}: {exc}"
-    tol = opts.newton_tol_factor * diam
-    step_cap = opts.max_secant_step_factor * diam
+    tol = _NEWTON_TOL_FACTOR * diam
+    step_cap = _MAX_SECANT_STEP_FACTOR * diam
 
     def G(h, tight=False):
         w_start, hits = _return_offsets(
-            surface, anchor, foliation_id, h, opts, 1,
-            tol=opts.trace_tol if tight else opts.search_tol)
+            anchor, h, 1, tol=_TRACE_TOL if tight else _SEARCH_TOL)
         return hits[0] - w_start
 
     try:
         g = G(0.0)
     except ReturnFailure as exc:
         return None, f"no first return: {exc}"
-    h = _secant_root(G, 0.0, g, tol, step_cap, diam, opts.max_newton)
+    h = _secant_root(G, 0.0, g, tol, step_cap, diam, _MAX_NEWTON)
     if h is None:
-        h = _bracket_root(G, 0.0, g, tol, diam, opts)
+        h = _bracket_root(G, 0.0, g, tol, diam)
     if h is None:
         return None, "no root of the return displacement"
 
@@ -246,9 +244,9 @@ def _cycle_from_seed(surface, seed, foliation_id, opts, log):
     except ReturnFailure as exc:
         return None, f"no start at the root: {exc}"
     closed = log.count(trace(surface, uv_star, foliation_id, TraceOptions(
-        rel_tol=opts.trace_tol, detect_closure=True,
-        max_length=opts.max_period_factor * diam,
-        known_umbilics=opts.known_umbilics)))
+        rel_tol=_TRACE_TOL, detect_closure=True,
+        max_length=_MAX_PERIOD_FACTOR * diam,
+        known_umbilics=known_umbilics)))
     if closed.termination != TERM_CLOSED:
         return None, f"closing trace ended {closed.termination}"
     return cycle_from_closed_trajectory(surface, closed), None
@@ -290,12 +288,12 @@ def _secant_root(G, h0, g0, tol, step_cap, diam, max_iter):
     return None
 
 
-def _bracket_root(G, h0, g0, tol, diam, opts, span_factor=0.35, probes=6):
+def _bracket_root(G, h0, g0, tol, diam):
     """Scan the section for a sign change of G, bisect, secant-polish."""
     offsets = [h0]
     values = [g0]
-    step = span_factor * diam / probes
-    for k in range(1, probes + 1):
+    step = _BRACKET_SPAN_FACTOR * diam / _BRACKET_PROBES
+    for k in range(1, _BRACKET_PROBES + 1):
         for sign in (1.0, -1.0):
             h = h0 + sign * k * step
             try:
@@ -333,13 +331,8 @@ def _bracket_root(G, h0, g0, tol, diam, opts, span_factor=0.35, probes=6):
 def cycle_from_closed_trajectory(surface, traj):
     if traj.termination != TERM_CLOSED:
         raise ValueError("trajectory is not Closed")
-    anchor = _Anchor(surface, traj.points_uv[0]).orient(
-        traj.foliation_id,
-        sign=1 if float(np.dot(
-            chart_bundle(surface, traj.points_uv[0][0],
-                         traj.points_uv[0][1])
-            ["d1_xyz" if traj.foliation_id == MINIMAL else "d2_xyz"],
-            traj.tangents[0])) >= 0 else -1)
+    anchor = _Anchor(surface, traj.points_uv[0], traj.foliation_id,
+                     traj.tangents[0])
     return PrincipalCycle(
         foliation_id=traj.foliation_id,
         curve=traj,
@@ -380,30 +373,28 @@ def _is_duplicate(cyc, cycles, merge_tol):
 # estimator 1: finite differences on the return map
 # ---------------------------------------------------------------------------
 
-def return_map_derivative_fd(surface, cycle, h=None, opts=None, log=None):
+def return_map_derivative_fd(surface, cycle, h=None, log=None,
+                             known_umbilics=()):
     """Central difference of the return map, Richardson extrapolated over
     h and h/2.  Differences run over the actual section coordinates of the
     start points (the nominal offsets shift by the projection sag).  Four
     traces: T(h), which also decides single or double return, T(-h) and
-    T(±h/2).  Returns (value, error_estimate, double_return_used); the
-    steps of its traces go to ``log``."""
-    opts = opts or CycleSearchOptions()
+    T(±h/2).  ``h`` defaults to ``_FD_OFFSET_FACTOR``·diam.  Returns (value,
+    error_estimate, double_return_used); the traces stop at
+    ``known_umbilics`` and put their steps in ``log``."""
     diam = surface.diameter()
     if h is None:
-        h = opts.fd_offset_factor * diam
-    anchor = _Anchor(surface, cycle.anchor_uv, log).orient(
-        cycle.foliation_id)
-    if float(np.dot(anchor.t0, cycle.tangent)) < 0:
-        anchor.orient(cycle.foliation_id, sign=-1)
+        h = _FD_OFFSET_FACTOR * diam
+    anchor = _Anchor(surface, cycle.anchor_uv, cycle.foliation_id,
+                     cycle.tangent, log, known_umbilics)
     # the probe runs T(h)'s line (same start, same tolerance): reuse it
-    w_h, hits = _return_offsets(surface, anchor, cycle.foliation_id, h, opts)
+    w_h, hits = _return_offsets(anchor, h)
     double = (hits[0] * w_h) < 0.0
 
     def T(x):
         if x == h:
             return w_h, hits[1] if double else hits[0]
-        w_x, ret = _return_offsets(surface, anchor, cycle.foliation_id, x,
-                                   opts, 2 if double else 1)
+        w_x, ret = _return_offsets(anchor, x, 2 if double else 1)
         return w_x, ret[-1]
 
     def central(x):
@@ -430,17 +421,16 @@ def _periodic_spline(values, s, total):
     return spline, wind
 
 
-def return_map_derivative_integral(surface, cycle, opts=None,
-                                   curvature_floor_rel=1e-6):
+def return_map_derivative_integral(surface, cycle, quadrature_points=1024):
     """Both line-integral variants of log T' along the refined cycle.
 
     Resamples the closed curve uniformly in arclength with periodic
-    splines, evaluates the analytic curvature gradients and applies the
-    periodic trapezoid rule (spectrally accurate on smooth cycles).
-    Raises UmbilicProximityError if sqrt(H^2 - K) dips below the floor and
+    splines, evaluates the analytic curvature gradients at
+    ``quadrature_points`` points and applies the periodic trapezoid rule
+    (spectrally accurate on smooth cycles).  Raises UmbilicProximityError
+    if sqrt(H^2 - K) dips below the floor (``_CURVATURE_FLOOR_REL``) and
     ConvergenceError if the two variants disagree beyond 1e-4.
     """
-    opts = opts or CycleSearchOptions()
     traj = cycle.curve
     s = traj.arclength
     total = float(s[-1])
@@ -449,7 +439,7 @@ def return_map_derivative_integral(surface, cycle, opts=None,
     su, wu = _periodic_spline(traj.points_uv[:, 0].copy(), s, total)
     sv, wv = _periodic_spline(traj.points_uv[:, 1].copy(), s, total)
 
-    N = opts.quadrature_points
+    N = quadrature_points
     sq = np.linspace(0.0, total, N, endpoint=False)
     uq = su(sq) + wu * sq
     vq = sv(sq) + wv * sq
@@ -459,7 +449,7 @@ def return_map_derivative_integral(surface, cycle, opts=None,
     grads = curvature_gradients(surface, uq, vq)
     disc = grads["sqrt_disc"]
     kappa = np.max(np.abs(grads["H"]) + disc)
-    floor = curvature_floor_rel * max(float(kappa), 1e-12)
+    floor = _CURVATURE_FLOOR_REL * max(float(kappa), 1e-12)
     if np.min(disc) < floor:
         raise UmbilicProximityError(
             f"sqrt(H^2-K) reaches {float(np.min(disc)):.3e} along cycle")
@@ -481,19 +471,18 @@ def return_map_derivative_integral(surface, cycle, opts=None,
 # assembly and verdicts
 # ---------------------------------------------------------------------------
 
-def attach_estimates(surface, cycle, opts=None, log=None):
-    """Populate both T' estimators, the sign branch and the verdict."""
-    opts = opts or CycleSearchOptions()
+def attach_estimates(surface, cycle, log=None, known_umbilics=()):
+    """Populate both T' estimators, the sign branch and the verdict; the
+    arguments pass on to :func:`return_map_derivative_fd`."""
     meta = dict(cycle.meta)
     try:
-        fd, fd_err, double = return_map_derivative_fd(surface, cycle,
-                                                      opts=opts, log=log)
+        fd, fd_err, double = return_map_derivative_fd(
+            surface, cycle, log=log, known_umbilics=known_umbilics)
     except ReturnFailure as exc:
         meta["fd_failure"] = str(exc)
         fd, fd_err, double = None, None, False
     try:
-        log_dH, log_dk2 = return_map_derivative_integral(surface, cycle,
-                                                         opts=opts)
+        log_dH, log_dk2 = return_map_derivative_integral(surface, cycle)
     except (UmbilicProximityError, ConvergenceError) as exc:
         meta["integral_failure"] = str(exc)
         log_dH = log_dk2 = None
@@ -514,14 +503,14 @@ def attach_estimates(surface, cycle, opts=None, log=None):
                   double_return=double, tprime_integral=tprime_integral,
                   log_integral_dH=log_dH, log_integral_dk2=log_dk2,
                   sign_branch=sign_branch, meta=meta)
-    verdict = hyperbolicity(cyc, opts.hyperbolicity_tol)
+    verdict = hyperbolicity(cyc)
     return replace(cyc, hyperbolic=(verdict == "hyperbolic"),
-                   hyperbolic_tol=opts.hyperbolicity_tol)
+                   hyperbolic_tol=_HYPERBOLICITY_TOL)
 
 
-def hyperbolicity(cycle, tol=1e-4):
-    """"hyperbolic" iff |log T'| > tol for the better estimator, else
-    "NearUnity"; "unknown" when no estimator converged."""
+def hyperbolicity(cycle):
+    """"hyperbolic" iff |log T'| > ``_HYPERBOLICITY_TOL`` for the better
+    estimator, else "NearUnity"; "unknown" when no estimator converged."""
     candidates = []
     if cycle.tprime_fd is not None and cycle.tprime_fd > 0:
         err = cycle.tprime_fd_error or 0.0
@@ -533,4 +522,4 @@ def hyperbolicity(cycle, tol=1e-4):
         return "unknown"
     candidates.sort()
     _, best = candidates[0]
-    return "hyperbolic" if best > tol else "NearUnity"
+    return "hyperbolic" if best > _HYPERBOLICITY_TOL else "NearUnity"

@@ -21,8 +21,8 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ConvergenceError, RegularityError, TransversalityError
-from .geometry import (MAXIMAL, MINIMAL, ImplicitSurface, chart_bundle,
-                       implicit_bundle)
+from .geometry import (MAXIMAL, MINIMAL, ImplicitSurface, _dot3,
+                       chart_bundle, implicit_bundle)
 
 TERM_CLOSED = "Closed"
 TERM_HIT_UMBILIC = "HitUmbilic"
@@ -149,17 +149,12 @@ class Trajectory:
     def length(self):
         return float(self.arclength[-1]) if len(self.arclength) else 0.0
 
-    def late_points(self, fraction=0.25):
-        n = max(2, int(len(self.points_xyz) * fraction))
-        return self.points_xyz[-n:]
-
 
 @dataclass(frozen=True)
 class TraceOptions:
     rel_tol: float = 1e-8
     max_step_factor: float = 0.04        # times surface diameter
     max_length: float | None = None      # default 50 * diameter
-    max_steps: int = 400000
     initial_sign: int = 1
     known_umbilics: Sequence = ()
     exclusion_radius_factor: float = 1e-3
@@ -174,6 +169,7 @@ class TraceOptions:
 
 # tracer constants; lengths are in units of the surface diameter
 _MIN_STEP = 1e-12             # a shorter step fails the trace
+_MAX_STEPS = 400000           # steps tried per line
 # A trace closes where it crosses the plane through its start normal to
 # its start tangent, within _CLOSURE_TOL of the start point and 0.5 deg of
 # the start tangent, after _CLOSURE_MIN_LENGTH of arclength.  The crossing
@@ -295,7 +291,7 @@ def _trace_core(surface, y0, foliation_id, opts, implicit):
     steps = 0
     rejected_in_row = 0
 
-    while steps < opts.max_steps:
+    while steps < _MAX_STEPS:
         steps += 1
         if s + h > max_len:
             h = max_len - s
@@ -447,13 +443,14 @@ def trace_lanes(surface, starts, foliation_id, opts=None, headings=None,
 
     Each lane runs the Dormand-Prince 5(4) step and step-size control of
     :func:`trace` with its own step size, acceptance and rejection,
-    eigen-sign transport and termination.  Options honoured: ``rel_tol``,
-    ``max_step_factor``, ``max_length``, ``max_steps``, ``initial_sign``,
-    ``known_umbilics`` with ``exclusion_radius_factor`` (HitUmbilic), plus
-    domain exit and the chart's ``rebase_state`` (``fold``).  Sections
-    and closure detection are not implemented: ``opts.sections`` must be
-    empty and ``opts.detect_closure`` False, or ValueError is raised (so
-    ``max_crossings`` and ``precise_crossings`` have nothing to act on).
+    eigen-sign transport and termination (``_MAX_STEPS`` at most).  Options
+    honoured: ``rel_tol``, ``max_step_factor``, ``max_length``,
+    ``initial_sign``, ``known_umbilics`` with ``exclusion_radius_factor``
+    (HitUmbilic), plus domain exit and the chart's ``rebase_state``
+    (``fold``).  Sections and closure detection are not implemented:
+    ``opts.sections`` must be empty and ``opts.detect_closure`` False, or
+    ValueError is raised (so ``max_crossings`` and ``precise_crossings``
+    have nothing to act on).
     A lane whose start is not a regular chart point ends at once with
     StepFailure.  The field comes from batched ``chart_bundle`` calls
     whose points are evaluated independently, so a lane's trajectory does
@@ -516,8 +513,8 @@ def trace_lanes(surface, starts, foliation_id, opts=None, headings=None,
 
     with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
         while True:
-            idx = np.flatnonzero(active & (steps < opts.max_steps))
-            active[np.flatnonzero(active & (steps >= opts.max_steps))] = False
+            idx = np.flatnonzero(active & (steps < _MAX_STEPS))
+            active[np.flatnonzero(active & (steps >= _MAX_STEPS))] = False
             if not len(idx):
                 break
             steps[idx] += 1
@@ -757,17 +754,25 @@ class OmegaLimitResult:
     cycle_index: int | None = None
 
 
-def omega_limit_classify(surface, traj, known=None,
-                         epsilon_factor=1e-2, min_returns=20):
+_LATE_FRACTION = 0.3         # of the points, compared with known cycles
+_EPSILON_FACTOR = 1e-2       # radius of a recurrence ball, times diam
+_MIN_RETURNS = 20            # passes through it for recurrence evidence
+_BALL_CANDIDATES = 40        # ball centres tried on the early trajectory
+
+
+def omega_limit_classify(surface, traj, known=None):
     """Heuristic limit-set verdict for a finished trajectory.
 
     HitUmbilic maps to Umbilic and Closed to Cycle(self).  Otherwise the
     late trajectory is compared against the known cycles (monotone
-    approach implies Cycle) and an epsilon-ball recurrence count is taken;
-    at least ``min_returns`` passes with non-shrinking gaps yield
-    RecurrentOrUndetermined with the recurrence evidence flag set.  The
-    verdict never claims more than the finite data supports.
+    approach implies Cycle) and an epsilon-ball recurrence count is taken
+    (eps = ``_EPSILON_FACTOR``·diam); at least ``_MIN_RETURNS`` passes with
+    non-shrinking gaps yield RecurrentOrUndetermined with the recurrence
+    evidence flag set.  The verdict never claims more than the finite data
+    supports.
     """
+    from scipy.spatial import cKDTree
+
     known = known or KnownFeatures()
     if traj.termination == TERM_HIT_UMBILIC:
         return OmegaLimitResult("Umbilic", False,
@@ -777,6 +782,7 @@ def omega_limit_classify(surface, traj, known=None,
         return OmegaLimitResult("Cycle", False, "closed onto itself")
 
     diam = surface.diameter()
+    n_late = max(2, int(len(traj.points_xyz) * _LATE_FRACTION))
     # convergence toward a known cycle
     for idx, cyc in enumerate(known.cycles or ()):
         pts = getattr(cyc, "points_xyz", None)
@@ -784,8 +790,7 @@ def omega_limit_classify(surface, traj, known=None,
             pts = cyc.curve.points_xyz
         if pts is None or len(pts) < 2:
             continue
-        late = traj.late_points(0.3)
-        d = _min_dist_series(late, pts)
+        d, _ = cKDTree(pts).query(traj.points_xyz[-n_late:])
         n = len(d)
         if n >= 8:
             first, last = float(np.mean(d[: n // 3])), float(
@@ -798,11 +803,11 @@ def omega_limit_classify(surface, traj, known=None,
                     cycle_index=idx)
 
     # epsilon-ball recurrence
-    eps = epsilon_factor * diam
+    eps = _EPSILON_FACTOR * diam
     passes, gaps = _ball_returns(traj, eps)
     evidence = False
     detail = f"{passes} return(s) to an eps-ball (eps = {eps:.3g})"
-    if passes >= min_returns and len(gaps) >= 6:
+    if passes >= _MIN_RETURNS and len(gaps) >= 6:
         third = max(2, len(gaps) // 3)
         early = float(np.median(gaps[:third]))
         late = float(np.median(gaps[-third:]))
@@ -815,15 +820,7 @@ def omega_limit_classify(surface, traj, known=None,
                             returns=passes)
 
 
-def _min_dist_series(points, polyline):
-    from scipy.spatial import cKDTree
-
-    tree = cKDTree(polyline)
-    d, _ = tree.query(points)
-    return d
-
-
-def _ball_returns(traj, eps, candidates=40):
+def _ball_returns(traj, eps):
     """Best epsilon-ball return count over early reference points.
 
     Recurrence evidence asks for *a* ball the trajectory re-enters many
@@ -836,7 +833,7 @@ def _ball_returns(traj, eps, candidates=40):
     if n < 10:
         return 0, []
     s = traj.arclength
-    early = np.linspace(max(1, n // 100), max(2, n // 5), candidates,
+    early = np.linspace(max(1, n // 100), max(2, n // 5), _BALL_CANDIDATES,
                         dtype=int)
     best = (0, [])
     for idx in np.unique(early):
@@ -901,9 +898,13 @@ class _NearPass:
     reason: str = ""             # why no near pass was found
 
 
-def separatrix_connection_scan(surface, records, opts=None,
-                               align_tol_deg=15.0, length_factor=4.0,
-                               launch_skew=2.5e-4):
+_SCAN_LENGTH_FACTOR = 4.0    # length budget of a separatrix, times diam
+_LAUNCH_SKEW = 2.5e-4        # launch angle off the ray (rad)
+_ALIGN_TOL_DEG = 15.0        # arrival along a ray of the target
+_APPROACH_SAMPLES = 257      # Hermite samples per step at closest approach
+
+
+def separatrix_connection_scan(surface, records, opts=None):
     """Integrate every umbilic separatrix outward and decide connections.
 
     Each separatrix is followed until it first enters an umbilic's
@@ -913,7 +914,7 @@ def separatrix_connection_scan(surface, records, opts=None,
     closest approach: the umbilic is the end point of its own
     separatrices, so Delta = 0 exactly when the two separatrices are one
     leaf.  Delta is measured from three launches, each tilted by
-    ``launch_skew`` off the ray (which also keeps exactly symmetric arcs
+    ``_LAUNCH_SKEW`` off the ray (which also keeps exactly symmetric arcs
     off the chart poles):
 
     * at +skew and -skew with ``opts.rel_tol``; Delta is their mean (the
@@ -927,7 +928,7 @@ def separatrix_connection_scan(surface, records, opts=None,
     Delta to the launch offset (see :func:`umbilics.location_error`).  A
     connection is declared when |Delta| <= bound and the leaf enters the
     ball along one of the target's separatrix rays of the same foliation
-    (within ``align_tol_deg``); returning to the source counts as a
+    (within ``_ALIGN_TOL_DEG``); returning to the source counts as a
     self-connection.  |Delta| > bound is a decided non-connection: the
     +skew and -skew leaves pass the umbilic on the same side, farther
     than the numerical error can move them, so the separatrix between
@@ -936,17 +937,18 @@ def separatrix_connection_scan(surface, records, opts=None,
     the verdict comes from the measured gap.
 
     Undetermined separatrices are listed with a reason: the chart
-    inversion failed, no umbilic was reached within ``length_factor``
-    diameters (the trace termination), the launches came near different
-    umbilics, the bound could not be measured, or the leaf reached an
-    umbilic off its separatrix rays.
+    inversion failed, no umbilic was reached within
+    ``_SCAN_LENGTH_FACTOR`` diameters (the trace termination), the
+    launches came near different umbilics, the bound could not be
+    measured, or the leaf reached an umbilic off its separatrix rays.
     """
     from .umbilics import location_error
 
     diam = surface.diameter()
     opts = opts or TraceOptions()
     opts = replace(opts, known_umbilics=records,
-                   max_length=length_factor * diam, detect_closure=False)
+                   max_length=_SCAN_LENGTH_FACTOR * diam,
+                   detect_closure=False)
     tight_rel_tol = 0.1 * opts.rel_tol
     r_launch = 2.5 * opts.exclusion_radius_factor * diam
     targets = np.array([np.asarray(r.xyz, dtype=float) for r in records])
@@ -959,9 +961,9 @@ def separatrix_connection_scan(surface, records, opts=None,
                 for i, rec in enumerate(records)
                 for fol in (MINIMAL, MAXIMAL)
                 for ang in rec.separatrices.get(fol, ())  # world-frame angles
-                for skew, rtol in ((launch_skew, opts.rel_tol),
-                                   (-launch_skew, opts.rel_tol),
-                                   (launch_skew, tight_rel_tol))]
+                for skew, rtol in ((_LAUNCH_SKEW, opts.rel_tol),
+                                   (-_LAUNCH_SKEW, opts.rel_tol),
+                                   (_LAUNCH_SKEW, tight_rel_tol))]
     passes = _near_passes(surface, records, launches, r_launch, opts, targets)
     for k in range(0, len(launches), 3):
         i, fol, ang, _, _ = launches[k]
@@ -977,8 +979,7 @@ def separatrix_connection_scan(surface, records, opts=None,
         j = plus.near
         delta = 0.5 * (plus.gap + minus.gap)
         launch_err = 0.5 * abs(plus.gap - minus.gap)
-        sensitivity = (launch_err / (launch_skew * r_launch)
-                       if launch_skew else 0.0)
+        sensitivity = launch_err / (_LAUNCH_SKEW * r_launch)
         bound = (launch_err + abs(plus.gap - fine.gap) + loc_err[j]
                  + sensitivity * loc_err[i])
         sep = SeparatrixGap(i, fol, ang, j, abs(delta) / diam, bound / diam)
@@ -987,7 +988,7 @@ def separatrix_connection_scan(surface, records, opts=None,
             undetermined.append((i, fol, ang, "unmeasured-bound"))
         elif not sep.within_bound:
             continue
-        elif _ray_match(records[j], fol, plus.approach, align_tol_deg):
+        elif _ray_match(records[j], fol, plus.approach):
             connections[(min(i, j), max(i, j), fol)] = True
         else:
             undetermined.append((i, fol, ang, "unaligned-arrival"))
@@ -1006,18 +1007,22 @@ def _near_passes(surface, records, launches, r_launch, opts, targets):
     through the balls they enter as the lanes of a second one.
     """
     out = [None] * len(launches)
-    lanes, starts, headings = [], [], []
-    for k, (i, _, ang, skew, _) in enumerate(launches):
+    rays, points, seeds = [], [], []
+    for i, _, ang, skew, _ in launches:
         rec = records[i]
         frame = rec.monge.frame
-        ray = (math.cos(ang + skew) * frame.e1
-               + math.sin(ang + skew) * frame.e2)
-        uv = chart_point_near(surface, rec.xyz + r_launch * ray, rec.uv)
-        if uv is None:
+        rays.append(math.cos(ang + skew) * frame.e1
+                    + math.sin(ang + skew) * frame.e2)
+        points.append(rec.xyz + r_launch * rays[-1])
+        seeds.append(rec.uv)
+    uv = chart_points_near(surface, points, np.reshape(seeds, (-1, 2)))
+    lanes, starts, headings = [], [], []
+    for k, ray in enumerate(rays):
+        if not np.all(np.isfinite(uv[k])):
             out[k] = _NearPass(None, reason="no-chart-point")
             continue
         lanes.append(k)
-        starts.append(uv)
+        starts.append(uv[k])
         headings.append(ray)
     trajs = trace_lanes(surface, starts, [launches[k][1] for k in lanes],
                         opts, headings=headings,
@@ -1049,7 +1054,7 @@ def _near_passes(surface, records, launches, r_launch, opts, targets):
     return out
 
 
-def _closest_approach(traj, x, samples=257):
+def _closest_approach(traj, x):
     """Signed distance from ``x`` to a traced leaf at its closest approach.
 
     The two steps around the nearest recorded point are resampled on the
@@ -1060,7 +1065,7 @@ def _closest_approach(traj, x, samples=257):
     p, t, s = traj.points_xyz, traj.tangents, traj.arclength
     k = int(np.argmin(np.linalg.norm(p - x, axis=1)))
     lo, hi = max(k - 1, 0), min(k + 1, len(p) - 1)
-    tau = np.linspace(0.0, 1.0, samples)[:, None]
+    tau = np.linspace(0.0, 1.0, _APPROACH_SAMPLES)[:, None]
     curve = np.concatenate(
         [_hermite(p[a], t[a], p[a + 1], t[a + 1], s[a + 1] - s[a], tau)
          for a in range(lo, hi)] or [p[k:k + 1]])
@@ -1071,9 +1076,9 @@ def _closest_approach(traj, x, samples=257):
     return math.copysign(float(d[m]), side)
 
 
-def _ray_match(rec, fol, direction, tol_deg):
+def _ray_match(rec, fol, direction):
     frame = rec.monge.frame
-    cos_tol = math.cos(math.radians(tol_deg))
+    cos_tol = math.cos(math.radians(_ALIGN_TOL_DEG))
     for ang in rec.separatrices.get(fol, ()):
         ray = math.cos(ang) * frame.e1 + math.sin(ang) * frame.e2
         if float(np.dot(ray, direction)) > cos_tol:
@@ -1081,37 +1086,49 @@ def _ray_match(rec, fol, direction, tol_deg):
     return False
 
 
-def chart_point_near(surface, world_target, uv_seed, tol=1e-12,
-                     max_iter=40):
-    """Gauss-Newton chart inversion near a seed parameter point.
+_INVERT_TOL = 1e-12          # Gauss-Newton step that ends an inversion
+_INVERT_MAX_ITER = 40
 
-    Returns the chart point closest to ``world_target`` (which may sit
-    slightly off the surface, e.g. a tangent-plane offset); convergence is
-    judged on the tangential residual, the only part that can vanish.
+
+def chart_points_near(surface, world_targets, uv_seeds):
+    """Gauss-Newton chart inversion: the (M, 2) chart points closest to M
+    world points (M, 3), from one seed chart point or one per target.
+
+    A target may sit slightly off the surface (e.g. a tangent-plane
+    offset).  Each point solves its own 2x2 normal equations and stops once
+    its own step is below ``_INVERT_TOL``, so a row does not depend on its
+    batch.  A point is accepted on the tangential residual of its last
+    iteration, the only part that can vanish (below 1e-9·diam); a row
+    that fails is NaN.
     """
-    uv = np.array(uv_seed, dtype=float)
-    target = np.asarray(world_target, dtype=float)
+    targets = np.asarray(world_targets, dtype=float).reshape(-1, 3)
+    uv = np.array(np.broadcast_to(uv_seeds, (len(targets), 2)), dtype=float)
     diam = surface.diameter()
-    best = None
-    for _ in range(max_iter):
-        J = surface.jet(uv[0], uv[1])
-        r = J[0, 0] - target
-        if np.linalg.norm(r) > 10.0 * diam or not np.all(np.isfinite(r)):
-            return None
-        A = np.stack([J[1, 0], J[0, 1]], axis=1)      # 3x2
-        try:
-            step, *_ = np.linalg.lstsq(A, -r, rcond=None)
-        except np.linalg.LinAlgError:
-            return None
-        uv = uv + step
-        if np.linalg.norm(step) < tol:
-            best = uv
-            break
-        best = uv
-    J = surface.jet(uv[0], uv[1])
-    r = J[0, 0] - target
-    A = np.stack([J[1, 0], J[0, 1]], axis=1)
-    tang, *_ = np.linalg.lstsq(A, r, rcond=None)
-    if np.linalg.norm(A @ tang) < 1e-9 * diam:
-        return best
-    return None
+    tangential = np.full(len(uv), np.inf)
+    live = np.arange(len(uv))
+    with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
+        for _ in range(_INVERT_MAX_ITER):
+            if not len(live):
+                break
+            J = surface.jet(uv[live, 0], uv[live, 1])
+            r, a, b = J[0, 0] - targets[live], J[1, 0], J[0, 1]
+            E, F, G = _dot3(a, a), _dot3(a, b), _dot3(b, b)
+            ra, rb = _dot3(a, r), _dot3(b, r)
+            det = E * G - F * F
+            du, dv = (F * rb - G * ra) / det, (F * ra - E * rb) / det
+            t = du[:, None] * a + dv[:, None] * b      # tangential residual
+            ok = ((_dot3(r, r) <= (10.0 * diam) ** 2) & np.isfinite(du)
+                  & np.isfinite(dv))
+            tangential[live] = np.where(ok, np.sqrt(_dot3(t, t)), np.inf)
+            uv[live, 0] += du
+            uv[live, 1] += dv
+            live = live[ok & (du * du + dv * dv >= _INVERT_TOL ** 2)]
+    uv[~(tangential < 1e-9 * diam)] = np.nan
+    return uv
+
+
+def chart_point_near(surface, world_target, uv_seed):
+    """:func:`chart_points_near` for one point: the chart point, or None
+    where the inversion fails."""
+    uv = chart_points_near(surface, world_target, uv_seed)[0]
+    return uv if np.all(np.isfinite(uv)) else None

@@ -244,21 +244,18 @@ class FiniteDifferenceChart(SurfaceChart):
     """Chart backed by a plain point function; partials by central stencils.
 
     Third-order coefficients are too noise sensitive for one global step, so
-    each derivative order uses its own step: 1e-5 * scale for order 1 (as a
+    each derivative order uses its own step: 1e-5 for order 1 (as a
     baseline), with larger steps for orders 2 and 3 where the round-off
     floor of the stencil would otherwise dominate.
     """
 
+    h1, h2, h3 = 1e-5, 2e-4, 3e-3
+
     def __init__(self, fn, domain, periodic_u=False, periodic_v=False,
-                 orientation=1, name="fd-chart", params=None,
-                 euler_characteristic=None, diameter_hint=None, scale=1.0):
+                 name="fd-chart", diameter_hint=None):
         self.fn = fn
-        self.scale = float(scale)
-        self.h1 = 1e-5 * self.scale
-        self.h2 = 2e-4 * self.scale
-        self.h3 = 3e-3 * self.scale
-        super().__init__([], domain, periodic_u, periodic_v, orientation,
-                         name, params, euler_characteristic, diameter_hint)
+        super().__init__([], domain, periodic_u, periodic_v, name=name,
+                         diameter_hint=diameter_hint)
 
     def _grid(self, u, v, h, half):
         offs = np.arange(-half, half + 1) * h

@@ -23,6 +23,7 @@ from __future__ import annotations
 import numpy as np
 
 ORDER = 4  # value + three derivatives
+_ATOM_TOL = 1e-14  # merged atoms with a smaller amp are dropped
 
 
 def jet_mul(a, b):
@@ -77,19 +78,21 @@ class Harmonics:
         return Harmonics(_merge_atoms(self.atoms() + other.atoms()))
 
 
-def _merge_atoms(atoms, tol=1e-14):
-    """Canonicalize: nonnegative freq, merge equal (freq, phase) pairs."""
+def _merge_atoms(atoms):
+    """Canonicalize: nonnegative freq, merge equal (freq, phase) pairs.
+
+    Pairs equal to 12 decimals are one pair, which keeps the exact (freq,
+    phase) of its first atom; atoms are sorted by the rounded pair."""
     canon = {}
     for f, p, a in atoms:
         if f < 0:
             f, p = -f, -p
         p = float(np.arctan2(np.sin(p), np.cos(p)))  # wrap to (-pi, pi]
         key = (round(f, 12), round(p, 12))
-        canon[key] = canon.get(key, 0.0) + a
-    merged = []
-    for (f, p), a in sorted(canon.items()):
-        if abs(a) > tol:
-            merged.append((f, p, a))
+        f0, p0, a0 = canon.get(key, (f, p, 0.0))
+        canon[key] = (f0, p0, a0 + a)
+    merged = [canon[key] for key in sorted(canon)
+              if abs(canon[key][2]) > _ATOM_TOL]
     return merged or [(0.0, 0.0, 0.0)]
 
 

@@ -34,7 +34,7 @@ def _fmt(x):
     return f"{x:.3f}"
 
 
-def render_svg(trajectories, umbilic_records=(), view="+y", title=""):
+def render_svg(trajectories, umbilic_records=(), view="+y"):
     """Render polylines and umbilic glyphs into an SVG document string.
 
     ``trajectories`` may mark separatrices with ``meta["role"] ==
@@ -96,10 +96,6 @@ def render_svg(trajectories, umbilic_records=(), view="+y", title=""):
                f'viewBox="0 0 {_fmt(WIDTH)} {_fmt(HEIGHT)}">')
     out.append(f'<rect width="{_fmt(WIDTH)}" height="{_fmt(HEIGHT)}" '
                f'fill="#ffffff"/>')
-    if title:
-        out.append(f'<text x="{_fmt(MARGIN)}" y="{_fmt(MARGIN * 0.7)}" '
-                   f'font-family="monospace" font-size="14" '
-                   f'fill="#444444">{title}</text>')
     for foliation_id, emphasized, seg in runs:
         color, width = _STYLES.get(foliation_id, ("#555555", 1.0))
         if emphasized:

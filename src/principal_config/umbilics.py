@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import (SEED_FAILURES, ConvergenceError, FrameError,
                      InconclusiveError, RegularityError)
-from .foliation import TraceOptions, trace_lanes
+from .foliation import TraceOptions, chart_points_near, trace_lanes
 from .geometry import MAXIMAL, MINIMAL, chart_bundle, frame_operator
 
 D1, D2, D3 = "D1", "D2", "D3"
@@ -26,6 +26,19 @@ NEAR_BOUNDARY = "NearBoundary"
 UNCLASSIFIED = "unclassified"
 
 _SEPARATRIX_COUNT = {D1: 1, D2: 2, D3: 3}
+
+_REFINE_REL = 1e-24          # H^2 - K at an umbilic, times kappa^2
+_MERGE_RADIUS_FACTOR = 1e-4  # closer umbilics are one, times diam
+_ALL_UMBILIC_REL = 1e-5      # |k2 - k1| / (2 kappa) below it: all umbilic
+_REFINE_MAX_ITER = 60        # damped Newton iterations from a seed
+_KILL_SAMPLES = 720          # scan of [0, pi) for the x^2 y-killing angles
+_CLASSIFY_TOL = 1e-6         # slack band of the Darbouxian inequalities
+_WINDING_RADIUS_FACTOR = 5e-3
+_WINDING_SAMPLES = 256
+_SEPARATRIX_RADIUS_FACTOR = 1e-3   # fate launch circle r0, times diam
+_SCAN_RESOLUTION = 720       # alignment scan angles on the r0 / 2 circle
+_ALIGNMENT_BISECTIONS = 30
+_FATE_DEPTH = 2e-3           # the entry ball about an umbilic, times r0
 
 
 @dataclass(frozen=True)
@@ -99,13 +112,13 @@ class UmbilicRecord:
 # location
 # ---------------------------------------------------------------------------
 
-def locate_umbilics(surface, grid=32, refine=1e-24, merge_radius_factor=1e-4,
-                    all_umbilic_rel=1e-5):
+def locate_umbilics(surface, grid=32):
     """Grid scan of H^2 - K seeding a damped Newton solve of the umbilic
     equations; returns deterministic, pairwise-separated records.
 
-    ``refine`` bounds H^2 - K relative to the squared curvature scale at
-    accepted points.  A surface umbilic everywhere (sphere) returns the
+    ``_REFINE_REL`` bounds H^2 - K relative to the squared curvature scale
+    at accepted points; ``_MERGE_RADIUS_FACTOR`` diameters merge records.
+    A surface umbilic everywhere (sphere; ``_ALL_UMBILIC_REL``) returns the
     AllUmbilicSurface marker instead of a point list; an empty list is a
     valid result (torus).
     """
@@ -121,7 +134,7 @@ def locate_umbilics(surface, grid=32, refine=1e-24, merge_radius_factor=1e-4,
     kappa = np.nanmax(np.maximum(np.abs(b["k1"]), np.abs(b["k2"])))
     kappa = max(float(kappa), 1e-12)
 
-    if np.nanmax(S) < (all_umbilic_rel * kappa) ** 2:
+    if np.nanmax(S) < (_ALL_UMBILIC_REL * kappa) ** 2:
         return AllUmbilicSurface()
 
     minima = _local_minima(S, surface.periodic_u, surface.periodic_v)
@@ -136,13 +149,13 @@ def locate_umbilics(surface, grid=32, refine=1e-24, merge_radius_factor=1e-4,
         if res is None:
             continue
         (u, v), s_final = res
-        if s_final > refine * kappa ** 2:
+        if s_final > _REFINE_REL * kappa ** 2:
             continue
         if not surface.in_domain(u, v):
             continue
         found.append(((u, v), s_final))
 
-    merge_r = merge_radius_factor * surface.diameter()
+    merge_r = _MERGE_RADIUS_FACTOR * surface.diameter()
     records = []
     for (u, v), s_final in sorted(found, key=lambda t: (round(t[0][0], 9),
                                                         round(t[0][1], 9))):
@@ -236,7 +249,7 @@ def location_error(surface, rec):
     return float(np.linalg.norm(step[0] * J[1, 0] + step[1] * J[0, 1]))
 
 
-def _refine_umbilic(surface, seed, kappa, max_iter=60):
+def _refine_umbilic(surface, seed, kappa):
     u, v = float(seed[0]), float(seed[1])
     u_seed, v_seed = u, v
     (u0, u1), (v0, v1) = surface.domain
@@ -248,7 +261,7 @@ def _refine_umbilic(surface, seed, kappa, max_iter=60):
     except SEED_FAILURES:
         return None
     best = float(F @ F)
-    for _ in range(max_iter):
+    for _ in range(_REFINE_MAX_ITER):
         if best <= (1e-13 * kappa) ** 2:
             break
         if abs(u - u_seed) > leash or abs(v - v_seed) > leash:
@@ -411,18 +424,18 @@ def monge_form(surface, location):
         quadratic_defect=float(quad_defect))
 
 
-def kill_rotation_angles(A1, A2, B1, B2, samples=720):
+def kill_rotation_angles(A1, A2, B1, B2):
     """All angles in [0, pi) where the rotated x^2 y coefficient vanishes."""
 
     def fval(phi):
         return (-3.0 * (A2 * math.cos(3 * phi) + A1 * math.sin(3 * phi))
                 - (B2 * math.cos(phi) + B1 * math.sin(phi)))
 
-    xs = np.linspace(0.0, math.pi, samples, endpoint=False)
+    xs = np.linspace(0.0, math.pi, _KILL_SAMPLES, endpoint=False)
     vals = np.array([fval(x) for x in xs])
     roots = []
-    for i in range(samples):
-        x0, x1 = xs[i], xs[(i + 1) % samples] if i + 1 < samples else math.pi
+    for i in range(_KILL_SAMPLES):
+        x0, x1 = xs[i], xs[i + 1] if i + 1 < _KILL_SAMPLES else math.pi
         f0, f1 = vals[i], fval(x1)
         if f0 == 0.0:
             roots.append(x0)
@@ -478,19 +491,18 @@ def rotate_monge_cubic(a, b, c, phi):
 # Darbouxian classification
 # ---------------------------------------------------------------------------
 
-def classify(m, tol=1e-6, margin_tol=None):
+def classify(m):
     """Type and boundary margin from the rotated cubic coefficients.
 
     Returns one of D1/D2/D3/NonTransversal/NearBoundary together with the
     distance of (a/b, c/2b) to the nearest classification boundary
     (vertical distance for the parabola; the a = 2b line counts inside D2).
+    Transversality and margins within ``_CLASSIFY_TOL`` are not decided.
     """
-    if margin_tol is None:
-        margin_tol = tol
     a, b, c = m.a, m.b, m.c
     scale = max(abs(a), abs(b), abs(c), 1e-300)
     t_value = b * (b - a)
-    if abs(t_value) <= tol * scale * scale:
+    if abs(t_value) <= _CLASSIFY_TOL * scale * scale:
         return NON_TRANSVERSAL, abs(t_value) / (scale * scale)
     ra = a / b
     rc = c / (2.0 * b)
@@ -503,7 +515,7 @@ def classify(m, tol=1e-6, margin_tol=None):
     else:
         typ = D2
         margin = min(abs(d_parab), abs(d_one), abs(ra - 2.0))
-    if margin <= margin_tol:
+    if margin <= _CLASSIFY_TOL:
         return NEAR_BOUNDARY, margin
     return typ, margin
 
@@ -534,14 +546,15 @@ def index_for_type(typ):
 # winding-number index estimator
 # ---------------------------------------------------------------------------
 
-def winding_index(surface, rec, radius_factor=5e-3, samples=256):
-    """Index of the principal line field from angle accumulation on a small
-    loop around the umbilic (independent of the type-based assignment)."""
+def winding_index(surface, rec):
+    """Index of the principal line field from angle accumulation on a loop
+    of radius ``_WINDING_RADIUS_FACTOR``·diam around the umbilic
+    (independent of the type-based assignment)."""
     u0, v0 = rec.uv
     b0 = chart_bundle(surface, u0, v0)
     ru, rv = b0["ru"], b0["rv"]
-    r = radius_factor * surface.diameter()
-    alphas = np.linspace(0.0, 2 * math.pi, samples, endpoint=False)
+    r = _WINDING_RADIUS_FACTOR * surface.diameter()
+    alphas = np.linspace(0.0, 2 * math.pi, _WINDING_SAMPLES, endpoint=False)
     us = u0 + (r / np.linalg.norm(ru)) * np.cos(alphas)
     vs = v0 + (r / np.linalg.norm(rv)) * np.sin(alphas)
     b = chart_bundle(surface, us, vs)
@@ -562,15 +575,16 @@ def winding_index(surface, rec, radius_factor=5e-3, samples=256):
 # separatrix directions by fate scan
 # ---------------------------------------------------------------------------
 
-def separatrix_directions(surface, rec, radius_factor=1e-3,
-                          scan_resolution=720):
+def separatrix_directions(surface, rec):
     """Separatrix ray angles (in the Monge frame) for both foliations.
 
     Two-stage fate search.  Stage 1 scans a small circle around the
-    umbilic for angles where the foliation is radially aligned (leaves can
-    only reach the umbilic along such directions) and sharpens each zero
-    by bisection.  Stage 2 traces bracketing launches inward, as the lanes
-    of one :func:`foliation.trace_lanes` call, and classifies their
+    umbilic (``_SCAN_RESOLUTION`` angles at half of r0 =
+    ``_SEPARATRIX_RADIUS_FACTOR``·diam) for angles where the foliation is
+    radially aligned (leaves can only reach the umbilic along such
+    directions) and sharpens each zero by bisection.  Stage 2 traces
+    bracketing launches inward, as the lanes of one
+    :func:`foliation.trace_lanes` call, and classifies their
     terminal fate (:func:`_terminal_fate`): a ray bounding a hyperbolic
     sector has a sweeping side (launches exit the horizon), while interior
     directions of a parabolic fan see deep entries on both sides and are
@@ -580,21 +594,20 @@ def separatrix_directions(surface, rec, radius_factor=1e-3,
     """
     if rec.type not in (D1, D2, D3):
         return {}, {MINIMAL: "unsupported-type", MAXIMAL: "unsupported-type"}
-    return _separatrix_rays(surface, [rec], radius_factor,
-                            scan_resolution)[0]
+    return _separatrix_rays(surface, [rec])[0]
 
 
-def _separatrix_rays(surface, recs, radius_factor=1e-3, scan_resolution=720):
+def _separatrix_rays(surface, recs):
     """:func:`separatrix_directions` for several Darbouxian umbilics of
     one surface at once: the circles of every umbilic and foliation are
     scanned and bisected together, and all fate launches run as the lanes
     of one :func:`_terminal_fate` call."""
-    r0 = radius_factor * surface.diameter()
+    r0 = _SEPARATRIX_RADIUS_FACTOR * surface.diameter()
     circles = [(k, fol) for k in range(len(recs))
                for fol in (MINIMAL, MAXIMAL)]
     lanes = _Lanes.of([recs[k] for k, _ in circles],
                       [fol for _, fol in circles])
-    cands = _radial_alignment_zeros(surface, lanes, r0, scan_resolution)
+    cands = _radial_alignment_zeros(surface, lanes, r0)
 
     owner, alphas = [], []          # (circle, candidate), launch angle
     for c, angs in enumerate(cands):
@@ -649,10 +662,11 @@ class _Lanes:
         return _Lanes(*(getattr(self, f.name)[idx] for f in fields(self)))
 
     def circle_uv(self, surface, angles, radius):
-        """Chart points at ``radius`` and ``angles`` in each lane's frame."""
+        """Chart points at ``radius`` and ``angles`` in each lane's frame
+        (NaN where the chart inversion fails)."""
         targets = self.x0 + radius * (np.cos(angles)[:, None] * self.e1
                                       + np.sin(angles)[:, None] * self.e2)
-        return _invert_batch(surface, targets, self.seed)
+        return chart_points_near(surface, targets, self.seed)
 
     def pick(self, b, key):
         """Each lane's own foliation from a chart bundle: ``key`` is
@@ -676,16 +690,17 @@ def _alignment_values(surface, lanes, angles, radius):
     return 2 * c * s / norm, (c * c - s * s) / norm
 
 
-def _radial_alignment_zeros(surface, lanes, r0, resolution, iters=30):
+def _radial_alignment_zeros(surface, lanes, r0):
     """Radially aligned angles on the circle of radius r0 / 2 of every
     lane, sharpened by one bisection over the brackets of all lanes."""
     m = len(lanes.seed)
-    step = 2 * math.pi / resolution
-    angles = np.linspace(0.0, 2 * math.pi, resolution, endpoint=False)
-    z, w = np.empty((m, resolution)), np.empty((m, resolution))
+    step = 2 * math.pi / _SCAN_RESOLUTION
+    angles = np.linspace(0.0, 2 * math.pi, _SCAN_RESOLUTION, endpoint=False)
+    z, w = np.empty((m, _SCAN_RESOLUTION)), np.empty((m, _SCAN_RESOLUTION))
     for c in range(m):       # a circle per call keeps the batches small
         z[c], w[c] = _alignment_values(
-            surface, lanes.take(np.full(resolution, c)), angles, 0.5 * r0)
+            surface, lanes.take(np.full(_SCAN_RESOLUTION, c)), angles,
+            0.5 * r0)
     zn, wn = np.roll(z, -1, axis=1), np.roll(w, -1, axis=1)
     aligned = (w > 0.0) & (wn > 0.0)
     exact = aligned & (z == 0.0)
@@ -694,7 +709,7 @@ def _radial_alignment_zeros(surface, lanes, r0, resolution, iters=30):
     hi = angles[i] + step
     z_lo = z[lane, i]
     live = np.ones(len(lane), dtype=bool)
-    for _ in range(iters):
+    for _ in range(_ALIGNMENT_BISECTIONS):
         k = np.flatnonzero(live)
         if not len(k):
             break
@@ -731,18 +746,18 @@ _FATE_ENTER = 1
 _FATE_STUCK = 2
 
 
-def _terminal_fate(surface, lanes, alphas, r0, depth=2e-3):
+def _terminal_fate(surface, lanes, alphas, r0):
     """Terminal fate of inward launches: deep entry versus horizon exit.
 
     Launch i leaves from angle ``alphas[i]`` on the circle of radius r0
     in the frame of lane i, along that lane's foliation, heading for the
     umbilic.  All launches run as the lanes of one :func:`trace_lanes`
     call (``rel_tol`` 1e-6, 8 r0 of length) that stops a lane in the
-    ``depth * r0`` ball about any lane's umbilic, so a launch ends alike
-    alone and in its batch unless another umbilic lies within about 9 r0
-    of its own.  The first recorded point outside the annulus from
-    ``depth * r0`` to 5 r0 about the launch's umbilic decides its fate:
-    inside, it "enters"; beyond, it "exits"; with no such point it is
+    ``_FATE_DEPTH * r0`` ball about any lane's umbilic, so a launch ends
+    alike alone and in its batch unless another umbilic lies within about
+    9 r0 of its own.  The first recorded point outside the annulus from
+    ``_FATE_DEPTH * r0`` to 5 r0 about the launch's umbilic decides its
+    fate: inside, it "enters"; beyond, it "exits"; with no such point it is
     stuck.  Leaves hugging a hyperbolic sector eventually exit, fan leaves
     terminate at the umbilic, which is what separates the two sector
     types.
@@ -752,7 +767,7 @@ def _terminal_fate(surface, lanes, alphas, r0, depth=2e-3):
     opts = TraceOptions(rel_tol=1e-6, max_length=8.0 * r0,
                         detect_closure=False,
                         known_umbilics=tuple(np.unique(lanes.x0, axis=0)),
-                        exclusion_radius_factor=depth * r0 / diam)
+                        exclusion_radius_factor=_FATE_DEPTH * r0 / diam)
     trajs = trace_lanes(
         surface, uv, [MINIMAL if m else MAXIMAL for m in lanes.minimal],
         opts, headings=lanes.x0 - surface.point(uv[:, 0], uv[:, 1]))
@@ -766,31 +781,11 @@ def _terminal_fate(surface, lanes, alphas, r0, depth=2e-3):
     return fate
 
 
-def _invert_batch(surface, targets, uv_seed, iters=14):
-    """Gauss-Newton chart points of world ``targets`` (M, 3) from one seed
-    or one seed per target."""
-    uv = np.array(np.broadcast_to(uv_seed, (len(targets), 2)), dtype=float)
-    for _ in range(iters):
-        J = surface.jet(uv[:, 0], uv[:, 1])
-        r = J[0, 0] - targets
-        A = np.stack([J[1, 0], J[0, 1]], axis=-1)          # (m, 3, 2)
-        AtA = np.einsum("mik,mil->mkl", A, A)
-        Atr = np.einsum("mik,mi->mk", A, r)
-        try:
-            step = np.linalg.solve(AtA, -Atr[..., None])[..., 0]
-        except np.linalg.LinAlgError:
-            break
-        uv = uv + step
-        if np.max(np.abs(step)) < 1e-14:
-            break
-    return uv
-
-
 # ---------------------------------------------------------------------------
 # full classification pipeline / index sum
 # ---------------------------------------------------------------------------
 
-def refine_umbilic_record(surface, seed, refine=1e-24):
+def refine_umbilic_record(surface, seed):
     """Newton-refine a single umbilic from a seed chart point."""
     b = chart_bundle(surface, seed[0], seed[1])
     kappa = max(abs(b["k1"]), abs(b["k2"]), 1e-12)
@@ -798,7 +793,7 @@ def refine_umbilic_record(surface, seed, refine=1e-24):
     if res is None:
         raise ConvergenceError(f"umbilic refinement failed from {seed}")
     (u, v), s_final = res
-    if s_final > refine * kappa ** 2:
+    if s_final > _REFINE_REL * kappa ** 2:
         raise ConvergenceError(
             f"H^2-K stalled at {s_final:.3e} from seed {seed}")
     return UmbilicRecord(uv=(float(u), float(v)),
@@ -806,11 +801,10 @@ def refine_umbilic_record(surface, seed, refine=1e-24):
                          hk_residual=float(s_final))
 
 
-def classify_umbilic(surface, rec, tol=1e-6, margin_tol=None,
-                     with_separatrices=True):
+def classify_umbilic(surface, rec, with_separatrices=True):
     """Monge extraction, type, index, and (optionally) separatrices."""
     m = monge_form(surface, rec)
-    typ, margin = classify(m, tol=tol, margin_tol=margin_tol)
+    typ, margin = classify(m)
     rec = replace(rec, monge=m, type=typ, index=index_for_type(typ),
                   margin=margin)
     if with_separatrices and typ in (D1, D2, D3):
@@ -819,11 +813,11 @@ def classify_umbilic(surface, rec, tol=1e-6, margin_tol=None,
     return rec
 
 
-def classify_umbilics(surface, recs, tol=1e-6, with_separatrices=True):
+def classify_umbilics(surface, recs, with_separatrices=True):
     """:func:`classify_umbilic` for all located umbilics of a surface; the
     separatrices of the Darbouxian ones are found together (one batched
     circle scan and one batched fate run)."""
-    recs = [classify_umbilic(surface, rec, tol=tol, with_separatrices=False)
+    recs = [classify_umbilic(surface, rec, with_separatrices=False)
             for rec in recs]
     darboux = [k for k, rec in enumerate(recs) if rec.type in (D1, D2, D3)]
     if with_separatrices and darboux:
@@ -834,11 +828,11 @@ def classify_umbilics(surface, recs, tol=1e-6, with_separatrices=True):
     return recs
 
 
-def analyze_umbilics(surface, grid=32, with_separatrices=True, tol=1e-6):
+def analyze_umbilics(surface, grid=32, with_separatrices=True):
     found = locate_umbilics(surface, grid=grid)
     if isinstance(found, AllUmbilicSurface):
         return found
-    return classify_umbilics(surface, found, tol=tol,
+    return classify_umbilics(surface, found,
                              with_separatrices=with_separatrices)
 
 

@@ -217,8 +217,8 @@ def test_criterion_6_second_return_rotation():
     traj = foliation.trace(
         surf, (2.2, 0.02), MAXIMAL,
         foliation.TraceOptions(rel_tol=1e-6, max_step_factor=0.1,
-                               max_length=2200.0, max_steps=400000,
-                               detect_closure=False, known_umbilics=found,
+                               max_length=2200.0, detect_closure=False,
+                               known_umbilics=found,
                                exclusion_radius_factor=1e-7))
     res = foliation.omega_limit_classify(surf, traj)
     dense_ok = (res.verdict == "RecurrentOrUndetermined"

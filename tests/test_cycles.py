@@ -5,8 +5,7 @@ import pytest
 
 from principal_config import cycles, foliation
 from principal_config.errors import RegularityError
-from principal_config.cycles import (CycleSearchOptions,
-                                     cycle_from_closed_trajectory,
+from principal_config.cycles import (cycle_from_closed_trajectory,
                                      find_cycles, hyperbolicity,
                                      return_map_derivative_fd,
                                      return_map_derivative_integral)
@@ -110,10 +109,10 @@ def test_reversal_inverts_return_derivative(perturbed_torus,
 def test_integral_reparametrization_invariance(perturbed_torus,
                                                perturbed_cycles):
     c = perturbed_cycles[0]
-    a1, b1 = return_map_derivative_integral(
-        perturbed_torus, c, CycleSearchOptions(quadrature_points=1024))
-    a2, b2 = return_map_derivative_integral(
-        perturbed_torus, c, CycleSearchOptions(quadrature_points=2048))
+    a1, b1 = return_map_derivative_integral(perturbed_torus, c,
+                                            quadrature_points=1024)
+    a2, b2 = return_map_derivative_integral(perturbed_torus, c,
+                                            quadrature_points=2048)
     assert abs(a1 - a2) < 1e-9
     assert abs(b1 - b2) < 1e-9
 
@@ -170,17 +169,16 @@ def test_search_log_counts_every_trace(torus):
 def test_return_trace_never_counts_its_start(torus):
     # a start on the section leaves it at once; whether the plane registers
     # that as a crossing depends on the roundoff side the start lies on
-    opts = CycleSearchOptions()
     diam = torus.diameter()
-    anchor = cycles._Anchor(torus, (0.3, 0.9)).orient(MAXIMAL)
+    anchor = cycles._Anchor(torus, (0.3, 0.9), MAXIMAL)
     counts = []
     for nudge in (1e-13, -1e-13):
         uv = chart_point_near(torus, anchor.p0 + nudge * diam * anchor.t0,
                               anchor.uv)
         traj = trace(torus, uv, MAXIMAL, TraceOptions(
-            rel_tol=opts.search_tol, detect_closure=False,
-            max_length=2 * opts.max_period_factor * diam,
-            sections=(anchor.section(opts),), precise_crossings=True,
+            rel_tol=cycles._SEARCH_TOL, detect_closure=False,
+            max_length=2 * cycles._MAX_PERIOD_FACTOR * diam,
+            sections=(anchor.section(),), precise_crossings=True,
             max_crossings=2))
         assert all(c.arclength >= 1e-3 * diam for c in traj.crossings)
         counts.append(len(traj.crossings))

@@ -380,3 +380,30 @@ def test_trace_lanes_follows_trace_and_rejects_unsupported(ellipsoid, torus):
         trace_lanes(torus, [(0.3, 0.9)], MAXIMAL, TraceOptions(
             detect_closure=False,
             sections=(DomainSection("m", "u", 0.0),)))
+
+
+def test_chart_inversion_row_does_not_depend_on_its_batch(ellipsoid,
+                                                         ellipsoid_records):
+    rec = ellipsoid_records[0]
+    fr = rec.monge.frame
+    diam = ellipsoid.diameter()
+    angles = np.linspace(0.0, 2 * math.pi, 6, endpoint=False)
+    targets = [rec.xyz + 0.01 * diam * (math.cos(a) * fr.e1
+                                        + math.sin(a) * fr.e2)
+               for a in angles]
+    seeds = [rec.uv] * 6
+    # unreachable: 20 diameters off the surface; and a seed on the chart's
+    # pole, where the 2x2 normal equations are singular
+    targets[2] = rec.xyz + 20.0 * diam * fr.normal
+    seeds[4] = (0.3, 0.0)
+    batch = foliation.chart_points_near(ellipsoid, targets, seeds)
+    for k in range(6):
+        alone = foliation.chart_point_near(ellipsoid, targets[k], seeds[k])
+        if k in (2, 4):
+            assert alone is None and np.all(np.isnan(batch[k]))
+        else:
+            assert np.array_equal(alone, batch[k])
+            # the chart point is the foot of the target on the surface
+            w = ellipsoid.point(*alone) - targets[k]
+            J = ellipsoid.jet(*alone)
+            assert abs(w @ J[1, 0]) + abs(w @ J[0, 1]) < 1e-12 * diam

@@ -315,7 +315,7 @@ def test_finite_difference_chart_fallback(torus):
 
     fd = geometry.FiniteDifferenceChart(
         fn, ((0, 2 * math.pi), (0, 2 * math.pi)), periodic_u=True,
-        periodic_v=True, scale=1.0, diameter_hint=6.0)
+        periodic_v=True, diameter_hint=6.0)
     J_fd = fd.jet(1.1, 0.7)
     J_an = torus.jet(1.1, 0.7)
     assert np.allclose(J_fd[1, 0], J_an[1, 0], atol=1e-8)

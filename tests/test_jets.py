@@ -137,9 +137,20 @@ def test_tables_hold_one_atom_per_distinct_harmonic():
     (freq_u, _, M_u), (freq_v, _, M_v), WT = chart._fast_tables
     n_terms = WT.shape[1]
     assert n_terms == len(chart.terms)
-    # the terms carry 62 and 84 atoms, over 19 and 20 distinct harmonics
+    # the terms carry 62 and 84 atoms, over 18 and 19 distinct harmonics
     assert sum(len(tu.freq) for tu, _, _ in chart.terms) == 62
     assert sum(len(tv.freq) for _, tv, _ in chart.terms) == 84
-    assert (len(freq_u), len(freq_v)) == (19, 20)
-    assert M_u.shape == (2 * 19, 4 * n_terms)
-    assert M_v.shape == (2 * 20, 4 * n_terms)
+    assert (len(freq_u), len(freq_v)) == (18, 19)
+    assert M_u.shape == (2 * 18, 4 * n_terms)
+    assert M_v.shape == (2 * 19, 4 * n_terms)
+    (freq_u, _, _), (freq_v, _, _), _ = SEPARABLE_CHARTS[
+        "perturbed_torus"]()._fast_tables
+    assert (len(freq_u), len(freq_v)) == (10, 11)
+
+
+def test_products_keep_the_exact_phase():
+    # sin x cos x = (sin 0 + sin 2x) / 2: both atoms keep the phase -pi/2
+    # of sin itself, not its 12-decimal rounding
+    h = jets.wave_sin(1).times(jets.Wave(1))
+    assert list(h.freq) == [0.0, 2.0]
+    assert np.all(h.phase == -np.pi / 2)
