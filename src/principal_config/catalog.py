@@ -889,9 +889,10 @@ def stability_report(surface, budget=None):
     (a) every umbilic Darbouxian, (b) every found cycle hyperbolic, (c) no
     separatrix connections, (d) sampled limit sets all umbilic or cycle.
     FailWitness whenever a concrete counterexample is found; Inconclusive
-    when a condition is left undecided ((c) or (d) pass only when every
-    separatrix or sampled line is decided); PassEvidence otherwise, with
-    the explicit caveat that (d) is evidence only.
+    when a condition is left undecided ((b) passes only when every seed
+    gave a cycle, (c) and (d) only when every separatrix or sampled line is
+    decided); PassEvidence otherwise, with the explicit caveat that (d) is
+    evidence only.
     """
     from . import cycles as cycles_mod
 
@@ -918,7 +919,7 @@ def stability_report(surface, budget=None):
             ConditionVerdict("d", "inconclusive", detail, []),
             "FailWitness")
     else:
-        records = umbilics.classify_umbilics(surface, found)
+        records = [umbilics.classify_umbilic(surface, rec) for rec in found]
         bad = [r for r in records if r.type not in ("D1", "D2", "D3")]
         if bad:
             cond_a = ConditionVerdict(
@@ -974,8 +975,10 @@ def stability_report(surface, budget=None):
 
 def _cycle_verdict(found_cycles, log):
     """Condition (b) from a cycle search: a cycle that is not hyperbolic is
-    a witness.  The seeds that gave no cycle are quoted, counted by the
-    reason in the search's ``log``."""
+    a witness.  "pass" needs every seed to have given a cycle or a
+    duplicate of one; a seed dropped for any other reason leaves (b)
+    "inconclusive".  The dropped seeds are quoted, counted by the reason in
+    the search's ``log``."""
     non_hyp = [c for c in found_cycles if not c.hyperbolic]
     reasons = Counter(reason for _fol, _seed, reason in log.dropped)
     dropped = [f"{n} seed(s) dropped: {reason}"
@@ -986,9 +989,15 @@ def _cycle_verdict(found_cycles, log):
             f"{len(non_hyp)} of {len(found_cycles)} cycles not hyperbolic",
             [f"{c.foliation_id} cycle, log T' = {c.log_tprime():.3e}"
              for c in non_hyp] + dropped)
-    return ConditionVerdict(
-        "b", "pass", f"{len(found_cycles)} cycle(s) found, all hyperbolic",
-        dropped)
+    detail = f"{len(found_cycles)} cycle(s) found, all hyperbolic"
+    undecided = len(log.undecided())
+    if undecided:
+        seeds = len(found_cycles) + len(log.dropped)
+        return ConditionVerdict(
+            "b", "inconclusive",
+            f"{detail}, but {undecided} of {seeds} seed(s) gave no cycle",
+            dropped)
+    return ConditionVerdict("b", "pass", detail, dropped)
 
 
 def _omega_verdict(results):

@@ -115,9 +115,7 @@ def _records_payload(records):
 
 def cmd_umbilics(args):
     surface = _surface_arg(args)
-    records = umbilics.analyze_umbilics(
-        surface, grid=args.grid,
-        with_separatrices=not args.no_separatrices)
+    records = umbilics.analyze_umbilics(surface, grid=args.grid)
     results = _records_payload(records)
     work = {}
     if not results["all_umbilic"]:
@@ -131,9 +129,7 @@ def cmd_umbilics(args):
             }
         except PrincipalConfigError as exc:
             results["index_sum"] = {"inconclusive": str(exc)}
-    config = RunConfig("umbilics", args.surface,
-                       {"grid": args.grid,
-                        "separatrices": not args.no_separatrices},
+    config = RunConfig("umbilics", args.surface, {"grid": args.grid},
                        args.out, args.seed)
     report = ReportDocument(config, results, work)
     scene = None
@@ -361,7 +357,6 @@ def build_parser():
     sp = sub.add_parser("umbilics", help="locate and classify umbilics")
     common(sp)
     sp.add_argument("--grid", type=int, default=32)
-    sp.add_argument("--no-separatrices", action="store_true")
     sp.set_defaults(fn=cmd_umbilics)
 
     sp = sub.add_parser("trace", help="integrate principal lines")

@@ -38,6 +38,9 @@ _MAX_PERIOD_FACTOR = 8.0        # return budget: length per return
 _HYPERBOLICITY_TOL = 1e-4       # |log T'| above it is hyperbolic
 _CURVATURE_FLOOR_REL = 1e-6     # sqrt(H^2 - K) floor along a cycle
 
+# the reason logged for a seed whose cycle was found before
+DUPLICATE_SEED = "duplicate of an earlier cycle"
+
 
 @dataclass
 class SearchLog:
@@ -54,6 +57,10 @@ class SearchLog:
         self.steps += traj.meta["steps"]
         self.evals += traj.meta["evals"]
         return traj
+
+    def undecided(self):
+        """The dropped seeds that found no cycle, not even an earlier one."""
+        return [d for d in self.dropped if d[2] != DUPLICATE_SEED]
 
 
 @dataclass
@@ -204,7 +211,7 @@ def find_cycles(surface, seeds, foliation_id, known_umbilics=(), log=None):
                                        known_umbilics, log)
         if cyc is not None and _is_duplicate(
                 cyc, cycles, _CYCLE_MERGE_FACTOR * diam):
-            reason = "duplicate of an earlier cycle"
+            reason = DUPLICATE_SEED
         if reason is not None:
             log.dropped.append((foliation_id, tuple(map(float, seed)),
                                 reason))

@@ -301,7 +301,7 @@ def _trace_core(surface, y0, foliation_id, opts, implicit):
         try:
             y5, err, stages = _dp_step(fld, y, k1, h)
             tol = opts.rel_tol * max(h, 1e-3 * h_max)
-            err_world = _world_err(err, stages[0], diam)
+            err_world = _world_err(err, stages[0])
             accept = bool(np.isfinite(err_world)) and err_world <= tol
             # re-project only once the state has drifted off the level set
             proj = (surface.project(y5) if implicit and accept
@@ -660,7 +660,7 @@ def _dp_step(fld, y, k1, h):
     return y5, y5 - y4, ks
 
 
-def _world_err(err_state, k1, diam):
+def _world_err(err_state, k1):
     if err_state.shape[-1] == 3:
         return float(np.linalg.norm(err_state))
     # chart state: push the (du, dv) error to world scale via the jacobian

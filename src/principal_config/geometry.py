@@ -371,9 +371,6 @@ class FundamentalForms:
     rv: np.ndarray = None
     normal: np.ndarray = None
 
-    def metric_det(self):
-        return self.E * self.G - self.F * self.F
-
 
 @dataclass(frozen=True)
 class PrincipalData:

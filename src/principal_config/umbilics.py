@@ -4,20 +4,31 @@ separatrix directions.
 The Monge extraction is exact series algebra: the chart jet is rewritten as
 a height series over the tangent plane (order-3 inversion of the tangent
 coordinates), then the tangent frame is rotated to kill the x^2 y cubic
-coefficient.  Types follow the open inequalities on (a/b, c/2b) with an
-explicit slack band; degenerate cases are return values, not failures.
+coefficient, at an angle solved from a cubic in tan(phi).  Types follow the
+open inequalities on (a/b, c/2b) with an explicit slack band; degenerate
+cases are return values, not failures.
+
+The separatrices are read off the rotated cubic
+z = (k/2)(x^2+y^2) + (a/6)x^3 + (b/2)xy^2 + (c/6)y^3, as Darboux (1896)
+read the umbilic's local picture: leaves reach the umbilic only along the
+radial lines y = p x with p (b p^2 - c p + a - 2b) = 0.  Blowing the
+umbilic up (Bruce & Fidal, "On binary differential equations and
+umbilics", Proc. Roy. Soc. Edinburgh 111A, 1989) makes each line a
+singular point of the lifted line field; a saddle gives a separatrix, a
+node a parabolic fan.  The x-axis is a saddle iff (b - a)(a - 2b) < 0, the
+line of a root p != 0 iff p^2 > a/b - 2: one line for D1, two for D2 and
+three for D3 (see :func:`separatrix_directions`).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .errors import (SEED_FAILURES, ConvergenceError, FrameError,
                      InconclusiveError, RegularityError)
-from .foliation import TraceOptions, chart_points_near, trace_lanes
 from .geometry import MAXIMAL, MINIMAL, chart_bundle, frame_operator
 
 D1, D2, D3 = "D1", "D2", "D3"
@@ -25,20 +36,14 @@ NON_TRANSVERSAL = "NonTransversal"
 NEAR_BOUNDARY = "NearBoundary"
 UNCLASSIFIED = "unclassified"
 
-_SEPARATRIX_COUNT = {D1: 1, D2: 2, D3: 3}
-
 _REFINE_REL = 1e-24          # H^2 - K at an umbilic, times kappa^2
 _MERGE_RADIUS_FACTOR = 1e-4  # closer umbilics are one, times diam
 _ALL_UMBILIC_REL = 1e-5      # |k2 - k1| / (2 kappa) below it: all umbilic
 _REFINE_MAX_ITER = 60        # damped Newton iterations from a seed
-_KILL_SAMPLES = 720          # scan of [0, pi) for the x^2 y-killing angles
+_KILL_ROUNDOFF = 1e-12       # a kill angle this close below pi is 0
 _CLASSIFY_TOL = 1e-6         # slack band of the Darbouxian inequalities
 _WINDING_RADIUS_FACTOR = 5e-3
 _WINDING_SAMPLES = 256
-_SEPARATRIX_RADIUS_FACTOR = 1e-3   # fate launch circle r0, times diam
-_SCAN_RESOLUTION = 720       # alignment scan angles on the r0 / 2 circle
-_ALIGNMENT_BISECTIONS = 30
-_FATE_DEPTH = 2e-3           # the entry ball about an umbilic, times r0
 
 
 @dataclass(frozen=True)
@@ -81,7 +86,6 @@ class UmbilicRecord:
     index: float | None = None
     margin: float = math.nan
     separatrices: dict = field(default_factory=dict)
-    separatrix_confidence: dict = field(default_factory=dict)
 
     def summary(self):
         x, y, z = self.xyz
@@ -104,7 +108,6 @@ class UmbilicRecord:
             },
             "separatrices": {k: [float(a) for a in v]
                              for k, v in self.separatrices.items()},
-            "separatrix_confidence": dict(self.separatrix_confidence),
         }
 
 
@@ -339,7 +342,8 @@ def monge_form(surface, location):
 
     Builds the tangent frame, inverts the tangent-plane coordinates as a
     degree-3 series to express the surface as a local graph, and rotates
-    the frame by the smallest angle in [0, pi) that kills the x^2 y term.
+    the frame by the smallest angle in [0, pi) that kills the x^2 y term
+    (:func:`kill_rotation_angles`).
     """
     if hasattr(location, "uv"):
         u0, v0 = location.uv
@@ -399,7 +403,7 @@ def monge_form(surface, location):
     B1 = (3.0 * c30 + c12) / 4.0
     B2 = -(c21 + 3.0 * c03) / 4.0
 
-    phi = _smallest_kill_rotation(A1, A2, B1, B2)
+    phi = kill_rotation_angles(A1, A2, B1, B2)[0]
     # frame rotated by phi: w = w' e^{i phi}, so A -> A e^{3 i phi},
     # B -> B e^{i phi}
     ca3, sa3 = math.cos(3 * phi), math.sin(3 * phi)
@@ -425,46 +429,22 @@ def monge_form(surface, location):
 
 
 def kill_rotation_angles(A1, A2, B1, B2):
-    """All angles in [0, pi) where the rotated x^2 y coefficient vanishes."""
+    """All angles in [0, pi) where the rotated x^2 y coefficient vanishes.
 
-    def fval(phi):
-        return (-3.0 * (A2 * math.cos(3 * phi) + A1 * math.sin(3 * phi))
-                - (B2 * math.cos(phi) + B1 * math.sin(phi)))
-
-    xs = np.linspace(0.0, math.pi, _KILL_SAMPLES, endpoint=False)
-    vals = np.array([fval(x) for x in xs])
-    roots = []
-    for i in range(_KILL_SAMPLES):
-        x0, x1 = xs[i], xs[i + 1] if i + 1 < _KILL_SAMPLES else math.pi
-        f0, f1 = vals[i], fval(x1)
-        if f0 == 0.0:
-            roots.append(x0)
-            continue
-        if f0 * f1 < 0.0:
-            lo, hi, flo = x0, x1, f0
-            for _ in range(80):
-                mid = 0.5 * (lo + hi)
-                fm = fval(mid)
-                if fm == 0.0:
-                    lo = hi = mid
-                    break
-                if math.copysign(1.0, fm) == math.copysign(1.0, flo):
-                    lo, flo = mid, fm
-                else:
-                    hi = mid
-            roots.append(0.5 * (lo + hi))
-    dedup = []
-    for r in sorted(roots):
-        if not dedup or abs(r - dedup[-1]) > 1e-9:
-            dedup.append(r)
-    return dedup
-
-
-def _smallest_kill_rotation(A1, A2, B1, B2):
-    roots = kill_rotation_angles(A1, A2, B1, B2)
-    if not roots:
-        raise FrameError("no rotation kills the x^2 y coefficient")
-    return roots[0]
+    With t = tan(phi) that coefficient, divided by cos^3(phi), is the cubic
+    (3A1 - B1) t^3 + (9A2 - B2) t^2 - (9A1 + B1) t - (3A2 + B2); phi = pi/2
+    is a root exactly when its leading coefficient vanishes.  A real cubic
+    has a real root, which ``np.roots`` returns with a zero imaginary part,
+    so the list is never empty.  A root within ``_KILL_ROUNDOFF`` below pi
+    is the root at 0.
+    """
+    coef = [3.0 * A1 - B1, 9.0 * A2 - B2, -(9.0 * A1 + B1), -(3.0 * A2 + B2)]
+    roots = [math.atan(t.real) for t in np.roots(coef) if t.imag == 0.0]
+    if coef[0] == 0.0:
+        roots.append(0.5 * math.pi)
+    folded = (phi % math.pi for phi in roots)
+    return sorted({0.0 if math.pi - phi <= _KILL_ROUNDOFF else phi
+                   for phi in folded})
 
 
 def rotate_monge_cubic(a, b, c, phi):
@@ -572,213 +552,53 @@ def winding_index(surface, rec):
 
 
 # ---------------------------------------------------------------------------
-# separatrix directions by fate scan
+# separatrix directions from the Monge cubic
 # ---------------------------------------------------------------------------
 
-def separatrix_directions(surface, rec):
-    """Separatrix ray angles (in the Monge frame) for both foliations.
+def separatrix_directions(m):
+    """Separatrix ray angles in [0, 2 pi), in the Monge frame, of both
+    foliations at a Darbouxian umbilic with rotated Monge cubic ``m``.
 
-    Two-stage fate search.  Stage 1 scans a small circle around the
-    umbilic (``_SCAN_RESOLUTION`` angles at half of r0 =
-    ``_SEPARATRIX_RADIUS_FACTOR``·diam) for angles where the foliation is
-    radially aligned (leaves can only reach the umbilic along such
-    directions) and sharpens each zero by bisection.  Stage 2 traces
-    bracketing launches inward, as the lanes of one
-    :func:`foliation.trace_lanes` call, and classifies their
-    terminal fate (:func:`_terminal_fate`): a ray bounding a hyperbolic
-    sector has a sweeping side (launches exit the horizon), while interior
-    directions of a parabolic fan see deep entries on both sides and are
-    dropped.  If no ray has a sweeping side the structure is a pure fan
-    (lemon) and the approach directions themselves are the separatrices.
-    Confidence records whether the count matches the Darbouxian subscript.
+    To first order the principal directions at (x, y) are those of the
+    cubic's Hessian, b y dx^2 + ((b - a) x + c y) dx dy - b y dy^2 = 0, so a
+    leaf reaches the umbilic only along a radial line y = p x with
+    p (b p^2 - c p + a - 2b) = 0 (Darboux 1896).  The blow-up y = p x,
+    q = dy/dx (Bruce & Fidal 1989) lifts a branch q(p) of that equation to
+    the field x d/dx + (q(p) - p) d/dp, singular at (0, p) on each radial
+    line.  Times F_q, for F(p, q) = b p + (b - a + c p) q - b p q^2, its
+    eigenvalues there are F_q and -(F_p + F_q):
+      - at p = 0: b - a and a - 2b;
+      - at a root p != 0: -b (1 + p^2) and b (p^2 + 2 - a/b).
+    A saddle (eigenvalues of opposite sign) lets exactly one leaf into the
+    umbilic along each half-line of its line: a separatrix.  A node lets in
+    a whole fan, a parabolic sector.  So the x-axis is a separatrix iff
+    (b - a)(a - 2b) < 0 and the line of a root p iff p^2 > a/b - 2, which
+    gives 1, 2 and 3 lines for D1, D2 and D3.
+
+    Along the half-line at angle theta the radial direction is principal.
+    At distance r, to first order, its normal curvature exceeds the
+    tangential one by r times (a - b) u^3 + (5b - a) u v^2 + c v^3
+    - c u^2 v, (u, v) = (cos theta, sin theta): the half-line belongs to
+    the maximal foliation where that is positive.  It is odd in (u, v), so
+    the two half-lines of a line belong to the two foliations.
     """
-    if rec.type not in (D1, D2, D3):
-        return {}, {MINIMAL: "unsupported-type", MAXIMAL: "unsupported-type"}
-    return _separatrix_rays(surface, [rec])[0]
-
-
-def _separatrix_rays(surface, recs):
-    """:func:`separatrix_directions` for several Darbouxian umbilics of
-    one surface at once: the circles of every umbilic and foliation are
-    scanned and bisected together, and all fate launches run as the lanes
-    of one :func:`_terminal_fate` call."""
-    r0 = _SEPARATRIX_RADIUS_FACTOR * surface.diameter()
-    circles = [(k, fol) for k in range(len(recs))
-               for fol in (MINIMAL, MAXIMAL)]
-    lanes = _Lanes.of([recs[k] for k, _ in circles],
-                      [fol for _, fol in circles])
-    cands = _radial_alignment_zeros(surface, lanes, r0)
-
-    owner, alphas = [], []          # (circle, candidate), launch angle
-    for c, angs in enumerate(cands):
-        for n, ang in enumerate(angs):
-            for side in (-1.0, 1.0):
-                owner.extend([(c, n)] * 3)
-                alphas.extend(ang + side * np.radians([5.0, 9.0, 13.0]))
-    sweep = np.zeros(len(owner) // 3, dtype=bool)
-    if owner:
-        fate = _terminal_fate(surface, lanes.take([c for c, _ in owner]),
-                              np.array(alphas), r0)
-        exits = np.sum(fate.reshape(-1, 3) == _FATE_EXIT, axis=1) >= 2
-        sweep = exits.reshape(-1, 2).any(axis=1)
-    swept = {key for key, hit in zip(owner[::6], sweep) if hit}
-
-    out = [({}, {}) for _ in recs]
-    for c, (k, fol) in enumerate(circles):
-        rays = [ang for n, ang in enumerate(cands[c]) if (c, n) in swept]
-        if not rays:
-            # fan-only structure (lemon): the approach directions are the
-            # separatrix rays themselves
-            rays = list(cands[c])
-        rays = sorted(a % (2 * math.pi) for a in rays)
-        expected = _SEPARATRIX_COUNT[recs[k].type]
-        out[k][0][fol] = rays
-        out[k][1][fol] = ("ok" if len(rays) == expected
-                          else f"expected {expected}, found {len(rays)}")
-    return out
-
-
-@dataclass(frozen=True)
-class _Lanes:
-    """Per-lane Monge frames (origin x0, e1, e2), chart seeds and foliation
-    flags for batched work around several umbilics."""
-
-    x0: np.ndarray
-    e1: np.ndarray
-    e2: np.ndarray
-    seed: np.ndarray
-    minimal: np.ndarray
-
-    @classmethod
-    def of(cls, recs, fols):
-        frames = [r.monge.frame for r in recs]
-        return cls(np.array([f.origin for f in frames]).reshape(-1, 3),
-                   np.array([f.e1 for f in frames]).reshape(-1, 3),
-                   np.array([f.e2 for f in frames]).reshape(-1, 3),
-                   np.array([r.uv for r in recs], dtype=float).reshape(-1, 2),
-                   np.array([f == MINIMAL for f in fols], dtype=bool))
-
-    def take(self, idx):
-        return _Lanes(*(getattr(self, f.name)[idx] for f in fields(self)))
-
-    def circle_uv(self, surface, angles, radius):
-        """Chart points at ``radius`` and ``angles`` in each lane's frame
-        (NaN where the chart inversion fails)."""
-        targets = self.x0 + radius * (np.cos(angles)[:, None] * self.e1
-                                      + np.sin(angles)[:, None] * self.e2)
-        return chart_points_near(surface, targets, self.seed)
-
-    def pick(self, b, key):
-        """Each lane's own foliation from a chart bundle: ``key`` is
-        "uv" or "xyz"."""
-        return np.where(self.minimal[:, None], b["d1_" + key], b["d2_" + key])
-
-
-def _alignment_values(surface, lanes, angles, radius):
-    """sin/cos of twice the angle between each lane's field and its radial
-    ray, at one angle per lane."""
-    uv = lanes.circle_uv(surface, angles, radius)
-    b = chart_bundle(surface, uv[:, 0], uv[:, 1])
-    d = lanes.pick(b, "xyz")
-    w = b["r"] - lanes.x0
-    dist = np.linalg.norm(w, axis=1)
-    radial = w / dist[:, None]
-    tang = np.cross(b["normal"], radial)
-    c = np.sum(d * radial, axis=1)
-    s = np.sum(d * tang, axis=1)
-    norm = c * c + s * s
-    return 2 * c * s / norm, (c * c - s * s) / norm
-
-
-def _radial_alignment_zeros(surface, lanes, r0):
-    """Radially aligned angles on the circle of radius r0 / 2 of every
-    lane, sharpened by one bisection over the brackets of all lanes."""
-    m = len(lanes.seed)
-    step = 2 * math.pi / _SCAN_RESOLUTION
-    angles = np.linspace(0.0, 2 * math.pi, _SCAN_RESOLUTION, endpoint=False)
-    z, w = np.empty((m, _SCAN_RESOLUTION)), np.empty((m, _SCAN_RESOLUTION))
-    for c in range(m):       # a circle per call keeps the batches small
-        z[c], w[c] = _alignment_values(
-            surface, lanes.take(np.full(_SCAN_RESOLUTION, c)), angles,
-            0.5 * r0)
-    zn, wn = np.roll(z, -1, axis=1), np.roll(w, -1, axis=1)
-    aligned = (w > 0.0) & (wn > 0.0)
-    exact = aligned & (z == 0.0)
-    lane, i = np.nonzero(aligned & ~exact & (z * zn < 0.0))
-    lo = angles[i]
-    hi = angles[i] + step
-    z_lo = z[lane, i]
-    live = np.ones(len(lane), dtype=bool)
-    for _ in range(_ALIGNMENT_BISECTIONS):
-        k = np.flatnonzero(live)
-        if not len(k):
-            break
-        mid = 0.5 * (lo[k] + hi[k])
-        zm, wm = _alignment_values(surface, lanes.take(lane[k]), mid, 0.5 * r0)
-        live[k[wm <= 0.0]] = False
-        hit = (wm > 0.0) & (zm == 0.0)
-        lo[k[hit]] = hi[k[hit]] = mid[hit]
-        live[k[hit]] = False
-        go = (wm > 0.0) & ~hit
-        same = go & (np.copysign(1.0, zm) == np.copysign(1.0, z_lo[k]))
-        lo[k[same]], z_lo[k[same]] = mid[same], zm[same]
-        hi[k[go & ~same]] = mid[go & ~same]
-
-    zeros = [[] for _ in range(m)]
-    for c, j in zip(*np.nonzero(exact)):
-        zeros[c].append(angles[j])
-    for c, a in zip(lane, 0.5 * (lo + hi)):
-        zeros[c].append(a)
-    out = []
-    for found in zeros:
-        merged = []
-        for ang in sorted(a % (2 * math.pi) for a in found):
-            if not merged or ang - merged[-1] > 0.02:
-                merged.append(ang)
-        if len(merged) > 1 and (merged[0] + 2 * math.pi - merged[-1]) < 0.02:
-            merged.pop()
-        out.append(merged)
-    return out
-
-
-_FATE_EXIT = 0
-_FATE_ENTER = 1
-_FATE_STUCK = 2
-
-
-def _terminal_fate(surface, lanes, alphas, r0):
-    """Terminal fate of inward launches: deep entry versus horizon exit.
-
-    Launch i leaves from angle ``alphas[i]`` on the circle of radius r0
-    in the frame of lane i, along that lane's foliation, heading for the
-    umbilic.  All launches run as the lanes of one :func:`trace_lanes`
-    call (``rel_tol`` 1e-6, 8 r0 of length) that stops a lane in the
-    ``_FATE_DEPTH * r0`` ball about any lane's umbilic, so a launch ends
-    alike alone and in its batch unless another umbilic lies within about
-    9 r0 of its own.  The first recorded point outside the annulus from
-    ``_FATE_DEPTH * r0`` to 5 r0 about the launch's umbilic decides its
-    fate: inside, it "enters"; beyond, it "exits"; with no such point it is
-    stuck.  Leaves hugging a hyperbolic sector eventually exit, fan leaves
-    terminate at the umbilic, which is what separates the two sector
-    types.
-    """
-    diam = surface.diameter()
-    uv = lanes.circle_uv(surface, alphas, r0)
-    opts = TraceOptions(rel_tol=1e-6, max_length=8.0 * r0,
-                        detect_closure=False,
-                        known_umbilics=tuple(np.unique(lanes.x0, axis=0)),
-                        exclusion_radius_factor=_FATE_DEPTH * r0 / diam)
-    trajs = trace_lanes(
-        surface, uv, [MINIMAL if m else MAXIMAL for m in lanes.minimal],
-        opts, headings=lanes.x0 - surface.point(uv[:, 0], uv[:, 1]))
-    r_deep = opts.exclusion_radius_factor * diam    # the lanes' own radius
-    fate = np.full(len(alphas), _FATE_STUCK, dtype=int)
-    for i, traj in enumerate(trajs):
-        dist = np.linalg.norm(traj.points_xyz - lanes.x0[i], axis=1)
-        ends = np.flatnonzero((dist < r_deep) | (dist > 5.0 * r0))
-        if len(ends):
-            fate[i] = _FATE_ENTER if dist[ends[0]] < r_deep else _FATE_EXIT
-    return fate
+    a, b, c = m.a, m.b, m.c
+    lines = [0.0] if (b - a) * (a - 2.0 * b) < 0.0 else []
+    disc = c * c - 4.0 * b * (a - 2.0 * b)
+    if disc > 0.0:
+        for p in ((c - math.sqrt(disc)) / (2.0 * b),
+                  (c + math.sqrt(disc)) / (2.0 * b)):
+            if p * p > a / b - 2.0:
+                lines.append(math.atan(p))
+    rays = {MINIMAL: [], MAXIMAL: []}
+    for theta in lines:
+        u, v = math.cos(theta), math.sin(theta)
+        excess = ((a - b) * u ** 3 + (5.0 * b - a) * u * v * v + c * v ** 3
+               - c * u * u * v)
+        out, back = (MAXIMAL, MINIMAL) if excess > 0.0 else (MINIMAL, MAXIMAL)
+        rays[out].append(theta % (2.0 * math.pi))
+        rays[back].append(theta + math.pi)
+    return {fol: sorted(angs) for fol, angs in rays.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -801,39 +621,21 @@ def refine_umbilic_record(surface, seed):
                          hk_residual=float(s_final))
 
 
-def classify_umbilic(surface, rec, with_separatrices=True):
-    """Monge extraction, type, index, and (optionally) separatrices."""
+def classify_umbilic(surface, rec):
+    """Monge extraction, type, index and, at a Darbouxian umbilic, the
+    separatrix rays."""
     m = monge_form(surface, rec)
     typ, margin = classify(m)
-    rec = replace(rec, monge=m, type=typ, index=index_for_type(typ),
-                  margin=margin)
-    if with_separatrices and typ in (D1, D2, D3):
-        seps, conf = separatrix_directions(surface, rec)
-        rec = replace(rec, separatrices=seps, separatrix_confidence=conf)
-    return rec
+    seps = separatrix_directions(m) if typ in (D1, D2, D3) else {}
+    return replace(rec, monge=m, type=typ, index=index_for_type(typ),
+                   margin=margin, separatrices=seps)
 
 
-def classify_umbilics(surface, recs, with_separatrices=True):
-    """:func:`classify_umbilic` for all located umbilics of a surface; the
-    separatrices of the Darbouxian ones are found together (one batched
-    circle scan and one batched fate run)."""
-    recs = [classify_umbilic(surface, rec, with_separatrices=False)
-            for rec in recs]
-    darboux = [k for k, rec in enumerate(recs) if rec.type in (D1, D2, D3)]
-    if with_separatrices and darboux:
-        rays = _separatrix_rays(surface, [recs[k] for k in darboux])
-        for k, (seps, conf) in zip(darboux, rays):
-            recs[k] = replace(recs[k], separatrices=seps,
-                              separatrix_confidence=conf)
-    return recs
-
-
-def analyze_umbilics(surface, grid=32, with_separatrices=True):
+def analyze_umbilics(surface, grid=32):
     found = locate_umbilics(surface, grid=grid)
     if isinstance(found, AllUmbilicSurface):
         return found
-    return classify_umbilics(surface, found,
-                             with_separatrices=with_separatrices)
+    return [classify_umbilic(surface, rec) for rec in found]
 
 
 @dataclass(frozen=True)

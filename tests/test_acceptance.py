@@ -87,8 +87,7 @@ def test_criterion_2_classifier_grid():
                 mismatches += 1
             g = catalog.monge_graph_chart(1.0, a, b, c, extent=0.35)
             rec = umbilics.refine_umbilic_record(g, (0.0, 0.0))
-            rec = umbilics.classify_umbilic(g, rec,
-                                            with_separatrices=False)
+            rec = umbilics.classify_umbilic(g, rec)
             if rec.type != want:
                 roundtrip_failures += 1
             checked += 1

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -291,14 +292,25 @@ def test_condition_b_quotes_dropped_seeds_by_reason():
         (MAXIMAL, (0.1, 0.2), "no root of the return displacement")])
     drops = ["2 seed(s) dropped: no root of the return displacement",
              "1 seed(s) dropped: closing trace ended HitUmbilic"]
-    passed = catalog._cycle_verdict([], log)
-    assert passed.status == "pass" and passed.witnesses == drops
+    undecided = catalog._cycle_verdict([], log)
+    assert undecided.status == "inconclusive"
+    assert undecided.detail == ("0 cycle(s) found, all hyperbolic, but 3 "
+                                "of 3 seed(s) gave no cycle")
+    assert undecided.witnesses == drops
     flat = cycles.PrincipalCycle(MAXIMAL, None, 6.0, (0.3, 0.9),
                                  np.zeros(3), np.zeros(3), np.zeros(3),
                                  tprime_fd=1.0, tprime_fd_error=1e-9)
     failed = catalog._cycle_verdict([flat], log)
     assert failed.status == "fail"
     assert failed.witnesses == ["maximal cycle, log T' = 0.000e+00"] + drops
+    # a seed that found an earlier cycle again is decided
+    steep = replace(flat, tprime_fd=2.0, hyperbolic=True)
+    duplicate = cycles.SearchLog(
+        dropped=[(MAXIMAL, (0.3, 0.4), cycles.DUPLICATE_SEED)])
+    passed = catalog._cycle_verdict([steep], duplicate)
+    assert passed.status == "pass"
+    assert passed.witnesses == [
+        "1 seed(s) dropped: duplicate of an earlier cycle"]
 
 
 def test_condition_d_passes_only_when_every_line_is_decided():

@@ -36,9 +36,9 @@ def test_parse_quadric_spec_with_fractions():
 
 def test_config_file_parsing(tmp_path):
     cfg = tmp_path / "run.cfg"
-    cfg.write_text("# comment\ngrid = 20\nno-separatrices = true\n")
+    cfg.write_text("# comment\ngrid = 20\nsvg = true\n")
     opts = load_config_file(cfg)
-    assert opts == {"grid": "20", "no_separatrices": "true"}
+    assert opts == {"grid": "20", "svg": "true"}
 
 
 def test_report_document_roundtrip():
@@ -94,7 +94,7 @@ def test_cli_strata_and_exit_codes(tmp_path, capsys):
 def test_cli_umbilics_torus_empty(tmp_path):
     out = tmp_path / "o2"
     assert run_cli(["umbilics", "--surface", "torus:2,1", "--grid", "20",
-                    "--no-separatrices", "--out", str(out)]) == 0
+                    "--svg", "--out", str(out)]) == 0
     rep = json.loads((out / "report.json").read_text())
     assert rep["results"]["umbilics"] == []
     assert rep["results"]["index_sum"]["sum"] == 0
@@ -147,15 +147,16 @@ def test_cli_rerun_byte_identical(tmp_path):
     for name in ("r1", "r2"):
         out = tmp_path / name
         assert run_cli(["umbilics", "--surface", "ellipsoid:3,2,1",
-                        "--grid", "24", "--no-separatrices",
+                        "--grid", "24", "--svg",
                         "--out", str(out), "--seed", "5"]) == 0
-        outs.append((out / "report.json").read_bytes())
+        outs.append((out / "report.json").read_bytes()
+                    + (out / "scene.svg").read_bytes())
     assert outs[0] == outs[1]
 
 
 def test_cli_config_file_merges(tmp_path):
     cfg = tmp_path / "a.cfg"
-    cfg.write_text("grid = 20\nno_separatrices = true\n")
+    cfg.write_text("grid = 20\nsvg = true\n")
     out = tmp_path / "o5"
     assert run_cli(["umbilics", "--surface", "torus:2,1",
                     "--config", str(cfg), "--out", str(out)]) == 0

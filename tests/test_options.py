@@ -1,4 +1,5 @@
-"""Every settable value of the package is set by some caller.
+"""Every settable value of the package is set by some caller, and every
+name the package defines is used.
 
 A keyword parameter with a default that no call passes, or a field of an
 options record that no call sets, is configuration that nothing runs at a
@@ -14,9 +15,17 @@ its class name.
 Exempt: the surface builders of ``catalog._BUILDERS``.  Their shape
 parameters arrive from a surface spec through ``make_surface(*params)``,
 a call the scan cannot resolve.
+
+A second scan reads every function, method, class and module-level
+constant the package defines, and asks for a reference to its name
+somewhere in ``src/``, ``tests/`` or ``bench/`` outside its own definition:
+a loaded name or attribute, an imported name, or a string equal to the
+name (the benchmark's span wrappers look functions up by string).  Dunder
+names are called by the language and are exempt.
 """
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 from principal_config import catalog
@@ -118,3 +127,71 @@ def test_every_settable_value_is_set_by_a_caller():
     assert unset_values([p.read_text() for p in PACKAGE],
                         [p.read_text() for p in CALLERS],
                         exempt=builders) == []
+
+
+def _definitions(tree):
+    """(name, node) of every function, method and class, and every name a
+    module-level assignment binds."""
+    out = []
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                             ast.ClassDef)):
+            out.append((node.name, node))
+            if isinstance(node, ast.ClassDef):
+                out.extend((child.name, child) for child in node.body
+                           if isinstance(child, (ast.FunctionDef,
+                                                 ast.AsyncFunctionDef)))
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) \
+                else [node.target]
+            out.extend((t.id, node) for target in targets
+                       for t in ast.walk(target) if isinstance(t, ast.Name))
+    return [(name, node) for name, node in out
+            if not (name.startswith("__") and name.endswith("__"))]
+
+
+def _references(node):
+    """Counter of the names that ``node`` reads, imports or spells out."""
+    refs = Counter()
+    for n in ast.walk(node):
+        if isinstance(n, ast.Name) and not isinstance(n.ctx, ast.Store):
+            refs[n.id] += 1
+        elif isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load):
+            refs[n.attr] += 1
+        elif isinstance(n, ast.ImportFrom):
+            refs.update(alias.name for alias in n.names)
+        elif isinstance(n, ast.Constant) and isinstance(n.value, str) \
+                and n.value.isidentifier():
+            refs[n.value] += 1
+    return refs
+
+
+def unreferenced_names(package_sources, caller_sources):
+    """Each name the package defines that nothing references outside its
+    own definition."""
+    refs = Counter()
+    for src in caller_sources:
+        refs.update(_references(ast.parse(src)))
+    return sorted({name for src in package_sources
+                   for name, node in _definitions(ast.parse(src))
+                   if refs[name] <= _references(node)[name]})
+
+
+def test_dead_name_scan_flags_only_unreferenced_names():
+    package = (
+        "LIMIT = 3\n_UNUSED = 4\nA, B = 1, 2\n"
+        "def used(n):\n    return n if n < LIMIT else used(n - 1)\n"
+        "def recursive(n):\n    return recursive(n - 1)\n"
+        "def by_string():\n    pass\n"
+        "class K:\n"
+        "    def __init__(self):\n        self.m()\n"
+        "    def m(self):\n        return A\n"
+        "    def dead(self):\n        return B\n")
+    callers = "used(1)\nK()\nSPANS = [('mod', 'by_string')]\n"
+    assert unreferenced_names([package], [package, callers]) == [
+        "_UNUSED", "dead", "recursive"]
+
+
+def test_every_defined_name_is_referenced():
+    assert unreferenced_names([p.read_text() for p in PACKAGE],
+                              [p.read_text() for p in CALLERS]) == []

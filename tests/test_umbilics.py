@@ -6,7 +6,12 @@ import pytest
 from principal_config import catalog, umbilics
 from principal_config.errors import (ConvergenceError, InconclusiveError,
                                      RegularityError)
-from principal_config.geometry import MAXIMAL, MINIMAL, FiniteDifferenceChart
+from principal_config.foliation import (TERM_HIT_UMBILIC, TraceOptions,
+                                        chart_point_near, chart_points_near,
+                                        trace)
+from principal_config.geometry import (MAXIMAL, MINIMAL,
+                                       FiniteDifferenceChart, chart_bundle,
+                                       principal_direction_fast)
 from principal_config.umbilics import (AllUmbilicSurface, classify,
                                        classify_direct, classify_umbilic,
                                        index_sum_check, locate_umbilics,
@@ -147,7 +152,7 @@ def test_classifier_and_roundtrip(abc, want):
     a, b, c = abc
     g = catalog.monge_graph_chart(1.0, a, b, c, extent=0.6)
     rec = refine_umbilic_record(g, (0.0, 0.0))
-    rec = classify_umbilic(g, rec, with_separatrices=False)
+    rec = classify_umbilic(g, rec)
     assert rec.type == want
     assert classify_direct(a, b, c) == want
 
@@ -191,7 +196,9 @@ def test_classification_scale_and_branch_invariance(rng):
         A2 = (c / 6) / 4
         B1 = (3 * a / 6 + b / 2) / 4
         B2 = -(3 * c / 6) / 4
-        for phi in umbilics.kill_rotation_angles(A1, A2, B1, B2):
+        roots = umbilics.kill_rotation_angles(A1, A2, B1, B2)
+        assert roots[0] < 1e-12      # the input is in normal form already
+        for phi in roots:
             aa, c21, bb, cc = rotate_monge_cubic(a, b, c, phi)
             assert abs(c21) < 1e-9
             m3 = M()
@@ -200,76 +207,158 @@ def test_classification_scale_and_branch_invariance(rng):
                 assert classify(m3)[0] == base
 
 
+def test_kill_rotation_angles_find_every_root(rng):
+    # oracle: the sign changes of the rotated x^2 y coefficient on a fine
+    # grid of [0, pi); near-double roots are skipped
+    grid = np.linspace(0.0, math.pi, 20001)
+    checked = 0
+    for _ in range(200):
+        A1, A2, B1, B2 = rng.normal(size=4)
+        c21 = -3 * (A2 * np.cos(3 * grid) + A1 * np.sin(3 * grid)) \
+            - (B2 * np.cos(grid) + B1 * np.sin(grid))
+        roots = umbilics.kill_rotation_angles(A1, A2, B1, B2)
+        if len(roots) > 1 and min(np.diff(roots)) < 1e-3:
+            continue
+        assert len(roots) == np.count_nonzero(np.diff(np.sign(c21)))
+        for phi in roots:
+            assert 0.0 <= phi < math.pi
+            assert abs(-3 * (A2 * math.cos(3 * phi) + A1 * math.sin(3 * phi))
+                       - (B2 * math.cos(phi) + B1 * math.sin(phi))) < 1e-12
+        checked += 1
+    assert checked > 150
+
+
+@pytest.mark.parametrize("extent", [0.6, 0.8])
+def test_every_umbilic_of_a_graph_gets_a_normal_form(extent):
+    # the graph's second umbilic, at (0.5, 0), is in normal form to
+    # roundoff: the one kill angle lies a roundoff distance below 0, which
+    # is below pi in [0, pi) and folds to 0
+    g = catalog.monge_graph_chart(1.0, 4.0, 1.0, 0.0, extent=extent)
+    recs = umbilics.analyze_umbilics(g, grid=32)
+    assert sorted(round(r.uv[0], 6) for r in recs) == [0.0, 0.5]
+    for rec in recs:
+        assert rec.type == "D1"
+        assert rec.monge.residual_x2y < 1e-9
+        assert [len(rec.separatrices[f]) for f in (MINIMAL, MAXIMAL)] == [1, 1]
+
+
 @pytest.mark.parametrize("abc,count", [((4.0, 1.0, 0.0), 1),
                                        ((1.5, 1.0, 0.0), 2),
                                        ((0.5, 1.0, 0.0), 3),
-                                       ((-0.4, 1.0, 0.3), 3)])
+                                       ((-0.4, 1.0, 0.3), 3),
+                                       ((1.7, 1.0, 0.5), 2),
+                                       ((2.5, 1.0, 2.0), 2)])
 def test_separatrix_counts_match_subscript(abc, count):
     g = catalog.monge_graph_chart(1.0, *abc, extent=0.6)
     rec = refine_umbilic_record(g, (0.0, 0.0))
-    rec = classify_umbilic(g, rec, with_separatrices=True)
+    rec = classify_umbilic(g, rec)
     for fol in ("minimal", "maximal"):
         assert len(rec.separatrices[fol]) == count
-        assert rec.separatrix_confidence[fol] == "ok"
+    # the two half-lines of each separatrix line, one per foliation
+    back = sorted((a + math.pi) % (2 * math.pi)
+                  for a in rec.separatrices["minimal"])
+    assert np.allclose(back, rec.separatrices["maximal"], atol=1e-12)
     if count == 3:
         angs = rec.separatrices["minimal"]
         gaps = np.diff(sorted(angs))
         assert np.all(gaps > math.radians(20.0))
 
 
-def _d2_graph_record():
-    g = catalog.monge_graph_chart(1.0, 1.5, 1.0, 0.0, extent=0.6)
-    rec = classify_umbilic(g, refine_umbilic_record(g, (0.0, 0.0)))
-    assert rec.type == "D2"
-    return g, rec
+def _graph_record(a, b, c):
+    g = catalog.monge_graph_chart(1.0, a, b, c, extent=0.6)
+    return g, classify_umbilic(g, refine_umbilic_record(g, (0.0, 0.0)))
 
 
-def test_fate_tells_the_parabolic_fan_from_a_hyperbolic_sector():
-    g, rec = _d2_graph_record()
-    # the two minimal separatrices of the monstar bound its parabolic fan
-    lo, hi = rec.separatrices[MINIMAL]
-    fan = 0.5 * (lo + hi)
-    lanes = umbilics._Lanes.of([rec, rec], [MINIMAL, MINIMAL])
-    fate = umbilics._terminal_fate(g, lanes, np.array([fan, fan + math.pi]),
-                                   1e-3 * g.diameter())
-    assert list(fate) == [umbilics._FATE_ENTER, umbilics._FATE_EXIT]
+def _radial_alignment(g, rec, fol, angles, radius):
+    """sin and cos of twice the angle between the foliation and the
+    radial direction, at ``angles`` on a circle about the umbilic in its
+    Monge frame (brute-force oracle)."""
+    fr = rec.monge.frame
+    targets = fr.origin + radius * (np.cos(angles)[:, None] * fr.e1
+                                    + np.sin(angles)[:, None] * fr.e2)
+    uv = chart_points_near(g, targets, rec.uv)
+    b = chart_bundle(g, uv[:, 0], uv[:, 1])
+    d = b["d1_xyz" if fol == MINIMAL else "d2_xyz"]
+    radial = b["r"] - fr.origin
+    radial /= np.linalg.norm(radial, axis=1)[:, None]
+    cos = np.sum(d * radial, axis=1)
+    sin = np.sum(d * np.cross(b["normal"], radial), axis=1)
+    norm = cos * cos + sin * sin
+    return 2 * cos * sin / norm, (cos * cos - sin * sin) / norm
 
 
-def test_fate_lane_does_not_depend_on_its_batch(ellipsoid,
-                                                ellipsoid_records):
-    g, rec = _d2_graph_record()
-    angles = np.radians(np.arange(0.0, 360.0, 30.0))
-    for surface, recs in ((g, [rec]), (ellipsoid, ellipsoid_records[:2])):
-        r0 = 1e-3 * surface.diameter()
-        owners = [(r, fol) for r in recs for fol in (MINIMAL, MAXIMAL)]
-        lanes = umbilics._Lanes.of(*zip(*[o for o in owners
-                                          for _ in angles]))
-        alphas = np.tile(angles, len(owners))
-        batch = umbilics._terminal_fate(surface, lanes, alphas, r0)
-        assert set(batch) == {umbilics._FATE_ENTER, umbilics._FATE_EXIT}
-        for k in range(0, len(alphas), 5):
-            alone = umbilics._terminal_fate(surface, lanes.take([k]),
-                                            alphas[k:k + 1], r0)
-            assert alone[0] == batch[k]
-
-
-def test_d3_alignment_oracle_at_reported_rays():
-    # the reported rays must be sharp zeros of the radial-alignment
-    # function measured at 0.1 degree resolution (brute-force oracle)
-    g = catalog.monge_graph_chart(1.0, 0.5, 1.0, 0.0, extent=0.6)
-    rec = refine_umbilic_record(g, (0.0, 0.0))
-    rec = classify_umbilic(g, rec, with_separatrices=True)
-    r0 = 1e-3 * g.diameter()
-    for fol in ("minimal", "maximal"):
-        for ang in rec.separatrices[fol]:
+def test_alignment_oracle_at_reported_rays():
+    # each reported ray of a D1, two D2 and a D3 graph is a sharp zero of
+    # the radial-alignment function measured at 0.1 degree resolution
+    for abc in ((4.0, 1.0, 0.0), (1.5, 1.0, 0.0), (2.5, 1.0, 2.0),
+                (0.5, 1.0, 0.0)):
+        g, rec = _graph_record(*abc)
+        radius = 5e-4 * g.diameter()
+        for fol, ang in ((f, a) for f in (MINIMAL, MAXIMAL)
+                         for a in rec.separatrices[f]):
             probes = ang + np.radians(np.arange(-0.5, 0.51, 0.1))
-            lanes = umbilics._Lanes.of([rec] * len(probes),
-                                       [fol] * len(probes))
-            z, w = umbilics._alignment_values(g, lanes, probes, 0.5 * r0)
+            z, w = _radial_alignment(g, rec, fol, probes, radius)
             mid = len(probes) // 2
             assert abs(z[mid]) < 5e-3 and w[mid] > 0.9
             assert abs(z[0]) > abs(z[mid]) and abs(z[-1]) > abs(z[mid])
             assert z[0] * z[-1] < 0.0
+
+
+def _inward(g, rec, fol, angle, radius):
+    """The leaf of ``fol`` through the point at ``angle`` and ``radius``
+    in the umbilic's Monge frame, traced towards the umbilic."""
+    fr = rec.monge.frame
+    target = fr.origin + radius * (math.cos(angle) * fr.e1
+                                   + math.sin(angle) * fr.e2)
+    uv = chart_point_near(g, target, rec.uv)
+    _, p, d, _ = principal_direction_fast(g, uv[0], uv[1], fol == MINIMAL)
+    opts = TraceOptions(rel_tol=1e-10, max_length=2 * radius,
+                        initial_sign=1 if d @ (rec.xyz - p) > 0 else -1,
+                        known_umbilics=(rec,),
+                        exclusion_radius_factor=0.05 * radius / g.diameter(),
+                        detect_closure=False)
+    return trace(g, uv, fol, opts)
+
+
+def _polar_drift(g, rec, fol, angle, offset, radius):
+    """Angle off the half-line at ``angle`` of a leaf started ``offset``
+    off it, where the leaf first comes within radius / 5 of the umbilic."""
+    traj = _inward(g, rec, fol, angle + offset, radius)
+    fr = rec.monge.frame
+    w = traj.points_xyz - fr.origin
+    k = np.flatnonzero(np.linalg.norm(w, axis=1) < 0.2 * radius)[0]
+    polar = math.atan2(w[k] @ fr.e2, w[k] @ fr.e1)
+    return (polar - angle + math.pi) % (2 * math.pi) - math.pi
+
+
+@pytest.mark.parametrize("abc,fan", [((1.5, 1.0, 0.0), 0.0),
+                                     ((2.5, 1.0, 2.0),
+                                      math.atan(1.0 - math.sqrt(0.5)))],
+                         ids=["x-axis-fan", "a/b>2"])
+def test_a_parabolic_fan_is_not_a_separatrix(abc, fan):
+    # D2: of the three radial lines y = p x, p (b p^2 - c p + a - 2b) = 0,
+    # the unreported one (maximal at angle ``fan``, minimal opposite) is
+    # the node of the blown-up line field.  Leaves started beside it close
+    # in on it on their way into the umbilic; leaves started beside a
+    # reported separatrix turn away from it.
+    g, rec = _graph_record(*abc)
+    radius = 4e-3 * g.diameter()
+    offset = math.radians(0.5)
+    reported = rec.separatrices[MINIMAL] + rec.separatrices[MAXIMAL]
+    for half in (fan, fan + math.pi):
+        assert min(abs((a - half + math.pi) % (2 * math.pi) - math.pi)
+                   for a in reported) > 0.1
+    for fol, half in ((MAXIMAL, fan), (MINIMAL, fan + math.pi)):
+        assert _inward(g, rec, fol, half, radius).termination == \
+            TERM_HIT_UMBILIC
+        for side in (-1, 1):
+            drift = _polar_drift(g, rec, fol, half, side * offset, radius)
+            assert 0.0 < side * drift < 0.9 * offset
+    for fol in (MINIMAL, MAXIMAL):
+        for ang in rec.separatrices[fol]:
+            for side in (-1, 1):
+                drift = _polar_drift(g, rec, fol, ang, side * offset, radius)
+                assert side * drift > 1.1 * offset
 
 
 def test_ellipsoid_umbilics_are_d1_with_planar_separatrices(
@@ -290,8 +379,7 @@ def test_winding_index_estimator(ellipsoid, ellipsoid_records):
         assert winding_index(ellipsoid, rec) == pytest.approx(rec.index,
                                                               abs=1e-6)
     g = catalog.monge_graph_chart(1.0, 0.5, 1.0, 0.0, extent=0.6)
-    rec = classify_umbilic(g, refine_umbilic_record(g, (0.0, 0.0)),
-                           with_separatrices=False)
+    rec = classify_umbilic(g, refine_umbilic_record(g, (0.0, 0.0)))
     assert winding_index(g, rec) == pytest.approx(-0.5, abs=1e-6)
 
 
@@ -316,7 +404,6 @@ def test_monge_reconstruction_order(ellipsoid, ellipsoid_records):
     fr = m.frame
     radii = np.array([3e-3, 6e-3, 1.2e-2, 2.4e-2])
     errs = []
-    from principal_config.foliation import chart_point_near
     for rho in radii:
         worst = 0.0
         for ang in np.linspace(0, 2 * math.pi, 8, endpoint=False):
