@@ -2,8 +2,8 @@
 
 The surface builders return charts whose partial derivatives are analytic
 (separable Harmonics/Poly terms, see :mod:`principal_config.jets`, or the
-rotated-cap ellipsoid's closed-form jet), or implicit level sets with
-hand-coded gradient/Hessian/third tensors.  Orientation defaults
+rotated-cap ellipsoid's closed-form jet), or implicit level sets with a
+hand-coded one-point value, gradient and Hessian.  Orientation defaults
 put the unit normal inward on the closed convex surfaces (positive
 principal curvatures) and outward on the torus family; each builder
 documents its choice.
@@ -12,7 +12,6 @@ documents its choice.
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 from collections import Counter
 from dataclasses import dataclass, field
@@ -409,38 +408,24 @@ def cubic_levelset_surface(rho, a=3.0, b=2.0):
         raise ParamError("rho too large; compact component not guaranteed")
     ia2, ib2 = 1.0 / (a * a), 1.0 / (b * b)
 
-    # the point axis goes first (p.T), so one point runs on numpy scalars
     def f(p):
-        x, y, z = p.T
-        return (x * x * ia2 + y * y * ib2 + z * z + rho * x * y * z - 1.0).T
+        x, y, z = p.tolist()
+        return x * x * ia2 + y * y * ib2 + z * z + rho * x * y * z - 1.0
 
     def grad(p):
-        x, y, z = p.T
-        out = np.empty(p.T.shape)
-        out[0] = 2 * x * ia2 + rho * y * z
-        out[1] = 2 * y * ib2 + rho * x * z
-        out[2] = 2 * z + rho * x * y
-        return out.T
+        x, y, z = p.tolist()
+        return np.array((2 * x * ia2 + rho * y * z, 2 * y * ib2 + rho * x * z,
+                         2 * z + rho * x * y))
 
     def hess(p):
-        x, y, z = p.T
-        out = np.empty((3,) + p.T.shape)
-        out[0, 0], out[1, 1], out[2, 2] = 2 * ia2, 2 * ib2, 2.0
-        out[0, 1] = out[1, 0] = rho * z
-        out[0, 2] = out[2, 0] = rho * y
-        out[1, 2] = out[2, 1] = rho * x
-        return out.T
-
-    T = np.zeros((3, 3, 3))
-    for perm in itertools.permutations(range(3)):
-        T[perm] = rho
-
-    def third(p):
-        return np.broadcast_to(T, np.shape(p)[:-1] + (3, 3, 3))
+        x, y, z = p.tolist()
+        hxy, hxz, hyz = rho * z, rho * y, rho * x
+        return np.array((2 * ia2, hxy, hxz, hxy, 2 * ib2, hyz,
+                         hxz, hyz, 2.0)).reshape(3, 3)
 
     pad = 0.5
     return ImplicitSurface(
-        f=f, grad=grad, hess=hess, third=third, level=0.0,
+        f=f, grad=grad, hess=hess, level=0.0,
         bounding_box=((-a - pad, -b - pad, -1 - pad),
                       (a + pad, b + pad, 1 + pad)),
         orientation=-1, name="s_rho",

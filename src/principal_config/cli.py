@@ -427,17 +427,17 @@ def main(argv=None):
                      for a in (argv or sys.argv[1:])
                      if a.startswith("--")}
         for key, value in file_opts.items():
-            if key in specified or not hasattr(args, key):
+            if not hasattr(args, key):
+                print(f"config error: unknown key {key!r}", file=sys.stderr)
+                return EXIT_USAGE
+            if key in specified:
                 continue
             current = getattr(args, key)
             if isinstance(current, bool):
-                setattr(args, key, value.lower() in ("1", "true", "yes"))
-            elif isinstance(current, int):
-                setattr(args, key, int(value))
-            elif isinstance(current, float):
-                setattr(args, key, float(value))
-            else:
-                setattr(args, key, value)
+                value = value.lower() in ("1", "true", "yes")
+            elif isinstance(current, (int, float)):
+                value = type(current)(value)
+            setattr(args, key, value)
     try:
         return args.fn(args)
     except ParamError as exc:

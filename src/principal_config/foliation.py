@@ -181,8 +181,9 @@ _CLOSURE_MIN_LENGTH = 2e-2
 _BISECTIONS = 40             # per crossing or closure, see _bisect_step
 _T_LAST = 1.0 - 0.5 ** (_BISECTIONS + 1)   # the largest fraction it returns
 
-# Dormand-Prince 5(4) tableau
-_DP_A = [
+# Dormand-Prince 5(4) tableau: row i of _DP_AM weighs the stages of stage
+# i's state, the last row is y5 (first same as last), and _DP_E gives y5 - y4
+_DP_AM = np.array([row + [0.0] * (7 - len(row)) for row in [
     [],
     [1 / 5],
     [3 / 40, 9 / 40],
@@ -190,11 +191,11 @@ _DP_A = [
     [19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729],
     [9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656],
     [35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84],
-]
-_DP_B5 = np.array([35 / 384, 0.0, 500 / 1113, 125 / 192,
-                   -2187 / 6784, 11 / 84, 0.0])
+]])
+_DP_B5 = _DP_AM[6]
 _DP_B4 = np.array([5179 / 57600, 0.0, 7571 / 16695, 393 / 640,
                    -92097 / 339200, 187 / 2100, 1 / 40])
+_DP_E = _DP_B5 - _DP_B4
 
 
 # direction-field sample: state velocity plus world data
@@ -528,20 +529,23 @@ def trace_lanes(surface, starts, foliation_id, opts=None, headings=None,
 
             evals[idx] += 6
             hh, mi, ref = h[idx], minimal[idx], tan[idx]
-            y0, hc = y[idx], hh[:, None]
-            ks = [vel[idx]]
+            y0, hc, n = y[idx], hh[:, None], len(idx)
+            # row i of K holds stage i's velocities, lane after lane; einsum
+            # sums each column alone, where BLAS rounds by the lane count
+            K = np.zeros((7, 2 * n))
+            K[0] = vel[idx].reshape(-1)
             for i in range(1, 7):
-                yi = y0 + hc * sum(a * ks[j] for j, a in enumerate(_DP_A[i]))
+                yi = y0 + hc * np.einsum("j,jk", _DP_AM[i], K).reshape(n, 2)
                 last = _lane_field(surface, yi, mi, ref)
-                ks.append(last[0])
-            y5 = y0 + hc * sum(b * k for b, k in zip(_DP_B5, ks))
-            y4 = y0 + hc * sum(b * k for b, k in zip(_DP_B4, ks))
+                K[i] = last[0].reshape(-1)
+            y5 = y0 + hc * np.einsum("j,jk", _DP_B5, K).reshape(n, 2)
             # a stage on a chart singularity: shorter steps dodge it
-            failed = ~np.all(np.isfinite(np.stack(ks)), axis=(0, 2))
+            failed = ~np.all(np.isfinite(K.reshape(7, n, 2)), axis=(0, 2))
             tol = rtol[idx] * np.maximum(hh, 1e-3 * h_max)
-            err = np.linalg.norm(y5 - y4, axis=1) * (
+            err = np.linalg.norm(
+                hc * np.einsum("j,jk", _DP_E, K).reshape(n, 2), axis=1) * (
                 np.linalg.norm(ref, axis=1)
-                / np.maximum(np.linalg.norm(ks[0], axis=1), 1e-300))
+                / np.maximum(np.linalg.norm(vel[idx], axis=1), 1e-300))
             ratio = tol / np.maximum(err, 1e-300)
             reject = ~failed & ~(np.isfinite(err) & (err <= tol))
             accept = ~failed & ~reject
@@ -650,14 +654,14 @@ def _umbilic_points(known):
 
 
 def _dp_step(fld, y, k1, h):
-    ref = k1.tangent
+    """One DP5(4) step from ``y``: y5, the error y5 - y4 and the 7 stages."""
     ks = [k1]
+    K = np.zeros((7, len(y)))
+    K[0] = k1.vel
     for i in range(1, 7):
-        yi = y + h * sum(a * ks[j].vel for j, a in enumerate(_DP_A[i]))
-        ks.append(fld(yi, ref))
-    y5 = y + h * sum(b * k.vel for b, k in zip(_DP_B5, ks))
-    y4 = y + h * sum(b * k.vel for b, k in zip(_DP_B4, ks))
-    return y5, y5 - y4, ks
+        ks.append(fld(y + h * (_DP_AM[i] @ K), k1.tangent))
+        K[i] = ks[i].vel
+    return y + h * (_DP_B5 @ K), h * (_DP_E @ K), ks
 
 
 def _world_err(err_state, k1):

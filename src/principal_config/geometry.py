@@ -7,12 +7,12 @@ Two surface flavors are supported:
   is analytic (see :mod:`principal_config.jets`).  Subclasses override the
   jet: the rotated-cap ellipsoid in closed form, and a finite-difference
   fallback chart for user-supplied point functions.
-* ``ImplicitSurface``: a level set ``f = level`` with analytic gradient,
-  Hessian and (optionally) third-derivative tensor.
+* ``ImplicitSurface``: a level set ``f = level`` with analytic gradient
+  and Hessian, each evaluated at one point of shape (3,).
 
 The chart routines broadcast over trailing point axes; the dataclass
 wrappers are scalar conveniences on top of the array core.  The implicit
-kernel takes one point.  Everything here
+routines take one point and run on python floats.  Everything here
 is immutable after construction and free of shared mutable state.
 """
 
@@ -301,14 +301,14 @@ class FiniteDifferenceChart(SurfaceChart):
 class ImplicitSurface:
     """Level set ``f = level`` with analytic derivatives.
 
-    ``orientation=+1`` picks the unit normal along ``grad f`` (outward for
-    the standard closed quadrics), ``-1`` the opposite.
-    """
+    ``f``, ``grad`` and ``hess`` take one point of shape (3,) and return a
+    float, a (3,) array and a (3, 3) array.  ``orientation=+1`` picks the
+    unit normal along ``grad f`` (outward for the standard closed
+    quadrics), ``-1`` the opposite."""
 
     f: Callable
     grad: Callable
     hess: Callable
-    third: Callable | None = None
     level: float = 0.0
     bounding_box: tuple = ((-2.0, -2.0, -2.0), (2.0, 2.0, 2.0))
     orientation: int = 1
@@ -322,7 +322,7 @@ class ImplicitSurface:
         object.__setattr__(self, "_diameter", float(np.linalg.norm(hi - lo)))
 
     def value(self, p):
-        return np.asarray(self.f(np.asarray(p, dtype=float))) - self.level
+        return float(self.f(np.asarray(p, dtype=float))) - self.level
 
     def diameter(self):
         return self._diameter
@@ -338,11 +338,11 @@ class ImplicitSurface:
         scale = max(self._diameter, 1.0)
         for _ in range(max_iter):
             val = self.value(p)
-            if np.all(np.abs(val) < tol * scale):
+            if abs(val) < tol * scale:
                 return p
-            g = np.asarray(self.grad(p))
-            gg = np.sum(g * g, axis=-1, keepdims=True)
-            p = p - np.asarray(val)[..., None] * g / np.maximum(gg, 1e-300)
+            g = self.grad(p)
+            gx, gy, gz = g.tolist()
+            p = p - val * g / max(gx * gx + gy * gy + gz * gz, 1e-300)
         raise ConvergenceError(
             f"no projection onto {self.name} in {max_iter} Newton steps")
 
@@ -650,7 +650,7 @@ def implicit_bundle(surface, p, check_on_surface=True):
     :func:`shape_operator_eigen`.
     """
     p = np.asarray(p, dtype=float)
-    gx, gy, gz = np.asarray(surface.grad(p), dtype=float).tolist()
+    gx, gy, gz = surface.grad(p).tolist()
     gn = math.sqrt(gx * gx + gy * gy + gz * gz)
     floor = surface.regularity_floor()
     if gn <= floor:
@@ -658,35 +658,46 @@ def implicit_bundle(surface, p, check_on_surface=True):
             f"|grad f| <= {floor:.3e}: point rejected as critical on "
             f"{surface.name}")
     if check_on_surface:
-        val = abs(float(surface.value(p)))
+        val = abs(surface.value(p))
         if val > surface.on_surface_tol * max(surface.diameter(), 1.0):
             raise CriticalPointError(f"point off the level set by {val:.3e}")
 
     o = surface.orientation
-    n = [o * gx / gn, o * gy / gn, o * gz / gn]
-    mag = [abs(c) for c in n]
-    k = mag.index(min(mag))
-    t1 = [float(i == k) - n[k] * c for i, c in enumerate(n)]
-    tn = math.sqrt(t1[0] * t1[0] + t1[1] * t1[1] + t1[2] * t1[2])
-    t1 = [c / tn for c in t1]
-    t2 = [n[1] * t1[2] - n[2] * t1[1], n[2] * t1[0] - n[0] * t1[2],
-          n[0] * t1[1] - n[1] * t1[0]]
-    Hf = np.asarray(surface.hess(p), dtype=float).tolist()
-
-    def quad(a, b):
-        Hb = [r[0] * b[0] + r[1] * b[1] + r[2] * b[2] for r in Hf]
-        return a[0] * Hb[0] + a[1] * Hb[1] + a[2] * Hb[2]
+    nx, ny, nz = o * gx / gn, o * gy / gn, o * gz / gn
+    # t = e_k - n_k n on the axis k of the smallest |n_k|, then normalized;
+    # 0.0 - x keeps its zeros unsigned
+    if abs(nx) <= abs(ny) and abs(nx) <= abs(nz):
+        tx, ty, tz = 1.0 - nx * nx, 0.0 - nx * ny, 0.0 - nx * nz
+    elif abs(ny) <= abs(nz):
+        tx, ty, tz = 0.0 - ny * nx, 1.0 - ny * ny, 0.0 - ny * nz
+    else:
+        tx, ty, tz = 0.0 - nz * nx, 0.0 - nz * ny, 1.0 - nz * nz
+    tn = math.sqrt(tx * tx + ty * ty + tz * tz)
+    tx, ty, tz = tx / tn, ty / tn, tz / tn
+    bx, by, bz = ny * tz - nz * ty, nz * tx - nx * tz, nx * ty - ny * tx
+    (hxx, hxy, hxz), (hyx, hyy, hyz), (hzx, hzy, hzz) = \
+        surface.hess(p).tolist()
+    htx = hxx * tx + hxy * ty + hxz * tz
+    hty = hyx * tx + hyy * ty + hyz * tz
+    htz = hzx * tx + hzy * ty + hzz * tz
+    hbx = hxx * bx + hxy * by + hxz * bz
+    hby = hyx * bx + hyy * by + hyz * bz
+    hbz = hzx * bx + hzy * by + hzz * bz
 
     scale = -o / gn
     k1, k2, H, K, phi = shape_operator_eigen(
-        scale * quad(t1, t1), scale * quad(t1, t2), scale * quad(t2, t2))
+        scale * (tx * htx + ty * hty + tz * htz),
+        scale * (tx * hbx + ty * hby + tz * hbz),
+        scale * (bx * hbx + by * hby + bz * hbz))
     c, s = math.cos(phi), math.sin(phi)
-    dev = k2 - k1
     return {
-        "r": p, "normal": np.array(n), "k1": k1, "k2": k2, "H": H, "K": K,
-        "d1_xyz": np.array([c * x + s * y for x, y in zip(t1, t2)]),
-        "d2_xyz": np.array([-s * x + c * y for x, y in zip(t1, t2)]),
-        "umbilic_deviation": dev,
+        "r": p, "normal": np.array((nx, ny, nz)),
+        "k1": k1, "k2": k2, "H": H, "K": K,
+        "d1_xyz": np.array((c * tx + s * bx, c * ty + s * by,
+                            c * tz + s * bz)),
+        "d2_xyz": np.array((-s * tx + c * bx, -s * ty + c * by,
+                            -s * tz + c * bz)),
+        "umbilic_deviation": k2 - k1,
         "direction_tol": DIRECTION_TOL_FACTOR * max(abs(k1), abs(k2), 1.0),
     }
 

@@ -164,6 +164,16 @@ def test_cli_config_file_merges(tmp_path):
     assert rep["config"]["options"]["grid"] == 20
 
 
+def test_cli_config_file_unknown_key_is_a_usage_error(tmp_path, capsys):
+    cfg = tmp_path / "typo.cfg"
+    cfg.write_text("gird = 20\n")
+    out = tmp_path / "o6"
+    assert run_cli(["umbilics", "--surface", "torus:2,1",
+                    "--config", str(cfg), "--out", str(out)]) == 2
+    assert "config error: unknown key 'gird'" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_cli_sweep_rho_rejects_options_it_does_not_read(tmp_path, capsys):
     sweep = ["rotation", "--sweep-rho=0.05", "--n-seeds", "1"]
     for extra in (["--surface", "ellipsoid:3,2,1"], ["--tol", "1e-3"],

@@ -407,3 +407,26 @@ def test_chart_inversion_row_does_not_depend_on_its_batch(ellipsoid,
             w = ellipsoid.point(*alone) - targets[k]
             J = ellipsoid.jet(*alone)
             assert abs(w @ J[1, 0]) + abs(w @ J[0, 1]) < 1e-12 * diam
+
+
+def test_dp_step_is_the_dormand_prince_polynomial_on_a_linear_field():
+    # on y' = lam y one step multiplies y by R(h lam), the Dormand-Prince
+    # stability polynomial, and the embedded error estimate is O(h^5).
+    # Rounding is relative to the sum of the series' term sizes,
+    # R(|h lam|) |y0|, as the terms of R(h lam) cancel for lam < 0.
+    def R(z):
+        return sum(z ** k / math.factorial(k) for k in range(6)) + z ** 6 / 600
+
+    y0 = np.array([1.0, -0.5, 0.25])
+    for lam in (-1.0, 0.7, -2.3):
+        def fld(y, ref):
+            return foliation._FieldEval(lam * y, y, lam * y, None)
+
+        k1 = fld(y0, None)
+        for h in (0.1, 0.5, 1.3):
+            y5, _, _ = foliation._dp_step(fld, y0, k1, h)
+            scale = R(abs(h * lam)) * np.abs(y0).max()
+            assert np.abs(y5 - R(h * lam) * y0).max() <= 1e-15 * scale
+        errs = [np.linalg.norm(foliation._dp_step(fld, y0, k1, h)[1])
+                for h in (0.2, 0.1)]
+        assert 28.0 <= errs[0] / errs[1] <= 36.0

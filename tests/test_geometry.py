@@ -265,6 +265,32 @@ def test_implicit_kernel_is_exact_under_mirror_and_orientation():
         assert np.abs(frame @ frame.T - np.eye(3)).max() <= 1e-14
 
 
+def test_implicit_kernel_matches_an_independent_eigen_solve():
+    # the tangential eigenpairs of -o P Hf P / |grad f|, P = I - n n^T,
+    # from a 3x3 eigh: no frame rule and no 2x2 closed form
+    rng = np.random.default_rng(23)
+    for rho in (0.05, 0.0):
+        s = catalog.cubic_levelset_surface(rho, 3.0, 2.0)
+        for _ in range(40):
+            d = rng.normal(size=3)
+            p = s.project(1.5 * d / np.linalg.norm(d))
+            g = s.grad(p)
+            gn = np.linalg.norm(g)
+            n = s.orientation * g / gn
+            P = np.eye(3) - np.outer(n, n)
+            lam, vec = np.linalg.eigh(-s.orientation * P @ s.hess(p) @ P / gn)
+            tangential = np.argsort(np.abs(vec.T @ n))[:2]
+            order = tangential[np.argsort(lam[tangential])]
+            pd = implicit_principal_data(s, p)
+            scale = max(abs(pd.k1), abs(pd.k2), 1.0)
+            assert abs(pd.k1 - lam[order[0]]) <= 1e-12 * scale
+            assert abs(pd.k2 - lam[order[1]]) <= 1e-12 * scale
+            for mine, ref in ((pd.d1_xyz, vec[:, order[0]]),
+                              (pd.d2_xyz, vec[:, order[1]])):
+                assert min(np.abs(mine - ref).max(),
+                           np.abs(mine + ref).max()) <= 1e-10
+
+
 def test_project_raises_when_newton_does_not_converge():
     s = catalog.cubic_levelset_surface(0.05, 3.0, 2.0)
     with pytest.raises(ConvergenceError):
