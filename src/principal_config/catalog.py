@@ -905,16 +905,7 @@ def stability_report(surface, budget=None):
             "FailWitness")
     else:
         records = [umbilics.classify_umbilic(surface, rec) for rec in found]
-        bad = [r for r in records if r.type not in ("D1", "D2", "D3")]
-        if bad:
-            cond_a = ConditionVerdict(
-                "a", "fail",
-                f"{len(bad)} of {len(records)} umbilics non-Darbouxian",
-                [r.summary() for r in bad])
-        else:
-            cond_a = ConditionVerdict(
-                "a", "pass",
-                f"all {len(records)} umbilics Darbouxian", [])
+        cond_a = _umbilic_verdict(records)
 
     # (b) principal cycles hyperbolic
     seeds = _low_discrepancy_seeds(surface, budget.cycle_seeds, rng, records)
@@ -956,6 +947,27 @@ def stability_report(surface, budget=None):
     else:
         overall = "PassEvidence"
     return StabilityReport(cond_a, cond_b, cond_c, cond_d, overall)
+
+
+def _umbilic_verdict(records):
+    """Condition (a) from the classified umbilics: a non-Darbouxian one is
+    a witness; an unclassified one (its Monge form failed) leaves (a)
+    "inconclusive"."""
+    bad = [r for r in records
+           if r.type not in ("D1", "D2", "D3", umbilics.UNCLASSIFIED)]
+    unclassified = [r for r in records if r.type == umbilics.UNCLASSIFIED]
+    if bad:
+        return ConditionVerdict(
+            "a", "fail",
+            f"{len(bad)} of {len(records)} umbilics non-Darbouxian",
+            [r.summary() for r in bad])
+    if unclassified:
+        return ConditionVerdict(
+            "a", "inconclusive",
+            f"{len(unclassified)} of {len(records)} umbilics unclassified",
+            [r.summary() for r in unclassified])
+    return ConditionVerdict(
+        "a", "pass", f"all {len(records)} umbilics Darbouxian", [])
 
 
 def _cycle_verdict(found_cycles, log):

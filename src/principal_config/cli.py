@@ -436,7 +436,12 @@ def main(argv=None):
             if isinstance(current, bool):
                 value = value.lower() in ("1", "true", "yes")
             elif isinstance(current, (int, float)):
-                value = type(current)(value)
+                try:
+                    value = type(current)(value)
+                except ValueError:
+                    print(f"config error: {key} = {value!r} is not "
+                          f"{type(current).__name__}", file=sys.stderr)
+                    return EXIT_USAGE
             setattr(args, key, value)
     try:
         return args.fn(args)

@@ -762,6 +762,26 @@ _LATE_FRACTION = 0.3         # of the points, compared with known cycles
 _EPSILON_FACTOR = 1e-2       # radius of a recurrence ball, times diam
 _MIN_RETURNS = 20            # passes through it for recurrence evidence
 _BALL_CANDIDATES = 40        # ball centres tried on the early trajectory
+_NEAREST_BLOCK_BYTES = 1 << 20   # the largest temporary of nearest_distances
+
+
+def nearest_distances(points, queries):
+    """Euclidean distance from each row of ``queries`` (m, 3) to the
+    nearest row of ``points`` (n, 3), by brute force over blocks of query
+    rows, so that no temporary exceeds ``_NEAREST_BLOCK_BYTES``.  Squares
+    are summed x, y, z in turn, the order of a k-d tree query, so the
+    distances are the ones ``scipy.spatial.cKDTree.query`` returns."""
+    px, py, pz = np.ascontiguousarray(np.asarray(points, dtype=float).T)
+    queries = np.asarray(queries, dtype=float)
+    rows = max(1, _NEAREST_BLOCK_BYTES // (16 * len(px)))
+    out = np.empty(len(queries))
+    for start in range(0, len(queries), rows):
+        q = queries[start:start + rows]
+        sq = np.square(q[:, 0, None] - px)
+        sq += np.square(q[:, 1, None] - py)
+        sq += np.square(q[:, 2, None] - pz)
+        out[start:start + rows] = np.sqrt(sq.min(axis=1))
+    return out
 
 
 def omega_limit_classify(surface, traj, known=None):
@@ -775,8 +795,6 @@ def omega_limit_classify(surface, traj, known=None):
     evidence flag set.  The verdict never claims more than the finite data
     supports.
     """
-    from scipy.spatial import cKDTree
-
     known = known or KnownFeatures()
     if traj.termination == TERM_HIT_UMBILIC:
         return OmegaLimitResult("Umbilic", False,
@@ -794,7 +812,7 @@ def omega_limit_classify(surface, traj, known=None):
             pts = cyc.curve.points_xyz
         if pts is None or len(pts) < 2:
             continue
-        d, _ = cKDTree(pts).query(traj.points_xyz[-n_late:])
+        d = nearest_distances(pts, traj.points_xyz[-n_late:])
         n = len(d)
         if n >= 8:
             first, last = float(np.mean(d[: n // 3])), float(
@@ -944,7 +962,9 @@ def separatrix_connection_scan(surface, records, opts=None):
     inversion failed, no umbilic was reached within
     ``_SCAN_LENGTH_FACTOR`` diameters (the trace termination), the
     launches came near different umbilics, the bound could not be
-    measured, or the leaf reached an umbilic off its separatrix rays.
+    measured, the leaf reached an umbilic off its separatrix rays, or it
+    reached an unclassified umbilic, which has no rays.  An unclassified
+    umbilic launches nothing.
     """
     from .umbilics import location_error
 
@@ -992,6 +1012,8 @@ def separatrix_connection_scan(surface, records, opts=None):
             undetermined.append((i, fol, ang, "unmeasured-bound"))
         elif not sep.within_bound:
             continue
+        elif records[j].monge is None:
+            undetermined.append((i, fol, ang, "unclassified-target"))
         elif _ray_match(records[j], fol, plus.approach):
             connections[(min(i, j), max(i, j), fol)] = True
         else:

@@ -86,11 +86,13 @@ class UmbilicRecord:
     index: float | None = None
     margin: float = math.nan
     separatrices: dict = field(default_factory=dict)
+    failure: str | None = None                # why it stays UNCLASSIFIED
 
     def summary(self):
         x, y, z = self.xyz
+        why = f" ({self.failure})" if self.failure else ""
         return (f"{self.type} umbilic at ({x:+.6f}, {y:+.6f}, {z:+.6f}), "
-                f"margin {self.margin:.3g}")
+                f"margin {self.margin:.3g}{why}")
 
     def to_dict(self):
         m = self.monge
@@ -108,6 +110,7 @@ class UmbilicRecord:
             },
             "separatrices": {k: [float(a) for a in v]
                              for k, v in self.separatrices.items()},
+            "failure": self.failure,
         }
 
 
@@ -623,8 +626,12 @@ def refine_umbilic_record(surface, seed):
 
 def classify_umbilic(surface, rec):
     """Monge extraction, type, index and, at a Darbouxian umbilic, the
-    separatrix rays."""
-    m = monge_form(surface, rec)
+    separatrix rays.  A record whose Monge form fails stays UNCLASSIFIED,
+    with no separatrices and the reason in ``failure``."""
+    try:
+        m = monge_form(surface, rec)
+    except FrameError as exc:
+        return replace(rec, failure=f"no Monge form: {exc}")
     typ, margin = classify(m)
     seps = separatrix_directions(m) if typ in (D1, D2, D3) else {}
     return replace(rec, monge=m, type=typ, index=index_for_type(typ),

@@ -174,6 +174,16 @@ def test_cli_config_file_unknown_key_is_a_usage_error(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_cli_config_file_bad_value_is_a_usage_error(tmp_path, capsys):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text("grid = abc\n")
+    out = tmp_path / "o7"
+    assert run_cli(["umbilics", "--surface", "torus:2,1",
+                    "--config", str(cfg), "--out", str(out)]) == 2
+    assert "config error: grid = 'abc' is not int" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_cli_sweep_rho_rejects_options_it_does_not_read(tmp_path, capsys):
     sweep = ["rotation", "--sweep-rho=0.05", "--n-seeds", "1"]
     for extra in (["--surface", "ellipsoid:3,2,1"], ["--tol", "1e-3"],

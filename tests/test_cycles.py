@@ -135,6 +135,21 @@ def test_duplicate_cycles_merge(torus):
     assert len(found) == 1
 
 
+@pytest.mark.parametrize("n", [4, 73, 2000])
+def test_periodic_spline_matches_scipy(n):
+    from scipy.interpolate import CubicSpline
+    rng = np.random.default_rng(n)
+    s = np.concatenate([[0.0], np.cumsum(rng.uniform(0.05, 1.0, n - 1))])
+    values = rng.normal(size=(n, 2))
+    values[-1] = values[0]
+    x = np.concatenate([s, rng.uniform(s[0], s[-1], 3000)])
+    value, slope = cycles._periodic_spline(s, values, x)
+    ref = CubicSpline(s, values, bc_type="periodic")
+    scale = np.abs(values).max()
+    assert np.abs(value - ref(x)).max() <= 1e-12 * scale
+    assert np.abs(slope - ref(x, 1)).max() <= 1e-12 * scale
+
+
 def _raising_chart(error):
     def point(u, v):
         raise error("point function failed")

@@ -220,6 +220,17 @@ def test_omega_limit_direct_mappings(torus, ellipsoid, ellipsoid_records):
     assert res2.verdict == "Umbilic"
 
 
+def test_nearest_distances_are_the_kd_tree_distances():
+    rng = np.random.default_rng(13)
+    # the last set's temporaries span several blocks of query rows
+    assert 5000 * 300 * 2 * 8 > 2 * foliation._NEAREST_BLOCK_BYTES
+    for n_points, n_queries in ((1, 5), (40, 17), (5000, 300)):
+        points = rng.normal(size=(n_points, 3))
+        queries = rng.normal(size=(n_queries, 3))
+        d, _ = cKDTree(points).query(queries)
+        assert np.array_equal(foliation.nearest_distances(points, queries), d)
+
+
 def test_omega_limit_cycle_convergence(perturbed_torus):
     from principal_config import cycles as cyc_mod
     found = cyc_mod.find_cycles(perturbed_torus, [(0.4, 1.5)], MAXIMAL)

@@ -1,19 +1,25 @@
 """Every module of the package, and every test module, uses each name it
-imports.
+imports; and the package runs on numpy alone.
 
 No linter runs on this code base, so this AST scan keeps unused imports
 out.  A name imported into ``__init__.py`` and listed in its ``__all__``
-is a re-export and counts as used.
+is a re-export and counts as used.  The tests may use scipy as a
+reference; the package imports none of it, at import time or in a
+command.
 """
 
 import ast
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
-MODULES = (sorted((ROOT / "src" / "principal_config").glob("*.py"))
-           + sorted((ROOT / "tests").glob("*.py")))
+PACKAGE_MODULES = sorted((ROOT / "src" / "principal_config").glob("*.py"))
+MODULES = PACKAGE_MODULES + sorted((ROOT / "tests").glob("*.py"))
 
 
 def unused_imports(source):
@@ -52,3 +58,39 @@ def test_scan_flags_only_unused_names():
                          ids=lambda p: p.relative_to(ROOT).as_posix())
 def test_module_imports_are_used(path):
     assert unused_imports(path.read_text()) == []
+
+
+def imported_modules(source):
+    """Top-level names of the modules that ``source`` imports."""
+    out = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            out.update(alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            out.add(node.module.split(".")[0])
+    return out
+
+
+@pytest.mark.parametrize("path", PACKAGE_MODULES,
+                         ids=lambda p: p.relative_to(ROOT).as_posix())
+def test_package_imports_no_scipy(path):
+    assert "scipy" not in imported_modules(path.read_text())
+
+
+def test_a_cycles_command_loads_no_scipy(tmp_path):
+    script = (
+        "import json, sys\n"
+        "from principal_config.cli import main\n"
+        "code = main(['cycles', '--surface', 'torus:2,1', '--seeds',\n"
+        "             '0.3,0.9;1.5,0.9', '--foliation', 'maximal',\n"
+        f"             '--out', {str(tmp_path / 'out')!r}])\n"
+        "print(json.dumps([code, sorted(m for m in sys.modules\n"
+        "                               if m.split('.')[0] == 'scipy')]))\n")
+    r = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                       text=True, timeout=300,
+                       env={**os.environ, "PYTHONPATH": str(ROOT / "src")})
+    assert r.returncode == 0, r.stderr
+    code, scipy_modules = json.loads(r.stdout.splitlines()[-1])
+    assert code == 0 and scipy_modules == []
+    report = json.loads((tmp_path / "out" / "report.json").read_text())
+    assert len(report["results"]["cycles"]) == 1     # the second merged

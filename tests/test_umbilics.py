@@ -4,11 +4,11 @@ import numpy as np
 import pytest
 
 from principal_config import catalog, umbilics
-from principal_config.errors import (ConvergenceError, InconclusiveError,
-                                     RegularityError)
+from principal_config.errors import (ConvergenceError, FrameError,
+                                     InconclusiveError, RegularityError)
 from principal_config.foliation import (TERM_HIT_UMBILIC, TraceOptions,
                                         chart_point_near, chart_points_near,
-                                        trace)
+                                        separatrix_connection_scan, trace)
 from principal_config.geometry import (MAXIMAL, MINIMAL,
                                        FiniteDifferenceChart, chart_bundle,
                                        principal_direction_fast)
@@ -394,6 +394,48 @@ def test_index_sum_check(ellipsoid, torus, ellipsoid_records):
                                   hk_residual=0.0, type="NonTransversal")]
     with pytest.raises(InconclusiveError):
         index_sum_check(ellipsoid, bad)
+
+
+def test_a_failed_monge_form_leaves_one_record_unclassified(
+        ellipsoid, ellipsoid_records, monkeypatch):
+    failing = ellipsoid_records[1].uv
+    real = umbilics.monge_form
+
+    def monge_form_failing_once(surface, location):
+        if location.uv == failing:
+            raise FrameError("tangent coordinates degenerate at the umbilic")
+        return real(surface, location)
+
+    monkeypatch.setattr(umbilics, "monge_form", monge_form_failing_once)
+    records = umbilics.analyze_umbilics(ellipsoid, grid=32)
+    assert [r.uv for r in records] == [r.uv for r in ellipsoid_records]
+    lost = records[1]
+    assert lost.type == umbilics.UNCLASSIFIED and lost.monge is None
+    assert lost.separatrices == {} and lost.index is None
+    assert lost.failure == ("no Monge form: tangent coordinates degenerate "
+                            "at the umbilic")
+    assert lost.to_dict()["failure"] == lost.failure
+    assert lost.failure in lost.summary()
+    for rec, ref in zip(records, ellipsoid_records):
+        if rec is not lost:
+            assert rec.to_dict() == ref.to_dict() and rec.failure is None
+    with pytest.raises(InconclusiveError, match="unclassified"):
+        index_sum_check(ellipsoid, records)
+    cond_a = catalog._umbilic_verdict(records)
+    assert cond_a.status == "inconclusive"
+    assert cond_a.witnesses == [lost.summary()]
+    assert catalog._umbilic_verdict(ellipsoid_records).status == "pass"
+
+    scan = separatrix_connection_scan(ellipsoid, records)
+    launched = {g.umbilic for g in scan.gaps}
+    assert launched == {0, 2, 3}
+    assert scan.launches == sum(len(rays) for r in records
+                                for rays in r.separatrices.values())
+    assert all(1 not in (i, j) for i, j, _ in scan.connections)
+    # the separatrices that reach it stay undetermined
+    assert scan.undetermined
+    assert all(reason == "unclassified-target"
+               for _, _, _, reason in scan.undetermined)
 
 
 def test_monge_reconstruction_order(ellipsoid, ellipsoid_records):
