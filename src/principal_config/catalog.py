@@ -409,19 +409,18 @@ def cubic_levelset_surface(rho, a=3.0, b=2.0):
     ia2, ib2 = 1.0 / (a * a), 1.0 / (b * b)
 
     def f(p):
-        x, y, z = p.tolist()
+        x, y, z = p
         return x * x * ia2 + y * y * ib2 + z * z + rho * x * y * z - 1.0
 
     def grad(p):
-        x, y, z = p.tolist()
-        return np.array((2 * x * ia2 + rho * y * z, 2 * y * ib2 + rho * x * z,
-                         2 * z + rho * x * y))
+        x, y, z = p
+        return (2 * x * ia2 + rho * y * z, 2 * y * ib2 + rho * x * z,
+                2 * z + rho * x * y)
 
     def hess(p):
-        x, y, z = p.tolist()
+        x, y, z = p
         hxy, hxz, hyz = rho * z, rho * y, rho * x
-        return np.array((2 * ia2, hxy, hxz, hxy, 2 * ib2, hyz,
-                         hxz, hyz, 2.0)).reshape(3, 3)
+        return ((2 * ia2, hxy, hxz), (hxy, 2 * ib2, hyz), (hxz, hyz, 2.0))
 
     pad = 0.5
     return ImplicitSurface(

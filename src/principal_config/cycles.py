@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -161,7 +162,7 @@ class _Anchor:
                            skip=1e-3 * diam)
 
 
-def _return_offsets(anchor, h, n_returns=2, tol=_TRACE_TOL):
+def _return_offsets(anchor, h, n_returns, tol=_TRACE_TOL):
     """(start coordinate, section coordinates of the first ``n_returns``
     returns to the anchor's disc).  The trace stops at the last of them; a
     line that does not make them within ``_MAX_PERIOD_FACTOR``·diam of
@@ -169,16 +170,15 @@ def _return_offsets(anchor, h, n_returns=2, tol=_TRACE_TOL):
     surface, foliation_id = anchor.surface, anchor.foliation_id
     diam = surface.diameter()
     uv, w_start = anchor.start_info(h)
-    b = chart_bundle(surface, uv[0], uv[1])
-    d = b["d1_xyz"] if foliation_id == MINIMAL else b["d2_xyz"]
-    sign = 1 if float(np.dot(d, anchor.t0)) >= 0.0 else -1
     topts = TraceOptions(
         rel_tol=tol, detect_closure=False,
         max_length=_MAX_PERIOD_FACTOR * diam * n_returns,
-        initial_sign=sign, known_umbilics=anchor.known_umbilics,
+        known_umbilics=anchor.known_umbilics,
         sections=(anchor.section(),), precise_crossings=True,
         max_crossings=n_returns)
-    traj = anchor.log.count(trace(surface, uv, foliation_id, topts))
+    # the start heading is the anchor's tangent
+    traj = anchor.log.count(trace(surface, uv, foliation_id, topts,
+                                  anchor.t0))
     if len(traj.crossings) < n_returns:
         raise ReturnFailure(
             f"trajectory produced {len(traj.crossings)} return(s) within "
@@ -203,19 +203,22 @@ def find_cycles(surface, seeds, foliation_id, known_umbilics=(), log=None):
     trace and the dropped seeds.
     """
     log = log if log is not None else SearchLog()
-    diam = surface.diameter()
-    cycles = []
+    merge_tol = _CYCLE_MERGE_FACTOR * surface.diameter()
+    cycles, curves = [], []
     for seed in seeds:
         cyc, reason = _cycle_from_seed(surface, seed, foliation_id,
                                        known_umbilics, log)
-        if cyc is not None and _is_duplicate(
-                cyc, cycles, _CYCLE_MERGE_FACTOR * diam):
-            reason = DUPLICATE_SEED
+        if cyc is not None:
+            curve = _CycleCurve(cyc.foliation_id, cyc.curve.points_xyz,
+                                0.5 * merge_tol)
+            if _is_duplicate(curve, curves, merge_tol):
+                reason = DUPLICATE_SEED
         if reason is not None:
             log.dropped.append((foliation_id, tuple(map(float, seed)),
                                 reason))
             continue
         cycles.append(attach_estimates(surface, cyc, log, known_umbilics))
+        curves.append(curve)
     return cycles
 
 
@@ -360,14 +363,29 @@ def _densify(polyline, spacing):
     return np.concatenate(parts)
 
 
-def _is_duplicate(cyc, cycles, merge_tol):
-    for other in cycles:
-        if other.foliation_id != cyc.foliation_id:
+@dataclass
+class _CycleCurve:
+    """A cycle's polyline for the duplicate test, densified to ``spacing``
+    once, when first compared."""
+
+    foliation_id: str
+    points: np.ndarray
+    spacing: float
+
+    @cached_property
+    def dense(self):
+        return _densify(self.points, self.spacing)
+
+
+def _is_duplicate(curve, earlier, merge_tol):
+    """Whether ``curve`` lies within ``merge_tol`` (Hausdorff distance,
+    measured against the densified curves) of an earlier cycle's curve of
+    its foliation."""
+    for other in earlier:
+        if other.foliation_id != curve.foliation_id:
             continue
-        a = _densify(other.curve.points_xyz, 0.5 * merge_tol)
-        b = _densify(cyc.curve.points_xyz, 0.5 * merge_tol)
-        d1 = nearest_distances(a, cyc.curve.points_xyz)
-        d2 = nearest_distances(b, other.curve.points_xyz)
+        d1 = nearest_distances(other.dense, curve.points)
+        d2 = nearest_distances(curve.dense, other.points)
         if max(float(d1.max()), float(d2.max())) < merge_tol:
             return True
     return False
@@ -383,7 +401,12 @@ def return_map_derivative_fd(surface, cycle, h=None, log=None,
     h and h/2.  Differences run over the actual section coordinates of the
     start points (the nominal offsets shift by the projection sag).  Four
     traces: T(h), which also decides single or double return, T(-h) and
-    T(±h/2).  ``h`` defaults to ``_FD_OFFSET_FACTOR``·diam.  Returns (value,
+    T(±h/2).  T(h) is traced to its first return; only when that lands on
+    the far side of the cycle (a one-sided cycle, which no surface in R³
+    has) is it traced again to two returns, and the map uses the second
+    return throughout.  So the probe's length budget is one return's: a
+    line whose first return needs more would fail T(-h) anyway.  ``h``
+    defaults to ``_FD_OFFSET_FACTOR``·diam.  Returns (value,
     error_estimate, double_return_used); the traces stop at
     ``known_umbilics`` and put their steps in ``log``."""
     diam = surface.diameter()
@@ -392,8 +415,10 @@ def return_map_derivative_fd(surface, cycle, h=None, log=None,
     anchor = _Anchor(surface, cycle.anchor_uv, cycle.foliation_id,
                      cycle.tangent, log, known_umbilics)
     # the probe runs T(h)'s line (same start, same tolerance): reuse it
-    w_h, hits = _return_offsets(anchor, h)
+    w_h, hits = _return_offsets(anchor, h, 1)
     double = (hits[0] * w_h) < 0.0
+    if double:
+        w_h, hits = _return_offsets(anchor, h, 2)
 
     def T(x):
         if x == h:

@@ -223,33 +223,42 @@ def _implicit_field(surface, foliation_id):
 
     def f(p, ref):
         b = implicit_bundle(surface, p, check_on_surface=False)
-        d = b[key]
-        if ref is not None and float(np.dot(d, ref)) < 0.0:
-            d = -d
-        return _FieldEval(d, b["r"], d, b["normal"])
+        dx, dy, dz = b[key]
+        if ref is not None:
+            rx, ry, rz = ref.tolist()
+            if dx * rx + dy * ry + dz * rz < 0.0:
+                dx, dy, dz = -dx, -dy, -dz
+        d = np.array((dx, dy, dz))
+        return _FieldEval(d, b["r"], d, np.array(b["normal"]))
 
     return f
 
 
-def trace(surface, start, foliation_id, opts=None):
+def trace(surface, start, foliation_id, opts=None, heading=None):
     """Integrate one principal line from ``start``.
 
     ``start`` is a chart point (u, v) for charts, or a world point for
     implicit surfaces (projected onto the level set first; a start that
-    does not project raises ConvergenceError).  Termination, section
-    crossings and closure refinement follow the options record; results
-    are deterministic for fixed options.  ``meta`` counts the Dormand-Prince
+    does not project raises ConvergenceError).  The line sets out along
+    ``heading`` (a world vector: the line-field sign at the start is the
+    one pointing along it, as in :func:`trace_lanes`) or, without a
+    heading, with ``opts.initial_sign``.  Termination, section crossings
+    and closure refinement follow the options record; results are
+    deterministic for fixed options.  ``meta`` counts the Dormand-Prince
     steps tried (``steps``) and the line-field evaluations (``evals``).
     """
     if foliation_id not in (MINIMAL, MAXIMAL):
         raise ValueError(f"unknown foliation id {foliation_id!r}")
     implicit = isinstance(surface, ImplicitSurface)
     y0 = np.asarray(start, dtype=float)
+    if heading is not None:
+        heading = np.asarray(heading, dtype=float)
     return _trace_core(surface, surface.project(y0) if implicit else y0,
-                       foliation_id, opts or TraceOptions(), implicit)
+                       foliation_id, opts or TraceOptions(), implicit,
+                       heading)
 
 
-def _trace_core(surface, y0, foliation_id, opts, implicit):
+def _trace_core(surface, y0, foliation_id, opts, implicit, heading):
     diam = surface.diameter()
     field_at = (_implicit_field if implicit else _chart_field)(surface,
                                                                foliation_id)
@@ -270,8 +279,8 @@ def _trace_core(surface, y0, foliation_id, opts, implicit):
     umb_pts = _umbilic_points(opts.known_umbilics)
 
     y = np.array(y0, dtype=float)
-    ev = fld(y, None)
-    if opts.initial_sign < 0:
+    ev = fld(y, heading)
+    if heading is None and opts.initial_sign < 0:
         ev = _FieldEval(-ev.vel, ev.xyz, -ev.tangent, ev.normal)
     p0, t0 = ev.xyz.copy(), ev.tangent.copy()
 

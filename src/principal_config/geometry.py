@@ -301,10 +301,12 @@ class FiniteDifferenceChart(SurfaceChart):
 class ImplicitSurface:
     """Level set ``f = level`` with analytic derivatives.
 
-    ``f``, ``grad`` and ``hess`` take one point of shape (3,) and return a
-    float, a (3,) array and a (3, 3) array.  ``orientation=+1`` picks the
-    unit normal along ``grad f`` (outward for the standard closed
-    quadrics), ``-1`` the opposite."""
+    ``f``, ``grad`` and ``hess`` take one point as a float triple
+    (x, y, z) and return a float, a 3-tuple and a 3x3 nested tuple of
+    floats, so the tracer's field stays on python floats.  The methods
+    below take points as (3,) arrays.  ``orientation=+1`` picks the unit
+    normal along ``grad f`` (outward for the standard closed quadrics),
+    ``-1`` the opposite."""
 
     f: Callable
     grad: Callable
@@ -319,16 +321,19 @@ class ImplicitSurface:
     def __post_init__(self):
         # the tracer asks for the diameter at every step
         lo, hi = (np.asarray(b, dtype=float) for b in self.bounding_box)
-        object.__setattr__(self, "_diameter", float(np.linalg.norm(hi - lo)))
+        diameter = float(np.linalg.norm(hi - lo))
+        object.__setattr__(self, "_diameter", diameter)
+        object.__setattr__(self, "_floor",
+                           REGULARITY_FLOOR_FACTOR * max(diameter, 1e-12))
 
     def value(self, p):
-        return float(self.f(np.asarray(p, dtype=float))) - self.level
+        return float(self.f(p.tolist())) - self.level
 
     def diameter(self):
         return self._diameter
 
     def regularity_floor(self):
-        return REGULARITY_FLOOR_FACTOR * max(self._diameter, 1e-12)
+        return self._floor
 
     def project(self, p, tol=1e-12, max_iter=12):
         """Newton projection along the gradient onto the level set.
@@ -340,9 +345,9 @@ class ImplicitSurface:
             val = self.value(p)
             if abs(val) < tol * scale:
                 return p
-            g = self.grad(p)
-            gx, gy, gz = g.tolist()
-            p = p - val * g / max(gx * gx + gy * gy + gz * gz, 1e-300)
+            gx, gy, gz = self.grad(p.tolist())
+            p = p - val * np.array((gx, gy, gz)) / max(
+                gx * gx + gy * gy + gz * gz, 1e-300)
         raise ConvergenceError(
             f"no projection onto {self.name} in {max_iter} Newton steps")
 
@@ -644,13 +649,16 @@ def normal_curvature(pd, theta):
 def implicit_bundle(surface, p, check_on_surface=True):
     """Curvature data of a level set at one point ``p`` of shape (3,).
 
-    Runs on python floats, like the chart tracer's kernel.  The tangent
-    pair is Gram-Schmidt on the axis of the smallest |n_i| (the first on
-    ties), and the shape operator in it goes through
-    :func:`shape_operator_eigen`.
+    Runs on python floats, like the chart tracer's kernel: the surface's
+    ``grad`` and ``hess`` get the float triple of ``p``, and ``normal``,
+    ``d1_xyz`` and ``d2_xyz`` come back as float triples (``r`` is ``p``
+    as an array).  The tangent pair is Gram-Schmidt on the axis of the
+    smallest |n_i| (the first on ties), and the shape operator in it goes
+    through :func:`shape_operator_eigen`.
     """
     p = np.asarray(p, dtype=float)
-    gx, gy, gz = surface.grad(p).tolist()
+    xyz = p.tolist()
+    gx, gy, gz = surface.grad(xyz)
     gn = math.sqrt(gx * gx + gy * gy + gz * gz)
     floor = surface.regularity_floor()
     if gn <= floor:
@@ -675,8 +683,7 @@ def implicit_bundle(surface, p, check_on_surface=True):
     tn = math.sqrt(tx * tx + ty * ty + tz * tz)
     tx, ty, tz = tx / tn, ty / tn, tz / tn
     bx, by, bz = ny * tz - nz * ty, nz * tx - nx * tz, nx * ty - ny * tx
-    (hxx, hxy, hxz), (hyx, hyy, hyz), (hzx, hzy, hzz) = \
-        surface.hess(p).tolist()
+    (hxx, hxy, hxz), (hyx, hyy, hyz), (hzx, hzy, hzz) = surface.hess(xyz)
     htx = hxx * tx + hxy * ty + hxz * tz
     hty = hyx * tx + hyy * ty + hyz * tz
     htz = hzx * tx + hzy * ty + hzz * tz
@@ -691,12 +698,10 @@ def implicit_bundle(surface, p, check_on_surface=True):
         scale * (bx * hbx + by * hby + bz * hbz))
     c, s = math.cos(phi), math.sin(phi)
     return {
-        "r": p, "normal": np.array((nx, ny, nz)),
+        "r": p, "normal": (nx, ny, nz),
         "k1": k1, "k2": k2, "H": H, "K": K,
-        "d1_xyz": np.array((c * tx + s * bx, c * ty + s * by,
-                            c * tz + s * bz)),
-        "d2_xyz": np.array((-s * tx + c * bx, -s * ty + c * by,
-                            -s * tz + c * bz)),
+        "d1_xyz": (c * tx + s * bx, c * ty + s * by, c * tz + s * bz),
+        "d2_xyz": (-s * tx + c * bx, -s * ty + c * by, -s * tz + c * bz),
         "umbilic_deviation": k2 - k1,
         "direction_tol": DIRECTION_TOL_FACTOR * max(abs(k1), abs(k2), 1.0),
     }
@@ -709,8 +714,8 @@ def implicit_principal_data(surface, p):
     return PrincipalData(
         k1=b["k1"], k2=b["k2"], H=b["H"], K=b["K"], umbilic_deviation=dev,
         directions_defined=dev > b["direction_tol"],
-        d1_xyz=b["d1_xyz"], d2_xyz=b["d2_xyz"],
-        normal=b["normal"], point=b["r"])
+        d1_xyz=np.array(b["d1_xyz"]), d2_xyz=np.array(b["d2_xyz"]),
+        normal=np.array(b["normal"]), point=b["r"])
 
 
 # ---------------------------------------------------------------------------

@@ -53,15 +53,16 @@ def test_s_rho_derivative_consistency(rng):
     h = 1e-6
     for _ in range(10):
         p = rng.uniform(-1.0, 1.0, 3)
-        g = s.grad(p)
-        H = s.hess(p)
+        g = np.asarray(s.grad(p))
+        H = np.asarray(s.hess(p))
         assert np.allclose(H, H.T)
         for i in range(3):
             e = np.zeros(3)
             e[i] = h
             fd = (s.f(p + e) - s.f(p - e)) / (2 * h)
             assert g[i] == pytest.approx(fd, rel=1e-6, abs=1e-8)
-            fd_row = (s.grad(p + e) - s.grad(p - e)) / (2 * h)
+            fd_row = (np.asarray(s.grad(p + e))
+                      - np.asarray(s.grad(p - e))) / (2 * h)
             assert np.allclose(H[i], fd_row, rtol=1e-6, atol=1e-8)
 
 

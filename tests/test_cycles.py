@@ -11,7 +11,7 @@ from principal_config.cycles import (cycle_from_closed_trajectory,
                                      return_map_derivative_integral)
 from principal_config.foliation import TraceOptions, chart_point_near, trace
 from principal_config.geometry import (MAXIMAL, MINIMAL,
-                                       FiniteDifferenceChart)
+                                       FiniteDifferenceChart, chart_bundle)
 
 # seeds bracketing displacement roots, frozen from the sign-change scan
 PT_MAX_SEEDS = [(0.4, 1.5), (0.4, 2.9), (0.4, 4.6)]
@@ -128,6 +128,92 @@ def test_hyperbolicity_verdict_rule(perturbed_cycles):
                                tprime_fd_error=1e-8,
                                tprime_integral=math.exp(1e-5))
     assert hyperbolicity(weak) == "NearUnity"
+
+
+def _return_offsets_before_heading(anchor, h, n_returns):
+    """The return offsets as traced before ``trace`` took a heading: the
+    start sign from a chart_bundle at the start, set as initial_sign."""
+    surface, fol = anchor.surface, anchor.foliation_id
+    uv, w_start = anchor.start_info(h)
+    b = chart_bundle(surface, uv[0], uv[1])
+    d = b["d1_xyz"] if fol == MINIMAL else b["d2_xyz"]
+    traj = trace(surface, uv, fol, TraceOptions(
+        rel_tol=cycles._TRACE_TOL, detect_closure=False,
+        max_length=cycles._MAX_PERIOD_FACTOR * surface.diameter()
+        * n_returns,
+        initial_sign=1 if float(np.dot(d, anchor.t0)) >= 0.0 else -1,
+        sections=(anchor.section(),), precise_crossings=True,
+        max_crossings=n_returns))
+    assert len(traj.crossings) == n_returns
+    return w_start, [float(np.dot(c.xyz - anchor.p0, anchor.w0))
+                     for c in traj.crossings]
+
+
+def _fd_before_one_return_probe(surface, cycle):
+    """return_map_derivative_fd as it was when its probe traced T(h) to
+    two returns."""
+    h = cycles._FD_OFFSET_FACTOR * surface.diameter()
+    anchor = cycles._Anchor(surface, cycle.anchor_uv, cycle.foliation_id,
+                            cycle.tangent)
+    w_h, hits = _return_offsets_before_heading(anchor, h, 2)
+    double = (hits[0] * w_h) < 0.0
+
+    def T(x):
+        if x == h:
+            return w_h, hits[1] if double else hits[0]
+        w_x, ret = _return_offsets_before_heading(anchor, x,
+                                                  2 if double else 1)
+        return w_x, ret[-1]
+
+    def central(x):
+        w_p, r_p = T(x)
+        w_m, r_m = T(-x)
+        return (r_p - r_m) / (w_p - w_m)
+
+    d_h, d_h2 = central(h), central(0.5 * h)
+    return (4.0 * d_h2 - d_h) / 3.0, abs(d_h2 - d_h) / 3.0, double
+
+
+def _recording_return_offsets(monkeypatch, flip_first=False):
+    """Record (h, n_returns) of each _return_offsets call; with
+    ``flip_first`` the first call's first return lands on the far side."""
+    asked = []
+    real = cycles._return_offsets
+
+    def recording(anchor, h, n_returns, tol=cycles._TRACE_TOL):
+        asked.append((h, n_returns))
+        w, hits = real(anchor, h, n_returns, tol)
+        if flip_first and len(asked) == 1:
+            hits = [-hits[0]] + hits[1:]
+        return w, hits
+
+    monkeypatch.setattr(cycles, "_return_offsets", recording)
+    return asked
+
+
+@pytest.mark.parametrize("which", ["torus", "perturbed"])
+def test_fd_probe_traces_one_return(which, torus, torus_parallel_cycle,
+                                    perturbed_torus, perturbed_cycles,
+                                    monkeypatch):
+    surface, cycle = ((torus, torus_parallel_cycle) if which == "torus"
+                      else (perturbed_torus, perturbed_cycles[0]))
+    asked = _recording_return_offsets(monkeypatch)
+    got = return_map_derivative_fd(surface, cycle)
+    # T(h) reuses the probe; T(-h) and T(±h/2) trace one return each
+    assert [n for _, n in asked] == [1, 1, 1, 1]
+    monkeypatch.undo()
+    assert got == _fd_before_one_return_probe(surface, cycle)
+
+
+def test_a_far_side_first_return_retraces_two(torus, torus_parallel_cycle,
+                                              monkeypatch):
+    asked = _recording_return_offsets(monkeypatch, flip_first=True)
+    value, _, double = return_map_derivative_fd(torus, torus_parallel_cycle)
+    h = cycles._FD_OFFSET_FACTOR * torus.diameter()
+    assert double
+    assert asked == [(h, 1), (h, 2), (-h, 2), (0.5 * h, 2), (-0.5 * h, 2)]
+    # two turns round the parallel: still the identity
+    assert value == pytest.approx(1.0, abs=1e-6)
 
 
 def test_duplicate_cycles_merge(torus):

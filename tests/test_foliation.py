@@ -11,7 +11,8 @@ from principal_config.foliation import (DomainSection, KnownFeatures,
                                         omega_limit_classify,
                                         separatrix_connection_scan, trace,
                                         trace_lanes)
-from principal_config.geometry import MAXIMAL, MINIMAL
+from principal_config.geometry import (MAXIMAL, MINIMAL,
+                                       implicit_principal_data)
 
 
 def polyline_distance(points, polyline):
@@ -93,6 +94,35 @@ def test_reversal_symmetry(torus):
         rho = np.linalg.norm(traj.points_xyz[:, :2], axis=1)
         assert np.allclose(z, math.sin(0.9), atol=1e-7)
         assert np.allclose(rho, 2.0 + math.cos(0.9), atol=1e-7)
+    # a start heading picks the sign, and overrides initial_sign
+    for heading, sign, want in ((-fwd.tangents[0], 1, rev),
+                                (fwd.tangents[0], -1, fwd)):
+        got = trace(torus, (0.3, 0.9), MAXIMAL,
+                    TraceOptions(initial_sign=sign), heading=heading)
+        assert np.array_equal(got.points_xyz, want.points_xyz)
+        assert got.meta == want.meta
+
+
+def test_implicit_field_is_the_kernel_direction_signed_by_ref():
+    s = catalog.cubic_levelset_surface(0.05, 3.0, 2.0)
+    rng = np.random.default_rng(1401)
+    fields = {fol: foliation._implicit_field(s, fol)
+              for fol in (MINIMAL, MAXIMAL)}
+    for _ in range(40):
+        d = rng.normal(size=3)
+        p = s.project(1.5 * d / np.linalg.norm(d))
+        pd = implicit_principal_data(s, p)
+        for fol, want in ((MINIMAL, pd.d1_xyz), (MAXIMAL, pd.d2_xyz)):
+            ev = fields[fol](p, None)
+            assert np.array_equal(ev.vel, want)
+            assert np.array_equal(ev.tangent, want)
+            assert np.array_equal(ev.normal, pd.normal)
+            assert np.array_equal(ev.xyz, p)
+            for ref in (want, -want):
+                got = fields[fol](p, ref).tangent
+                assert (np.array_equal(got, want)
+                        or np.array_equal(got, -want))
+                assert float(got @ ref) >= 0.0
 
 
 def test_foliation_orthogonal_crossing(ellipsoid):

@@ -242,6 +242,24 @@ def test_implicit_critical_point_rejected():
         implicit_principal_data(s, np.array([1.0, 1.0, 1.0]))
 
 
+def test_level_set_derivatives_and_bundle_are_python_floats():
+    s = catalog.cubic_levelset_surface(0.05, 3.0, 2.0)
+    p = s.project(np.array([1.2, 1.1, 0.5]))
+
+    def is_float_triple(t):
+        return (type(t) is tuple and len(t) == 3
+                and all(type(x) is float for x in t))
+
+    assert type(s.f(p.tolist())) is float
+    assert is_float_triple(s.grad(p.tolist()))
+    hess = s.hess(p.tolist())
+    assert (type(hess) is tuple and len(hess) == 3
+            and all(is_float_triple(row) for row in hess))
+    b = geometry.implicit_bundle(s, p)
+    for key in ("normal", "d1_xyz", "d2_xyz"):
+        assert is_float_triple(b[key]), key
+
+
 def test_implicit_kernel_is_exact_under_mirror_and_orientation():
     s_plus = catalog.cubic_levelset_surface(0.05, 3.0, 2.0)
     s_minus = catalog.cubic_levelset_surface(-0.05, 3.0, 2.0)
@@ -274,11 +292,12 @@ def test_implicit_kernel_matches_an_independent_eigen_solve():
         for _ in range(40):
             d = rng.normal(size=3)
             p = s.project(1.5 * d / np.linalg.norm(d))
-            g = s.grad(p)
+            g = np.asarray(s.grad(p))
             gn = np.linalg.norm(g)
             n = s.orientation * g / gn
             P = np.eye(3) - np.outer(n, n)
-            lam, vec = np.linalg.eigh(-s.orientation * P @ s.hess(p) @ P / gn)
+            Hf = np.asarray(s.hess(p))
+            lam, vec = np.linalg.eigh(-s.orientation * P @ Hf @ P / gn)
             tangential = np.argsort(np.abs(vec.T @ n))[:2]
             order = tangential[np.argsort(lam[tangential])]
             pd = implicit_principal_data(s, p)
