@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from functools import cached_property
 
 import numpy as np
 
@@ -204,13 +203,12 @@ def find_cycles(surface, seeds, foliation_id, known_umbilics=(), log=None):
     """
     log = log if log is not None else SearchLog()
     merge_tol = _CYCLE_MERGE_FACTOR * surface.diameter()
-    cycles, curves = [], []
+    cycles, curves = [], []     # [polyline, densified or None] per cycle
     for seed in seeds:
         cyc, reason = _cycle_from_seed(surface, seed, foliation_id,
                                        known_umbilics, log)
         if cyc is not None:
-            curve = _CycleCurve(cyc.foliation_id, cyc.curve.points_xyz,
-                                0.5 * merge_tol)
+            curve = [cyc.curve.points_xyz, None]
             if _is_duplicate(curve, curves, merge_tol):
                 reason = DUPLICATE_SEED
         if reason is not None:
@@ -363,29 +361,17 @@ def _densify(polyline, spacing):
     return np.concatenate(parts)
 
 
-@dataclass
-class _CycleCurve:
-    """A cycle's polyline for the duplicate test, densified to ``spacing``
-    once, when first compared."""
-
-    foliation_id: str
-    points: np.ndarray
-    spacing: float
-
-    @cached_property
-    def dense(self):
-        return _densify(self.points, self.spacing)
-
-
 def _is_duplicate(curve, earlier, merge_tol):
     """Whether ``curve`` lies within ``merge_tol`` (Hausdorff distance,
-    measured against the densified curves) of an earlier cycle's curve of
-    its foliation."""
+    measured against the polylines densified to 0.5·merge_tol) of an
+    ``earlier`` curve.  A curve is a [polyline, densified polyline or
+    None] pair; each is densified once, on its first comparison."""
     for other in earlier:
-        if other.foliation_id != curve.foliation_id:
-            continue
-        d1 = nearest_distances(other.dense, curve.points)
-        d2 = nearest_distances(curve.dense, other.points)
+        for c in (curve, other):
+            if c[1] is None:
+                c[1] = _densify(c[0], 0.5 * merge_tol)
+        d1 = nearest_distances(other[1], curve[0])
+        d2 = nearest_distances(curve[1], other[0])
         if max(float(d1.max()), float(d2.max())) < merge_tol:
             return True
     return False
@@ -417,6 +403,9 @@ def return_map_derivative_fd(surface, cycle, h=None, log=None,
     # the probe runs T(h)'s line (same start, same tolerance): reuse it
     w_h, hits = _return_offsets(anchor, h, 1)
     double = (hits[0] * w_h) < 0.0
+    # No catalog surface has a one-sided cycle, so only a test reaches this
+    # retrace.  It stays while cycle reports carry ``double_return``: on a
+    # chart of a one-sided strip the first return is the wrong map.
     if double:
         w_h, hits = _return_offsets(anchor, h, 2)
 

@@ -155,7 +155,6 @@ class TraceOptions:
     rel_tol: float = 1e-8
     max_step_factor: float = 0.04        # times surface diameter
     max_length: float | None = None      # default 50 * diameter
-    initial_sign: int = 1
     known_umbilics: Sequence = ()
     exclusion_radius_factor: float = 1e-3
     detect_closure: bool = True
@@ -242,10 +241,11 @@ def trace(surface, start, foliation_id, opts=None, heading=None):
     does not project raises ConvergenceError).  The line sets out along
     ``heading`` (a world vector: the line-field sign at the start is the
     one pointing along it, as in :func:`trace_lanes`) or, without a
-    heading, with ``opts.initial_sign``.  Termination, section crossings
-    and closure refinement follow the options record; results are
-    deterministic for fixed options.  ``meta`` counts the Dormand-Prince
-    steps tried (``steps``) and the line-field evaluations (``evals``).
+    heading, with the field's own sign at the start.  Termination,
+    section crossings and closure refinement follow the options record;
+    results are deterministic for fixed options.  ``meta`` counts the
+    Dormand-Prince steps tried (``steps``) and the line-field evaluations
+    (``evals``).
     """
     if foliation_id not in (MINIMAL, MAXIMAL):
         raise ValueError(f"unknown foliation id {foliation_id!r}")
@@ -280,8 +280,6 @@ def _trace_core(surface, y0, foliation_id, opts, implicit, heading):
 
     y = np.array(y0, dtype=float)
     ev = fld(y, heading)
-    if heading is None and opts.initial_sign < 0:
-        ev = _FieldEval(-ev.vel, ev.xyz, -ev.tangent, ev.normal)
     p0, t0 = ev.xyz.copy(), ev.tangent.copy()
 
     ys = [y.copy()]
@@ -447,15 +445,15 @@ def trace_lanes(surface, starts, foliation_id, opts=None, headings=None,
     ``starts`` holds N chart points (u, v).  ``foliation_id`` is one
     foliation for every lane or a sequence of one per lane.  Lane i sets
     out along ``headings[i]`` (a world vector: the line-field sign is the
-    one pointing along it) or, without headings, with
-    ``opts.initial_sign``.  ``rel_tol`` is one value or one per lane and
+    one pointing along it) or, without headings, with the field's own
+    sign at its start.  ``rel_tol`` is one value or one per lane and
     defaults to ``opts.rel_tol``.  Every other option is shared.
 
     Each lane runs the Dormand-Prince 5(4) step and step-size control of
     :func:`trace` with its own step size, acceptance and rejection,
     eigen-sign transport and termination (``_MAX_STEPS`` at most).  Options
     honoured: ``rel_tol``, ``max_step_factor``, ``max_length``,
-    ``initial_sign``, ``known_umbilics`` with ``exclusion_radius_factor``
+    ``known_umbilics`` with ``exclusion_radius_factor``
     (HitUmbilic), plus domain exit and the chart's ``rebase_state``
     (``fold``).  Sections and closure detection are not implemented:
     ``opts.sections`` must be empty and ``opts.detect_closure`` False, or
@@ -492,13 +490,9 @@ def trace_lanes(surface, starts, foliation_id, opts=None, headings=None,
     rebase = getattr(surface, "rebase_state", None)
     (u0, u1), (v0, v1) = surface.domain
 
-    vel, p, tan, nrm = _lane_field(surface, y, minimal, None)
-    if headings is not None:
-        heading = np.asarray(headings, dtype=float).reshape(-1, 3)
-        sign = np.where(np.sum(tan * heading, axis=1) >= 0.0, 1.0, -1.0)
-    else:
-        sign = np.full(m, -1.0 if opts.initial_sign < 0 else 1.0)
-    vel, tan = vel * sign[:, None], tan * sign[:, None]
+    vel, p, tan, nrm = _lane_field(
+        surface, y, minimal, None if headings is None
+        else np.asarray(headings, dtype=float).reshape(-1, 3))
 
     # rows of arrays that are never written again: the state arrays are
     # updated in place, so the start rows are copies

@@ -304,7 +304,8 @@ class ImplicitSurface:
     ``f``, ``grad`` and ``hess`` take one point as a float triple
     (x, y, z) and return a float, a 3-tuple and a 3x3 nested tuple of
     floats, so the tracer's field stays on python floats.  The methods
-    below take points as (3,) arrays.  ``orientation=+1`` picks the unit
+    below take a point as a (3,) array or any array-like.
+    ``orientation=+1`` picks the unit
     normal along ``grad f`` (outward for the standard closed quadrics),
     ``-1`` the opposite."""
 
@@ -327,7 +328,7 @@ class ImplicitSurface:
                            REGULARITY_FLOOR_FACTOR * max(diameter, 1e-12))
 
     def value(self, p):
-        return float(self.f(p.tolist())) - self.level
+        return float(self.f(np.asarray(p, dtype=float).tolist())) - self.level
 
     def diameter(self):
         return self._diameter

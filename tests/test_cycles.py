@@ -94,7 +94,7 @@ def test_reversal_inverts_return_derivative(perturbed_torus,
                                             perturbed_cycles):
     c = next(cc for cc in perturbed_cycles if cc.hyperbolic)
     rev_traj = trace(perturbed_torus, c.anchor_uv, c.foliation_id,
-                     TraceOptions(rel_tol=1e-11, initial_sign=-1))
+                     TraceOptions(rel_tol=1e-11), heading=-c.tangent)
     assert rev_traj.termination == "Closed"
     rev = cycles.attach_estimates(
         perturbed_torus, cycle_from_closed_trajectory(
@@ -132,7 +132,8 @@ def test_hyperbolicity_verdict_rule(perturbed_cycles):
 
 def _return_offsets_before_heading(anchor, h, n_returns):
     """The return offsets as traced before ``trace`` took a heading: the
-    start sign from a chart_bundle at the start, set as initial_sign."""
+    start sign from a chart_bundle at the start, pointed along the
+    anchor's tangent."""
     surface, fol = anchor.surface, anchor.foliation_id
     uv, w_start = anchor.start_info(h)
     b = chart_bundle(surface, uv[0], uv[1])
@@ -141,9 +142,9 @@ def _return_offsets_before_heading(anchor, h, n_returns):
         rel_tol=cycles._TRACE_TOL, detect_closure=False,
         max_length=cycles._MAX_PERIOD_FACTOR * surface.diameter()
         * n_returns,
-        initial_sign=1 if float(np.dot(d, anchor.t0)) >= 0.0 else -1,
         sections=(anchor.section(),), precise_crossings=True,
-        max_crossings=n_returns))
+        max_crossings=n_returns),
+        heading=d if float(np.dot(d, anchor.t0)) >= 0.0 else -d)
     assert len(traj.crossings) == n_returns
     return w_start, [float(np.dot(c.xyz - anchor.p0, anchor.w0))
                      for c in traj.crossings]

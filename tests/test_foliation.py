@@ -83,9 +83,10 @@ def test_tangency_along_trajectory(torus):
 
 def test_reversal_symmetry(torus):
     fwd = trace(torus, (0.3, 0.9), MAXIMAL, TraceOptions())
-    rev = trace(torus, (0.3, 0.9), MAXIMAL, TraceOptions(initial_sign=-1))
+    rev = trace(torus, (0.3, 0.9), MAXIMAL, TraceOptions(),
+                heading=-fwd.tangents[0])
     assert rev.termination == "Closed"
-    assert float(np.dot(rev.tangents[0], fwd.tangents[0])) < -0.999999
+    assert np.array_equal(rev.tangents[0], -fwd.tangents[0])
     assert rev.closed_length == pytest.approx(fwd.closed_length, rel=1e-9)
     # both runs traverse the same analytic circle (z and axis distance
     # constant), one forward, one backward
@@ -94,13 +95,11 @@ def test_reversal_symmetry(torus):
         rho = np.linalg.norm(traj.points_xyz[:, :2], axis=1)
         assert np.allclose(z, math.sin(0.9), atol=1e-7)
         assert np.allclose(rho, 2.0 + math.cos(0.9), atol=1e-7)
-    # a start heading picks the sign, and overrides initial_sign
-    for heading, sign, want in ((-fwd.tangents[0], 1, rev),
-                                (fwd.tangents[0], -1, fwd)):
-        got = trace(torus, (0.3, 0.9), MAXIMAL,
-                    TraceOptions(initial_sign=sign), heading=heading)
-        assert np.array_equal(got.points_xyz, want.points_xyz)
-        assert got.meta == want.meta
+    # a heading along the field's own start sign keeps it, bit for bit
+    got = trace(torus, (0.3, 0.9), MAXIMAL, TraceOptions(),
+                heading=fwd.tangents[0])
+    assert np.array_equal(got.points_xyz, fwd.points_xyz)
+    assert got.meta == fwd.meta
 
 
 def test_implicit_field_is_the_kernel_direction_signed_by_ref():
@@ -411,10 +410,9 @@ def test_trace_lanes_follows_trace_and_rejects_unsupported(ellipsoid, torus):
         assert lane.length == pytest.approx(6.0, abs=1e-12)
         assert np.linalg.norm(lane.points_xyz[-1] - lone.points_xyz[-1]) \
             < 1e-6
-    back = trace_lanes(ellipsoid, starts[:1], MINIMAL,
-                       TraceOptions(detect_closure=False, max_length=6.0,
-                                    initial_sign=-1))[0]
-    assert float(np.dot(back.tangents[0], lanes[0].tangents[0])) < -0.99
+    back = trace_lanes(ellipsoid, starts[:1], MINIMAL, opts,
+                       headings=[-lanes[0].tangents[0]])[0]
+    assert np.array_equal(back.tangents[0], -lanes[0].tangents[0])
     with pytest.raises(ValueError):
         trace_lanes(torus, [(0.3, 0.9)], MAXIMAL, TraceOptions())
     with pytest.raises(ValueError):

@@ -192,38 +192,38 @@ def test_fast_direction_path_matches_bundle(perturbed_torus, rng):
 
 
 def test_implicit_sphere_and_paraboloid():
+    # f, grad and hess take a float triple and return a float, a 3-tuple
+    # and a 3x3 nested tuple
     def f(p):
-        return np.sum(np.asarray(p) ** 2, axis=-1) - 1.0
+        x, y, z = p
+        return x * x + y * y + z * z - 1.0
 
     def grad(p):
-        return 2.0 * np.asarray(p)
+        x, y, z = p
+        return 2.0 * x, 2.0 * y, 2.0 * z
 
     def hess(p):
-        shape = np.asarray(p).shape[:-1]
-        return np.broadcast_to(2.0 * np.eye(3), shape + (3, 3)).copy()
+        return (2.0, 0.0, 0.0), (0.0, 2.0, 0.0), (0.0, 0.0, 2.0)
 
     sph = geometry.ImplicitSurface(f, grad, hess, orientation=-1,
                                    name="unit-sphere")
     pd = implicit_principal_data(sph, np.array([0.0, 0.0, 1.0]))
     assert pd.k1 == pytest.approx(1.0) and pd.k2 == pytest.approx(1.0)
     assert not pd.directions_defined
+    # value takes any array-like point
+    assert sph.value((0.0, 0.6, 0.8)) == sph.value(np.array([0.0, 0.6, 0.8]))
 
     # z = (x^2 + y^2)/2 as the level set z - (x^2+y^2)/2 = 0
     def f2(p):
-        p = np.asarray(p)
-        return p[..., 2] - 0.5 * (p[..., 0] ** 2 + p[..., 1] ** 2)
+        x, y, z = p
+        return z - 0.5 * (x * x + y * y)
 
     def grad2(p):
-        p = np.asarray(p)
-        return np.stack([-p[..., 0], -p[..., 1],
-                         np.ones_like(p[..., 2])], axis=-1)
+        x, y, _ = p
+        return -x, -y, 1.0
 
     def hess2(p):
-        shape = np.asarray(p).shape[:-1]
-        H = np.zeros(shape + (3, 3))
-        H[..., 0, 0] = -1.0
-        H[..., 1, 1] = -1.0
-        return H
+        return (-1.0, 0.0, 0.0), (0.0, -1.0, 0.0), (0.0, 0.0, 0.0)
 
     par = geometry.ImplicitSurface(f2, grad2, hess2, orientation=1,
                                    name="paraboloid")

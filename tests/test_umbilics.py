@@ -10,8 +10,7 @@ from principal_config.foliation import (TERM_HIT_UMBILIC, TraceOptions,
                                         chart_point_near, chart_points_near,
                                         separatrix_connection_scan, trace)
 from principal_config.geometry import (MAXIMAL, MINIMAL,
-                                       FiniteDifferenceChart, chart_bundle,
-                                       principal_direction_fast)
+                                       FiniteDifferenceChart, chart_bundle)
 from principal_config.umbilics import (AllUmbilicSurface, classify,
                                        classify_direct, classify_umbilic,
                                        index_sum_check, locate_umbilics,
@@ -311,13 +310,11 @@ def _inward(g, rec, fol, angle, radius):
     target = fr.origin + radius * (math.cos(angle) * fr.e1
                                    + math.sin(angle) * fr.e2)
     uv = chart_point_near(g, target, rec.uv)
-    _, p, d, _ = principal_direction_fast(g, uv[0], uv[1], fol == MINIMAL)
     opts = TraceOptions(rel_tol=1e-10, max_length=2 * radius,
-                        initial_sign=1 if d @ (rec.xyz - p) > 0 else -1,
                         known_umbilics=(rec,),
                         exclusion_radius_factor=0.05 * radius / g.diameter(),
                         detect_closure=False)
-    return trace(g, uv, fol, opts)
+    return trace(g, uv, fol, opts, heading=rec.xyz - g.point(*uv))
 
 
 def _polar_drift(g, rec, fol, angle, offset, radius):
