@@ -36,6 +36,8 @@ _FD_OFFSET_FACTOR = 1e-3        # section offset h of the FD return map
 _MAX_PERIOD_FACTOR = 8.0        # return budget: length per return
 _HYPERBOLICITY_TOL = 1e-4       # |log T'| above it is hyperbolic
 _CURVATURE_FLOOR_REL = 1e-6     # sqrt(H^2 - K) floor along a cycle
+_PLANE_TOL_FACTOR = 1e-13       # a start's distance from its section plane
+_PLANE_NEWTON = 8               # Newton steps onto the plane, at most
 
 # the reason logged for a seed whose cycle was found before
 DUPLICATE_SEED = "duplicate of an earlier cycle"
@@ -130,23 +132,39 @@ class _Anchor:
         self.w0 = np.cross(b["normal"], self.t0)
 
     def start_at_offset(self, h):
-        """Chart point for the section coordinate h (0 is the anchor)."""
+        """Chart point for the section coordinate h (0 is the anchor): the
+        point of the surface on the section plane whose w0-coordinate is
+        h.  The foot of the tangent-line target p0 + h·w0 is moved onto
+        the plane by Newton steps in (u, v) on (P - p0)·t0 = 0 and
+        (P - p0)·w0 = h."""
         if h == 0.0:
             return np.array(self.uv)
-        target = self.p0 + h * self.w0
-        uv = chart_point_near(self.surface, target, self.uv)
+        uv = chart_point_near(self.surface, self.p0 + h * self.w0, self.uv)
         if uv is None:
             raise ReturnFailure(f"no chart point at section offset {h:.3e}")
-        return uv
+        t0, w0 = self.t0, self.w0
+        tol = _PLANE_TOL_FACTOR * self.surface.diameter()
+        for _ in range(_PLANE_NEWTON):
+            J = self.surface.jet(uv[0], uv[1])
+            r, a, b = J[0, 0] - self.p0, J[1, 0], J[0, 1]
+            f1, f2 = float(r @ t0), float(r @ w0) - h
+            if abs(f1) <= tol and abs(f2) <= tol:
+                return uv
+            m11, m12 = float(a @ t0), float(b @ t0)
+            m21, m22 = float(a @ w0), float(b @ w0)
+            det = m11 * m22 - m12 * m21
+            if not det:
+                break
+            uv = uv + np.array([(m12 * f2 - m22 * f1) / det,
+                                (m21 * f1 - m11 * f2) / det])
+        raise ReturnFailure(
+            f"no start on the section plane at offset {h:.3e}")
 
     def start_info(self, h):
-        """(chart point, actual section coordinate) for nominal offset h.
-
-        Projecting the tangent-line target onto the surface shifts the
-        section coordinate by the curvature sag, so the actual coordinate
-        of the start point is what return displacements must be measured
-        against.
-        """
+        """(chart point, section coordinate) for the offset h.  The start
+        lies on the section plane with coordinate h up to the Newton
+        tolerance; the coordinate returned is the one measured at the
+        start point, which return displacements are taken against."""
         uv = self.start_at_offset(h)
         p = self.surface.point(uv[0], uv[1])
         return uv, float(np.dot(p - self.p0, self.w0))
@@ -384,8 +402,8 @@ def _is_duplicate(curve, earlier, merge_tol):
 def return_map_derivative_fd(surface, cycle, h=None, log=None,
                              known_umbilics=()):
     """Central difference of the return map, Richardson extrapolated over
-    h and h/2.  Differences run over the actual section coordinates of the
-    start points (the nominal offsets shift by the projection sag).  Four
+    h and h/2.  Differences run over the section coordinates measured at
+    the start points (the offsets up to the Newton tolerance).  Four
     traces: T(h), which also decides single or double return, T(-h) and
     T(±h/2).  T(h) is traced to its first return; only when that lands on
     the far side of the cycle (a one-sided cycle, which no surface in R³

@@ -21,8 +21,8 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ConvergenceError, RegularityError, TransversalityError
-from .geometry import (MAXIMAL, MINIMAL, ImplicitSurface, _dot3,
-                       chart_bundle, implicit_bundle)
+from . import geometry
+from .geometry import MAXIMAL, MINIMAL, ImplicitSurface, _dot3, chart_bundle
 
 TERM_CLOSED = "Closed"
 TERM_HIT_UMBILIC = "HitUmbilic"
@@ -72,9 +72,10 @@ class WorldPlaneSection:
             t1 = np.asarray(axes[0], dtype=float)
             t2 = np.asarray(axes[1], dtype=float)
         self.ax1, self.ax2 = t1, t2
+        self._normal = tuple(self.normal.tolist())
 
     def offset(self, uv, xyz):
-        return float(np.dot(self.normal, xyz) - self.offset_value)
+        return float(_dot(self._normal, xyz) - self.offset_value)
 
     def coordinate(self, uv, xyz):
         ang = math.atan2(float(np.dot(xyz, self.ax2)),
@@ -195,23 +196,25 @@ _DP_B5 = _DP_AM[6]
 _DP_B4 = np.array([5179 / 57600, 0.0, 7571 / 16695, 393 / 640,
                    -92097 / 339200, 187 / 2100, 1 / 40])
 _DP_E = _DP_B5 - _DP_B4
+# the tableau for the scalar tracer's float loops: row i's weights of the
+# stages before it, and the error weights
+_DP_ROWS = tuple(tuple(row[:i]) for i, row in enumerate(_DP_AM.tolist()))
+_DP_E_ROW = tuple(_DP_E.tolist())
 
 
-# direction-field sample: state velocity plus world data
+# direction-field sample: state velocity plus world data, float tuples
 _FieldEval = namedtuple("_FieldEval", "vel xyz tangent normal")
 
 
 def _chart_field(surface, foliation_id):
-    from .geometry import principal_direction_fast
-
     minimal = foliation_id == MINIMAL
 
     def f(y, ref):
-        duv, r, dxyz, n = principal_direction_fast(
-            surface, float(y[0]), float(y[1]), minimal)
-        if ref is not None and float(dxyz @ ref) < 0.0:
-            duv = -duv
-            dxyz = -dxyz
+        duv, r, dxyz, n = geometry.principal_direction_fast(
+            surface, y[0], y[1], minimal)
+        if ref is not None and _dot(dxyz, ref) < 0.0:
+            duv = (-duv[0], -duv[1])
+            dxyz = (-dxyz[0], -dxyz[1], -dxyz[2])
         return _FieldEval(duv, r, dxyz, n)
 
     return f
@@ -221,16 +224,18 @@ def _implicit_field(surface, foliation_id):
     key = "d1_xyz" if foliation_id == MINIMAL else "d2_xyz"
 
     def f(p, ref):
-        b = implicit_bundle(surface, p, check_on_surface=False)
-        dx, dy, dz = b[key]
-        if ref is not None:
-            rx, ry, rz = ref.tolist()
-            if dx * rx + dy * ry + dz * rz < 0.0:
-                dx, dy, dz = -dx, -dy, -dz
-        d = np.array((dx, dy, dz))
-        return _FieldEval(d, b["r"], d, np.array(b["normal"]))
+        b = geometry.implicit_bundle(surface, p, check_on_surface=False)
+        d = b[key]
+        if ref is not None and _dot(d, ref) < 0.0:
+            d = (-d[0], -d[1], -d[2])
+        return _FieldEval(d, p, d, b["normal"])
 
     return f
+
+
+def _dot(a, b):
+    """Dot product of two float triples, summed left to right."""
+    return a[0] * b[0] + a[1] * b[1] + a[2] * b[2]
 
 
 def trace(surface, start, foliation_id, opts=None, heading=None):
@@ -251,14 +256,18 @@ def trace(surface, start, foliation_id, opts=None, heading=None):
         raise ValueError(f"unknown foliation id {foliation_id!r}")
     implicit = isinstance(surface, ImplicitSurface)
     y0 = np.asarray(start, dtype=float)
+    if implicit:
+        y0 = surface.project(y0)
     if heading is not None:
-        heading = np.asarray(heading, dtype=float)
-    return _trace_core(surface, surface.project(y0) if implicit else y0,
-                       foliation_id, opts or TraceOptions(), implicit,
-                       heading)
+        heading = tuple(np.asarray(heading, dtype=float).tolist())
+    return _trace_core(surface, tuple(y0.tolist()), foliation_id,
+                       opts or TraceOptions(), implicit, heading)
 
 
 def _trace_core(surface, y0, foliation_id, opts, implicit, heading):
+    """The stepping loop of :func:`trace`.  The state ``y0`` (a float
+    tuple), every field sample and every stage state are python floats;
+    the records become arrays once, in the Trajectory."""
     diam = surface.diameter()
     field_at = (_implicit_field if implicit else _chart_field)(surface,
                                                                foliation_id)
@@ -272,21 +281,19 @@ def _trace_core(surface, y0, foliation_id, opts, implicit, heading):
     # the world point of a state, all that crossing refinement needs
     locate = ((lambda y: y) if implicit
               else (lambda y: surface.point(y[0], y[1])))
+    rebase = None if implicit else getattr(surface, "rebase_state", None)
+    sections = [(sec, getattr(sec, "keeps", None)) for sec in opts.sections]
     max_len = opts.max_length if opts.max_length is not None else 50.0 * diam
     h_max = opts.max_step_factor * diam
     h_min = _MIN_STEP * diam
     excl = opts.exclusion_radius_factor * diam
-    umb_pts = _umbilic_points(opts.known_umbilics)
+    umb_pts = [tuple(p) for p in _umbilic_points(opts.known_umbilics).tolist()]
 
-    y = np.array(y0, dtype=float)
+    y = y0
     ev = fld(y, heading)
-    p0, t0 = ev.xyz.copy(), ev.tangent.copy()
+    p0, t0 = ev.xyz, ev.tangent
 
-    ys = [y.copy()]
-    ps = [ev.xyz.copy()]
-    ts = [ev.tangent.copy()]
-    ns = [ev.normal.copy()]
-    ss = [0.0]
+    ys, ps, ts, ns, ss = [y], [ev.xyz], [ev.tangent], [ev.normal], [0.0]
     crossings = []
     sec_offsets = [sec.offset(y, ev.xyz) for sec in opts.sections]
 
@@ -310,9 +317,10 @@ def _trace_core(surface, y0, foliation_id, opts, implicit, heading):
             y5, err, stages = _dp_step(fld, y, k1, h)
             tol = opts.rel_tol * max(h, 1e-3 * h_max)
             err_world = _world_err(err, stages[0])
-            accept = bool(np.isfinite(err_world)) and err_world <= tol
+            accept = math.isfinite(err_world) and err_world <= tol
             # re-project only once the state has drifted off the level set
-            proj = (surface.project(y5) if implicit and accept
+            proj = (tuple(surface.project(y5).tolist())
+                    if implicit and accept
                     and abs(surface.value(y5)) > 1e-9 * diam else None)
         except (FloatingPointError, RegularityError, ConvergenceError):
             # a stage landed on a chart singularity, or the step's end does
@@ -347,10 +355,9 @@ def _trace_core(surface, y0, foliation_id, opts, implicit, heading):
 
         # section crossings
         stop_on_crossings = False
-        for i, sec in enumerate(opts.sections):
+        for i, (sec, keeps) in enumerate(sections):
             g_old = sec_offsets[i]
             g_new = sec.offset(y_new, p_new)
-            keeps = getattr(sec, "keeps", None)
             if (g_old * g_new < 0.0 and abs(g_old) + abs(g_new) < math.pi
                     and (keeps is None or sec.may_keep(
                         ps[-1], p_new, s + h * _T_LAST, h))):
@@ -363,10 +370,10 @@ def _trace_core(surface, y0, foliation_id, opts, implicit, heading):
                         stop_on_crossings = True
             sec_offsets[i] = g_new
 
-        # umbilic exclusion
-        if len(umb_pts):
-            d = np.linalg.norm(umb_pts - p_new, axis=1)
-            j = int(np.argmin(d))
+        # umbilic exclusion: the first nearest known umbilic
+        if umb_pts:
+            d = [_norm(_sub(q, p_new)) for q in umb_pts]
+            j = d.index(min(d))
             if d[j] < excl:
                 termination = TERM_HIT_UMBILIC
                 hit_idx = j
@@ -375,18 +382,20 @@ def _trace_core(surface, y0, foliation_id, opts, implicit, heading):
 
         # closure against the start section
         if opts.detect_closure and s_new > _CLOSURE_MIN_LENGTH * diam:
-            g0_old = float(np.dot(ps[-1] - p0, t0))
-            g0_new = float(np.dot(p_new - p0, t0))
+            p_old = ps[-1]
+            g0_old = _dot(_sub(p_old, p0), t0)
+            g0_new = _dot(_sub(p_new, p0), t0)
             if g0_old < 0.0 <= g0_new:
                 t_lin = g0_old / (g0_old - g0_new)
-                p_lin = ps[-1] + t_lin * (p_new - ps[-1])
-                if np.linalg.norm(p_lin - p0) < _CLOSURE_CAPTURE * diam:
+                p_lin = tuple(a + t_lin * (b - a)
+                              for a, b in zip(p_old, p_new))
+                if _norm(_sub(p_lin, p0)) < _CLOSURE_CAPTURE * diam:
                     t_c, _, _ = _bisect_step(
                         step, lambda _y, p: float(np.dot(p - p0, t0)),
                         locate, g0_old)
                     y_c, ev_c = _restep(fld, step, t_c)
-                    dist = float(np.linalg.norm(ev_c.xyz - p0))
-                    align = float(np.dot(ev_c.tangent, t0))
+                    dist = _norm(_sub(ev_c.xyz, p0))
+                    align = _dot(ev_c.tangent, t0)
                     if dist < _CLOSURE_TOL * diam and align > _CLOSURE_COS:
                         closed_len = s + h * t_c
                         _append(ys, ps, ts, ns, ss, y_c, ev_c, closed_len)
@@ -401,15 +410,13 @@ def _trace_core(surface, y0, foliation_id, opts, implicit, heading):
             break
 
         # chart handoff across a coordinate pole (double-covered strip)
-        if not implicit:
-            rebase = getattr(surface, "rebase_state", None)
-            if rebase is not None:
-                moved = rebase(y_new[0], y_new[1])
-                if moved is not None:
-                    y_new = np.array(moved, dtype=float)
-                    k_new = fld(y_new, k_new.tangent)
-                    for i, sec in enumerate(opts.sections):
-                        sec_offsets[i] = sec.offset(y_new, k_new.xyz)
+        if rebase is not None:
+            moved = rebase(y_new[0], y_new[1])
+            if moved is not None:
+                y_new = (float(moved[0]), float(moved[1]))
+                k_new = fld(y_new, k_new.tangent)
+                for i, sec in enumerate(opts.sections):
+                    sec_offsets[i] = sec.offset(y_new, k_new.xyz)
 
         _append(ys, ps, ts, ns, ss, y_new, k_new, s_new)
         y, k1, s = y_new, k_new, s_new
@@ -422,14 +429,13 @@ def _trace_core(surface, y0, foliation_id, opts, implicit, heading):
         h = min(h * min(4.0, 0.9 * (tol / max(err_world, 1e-300)) ** 0.25),
                 h_max)
 
-    uv = np.asarray(ys)
     return Trajectory(
         foliation_id=foliation_id,
-        points_uv=uv if not implicit else uv.copy(),
-        points_xyz=np.asarray(ps),
-        tangents=np.asarray(ts),
-        normals=np.asarray(ns),
-        arclength=np.asarray(ss),
+        points_uv=np.array(ys, dtype=float),
+        points_xyz=np.array(ps, dtype=float),
+        tangents=np.array(ts, dtype=float),
+        normals=np.array(ns, dtype=float),
+        arclength=np.array(ss, dtype=float),
         termination=termination,
         crossings=crossings,
         hit_umbilic_index=hit_idx,
@@ -643,11 +649,11 @@ def _lane_field(surface, y, minimal, ref):
 
 
 def _append(ys, ps, ts, ns, ss, y, ev, s):
-    ys.append(np.array(y, dtype=float))
-    ps.append(ev.xyz.copy())
-    ts.append(ev.tangent.copy())
-    ns.append(ev.normal.copy())
-    ss.append(float(s))
+    ys.append(y)
+    ps.append(ev.xyz)
+    ts.append(ev.tangent)
+    ns.append(ev.normal)
+    ss.append(s)
 
 
 def _umbilic_points(known):
@@ -657,25 +663,52 @@ def _umbilic_points(known):
 
 
 def _dp_step(fld, y, k1, h):
-    """One DP5(4) step from ``y``: y5, the error y5 - y4 and the 7 stages."""
+    """One DP5(4) step from the float tuple ``y``: y5, the error y5 - y4
+    (float tuples) and the 7 stages.  The last stage's state is y5 (first
+    same as last)."""
     ks = [k1]
-    K = np.zeros((7, len(y)))
-    K[0] = k1.vel
-    for i in range(1, 7):
-        ks.append(fld(y + h * (_DP_AM[i] @ K), k1.tangent))
-        K[i] = ks[i].vel
-    return y + h * (_DP_B5 @ K), h * (_DP_E @ K), ks
+    vels = [k1.vel]
+    for row in _DP_ROWS[1:]:
+        yi = _stage_sum(y, h, row, vels)
+        ks.append(fld(yi, k1.tangent))
+        vels.append(ks[-1].vel)
+    return yi, _stage_sum((0.0,) * len(y), h, _DP_E_ROW, vels), ks
+
+
+def _stage_sum(y, h, row, vels):
+    """y + h·sum_j row[j]·vels[j] for a state of 2 or 3 floats, each
+    component's sum taken left to right."""
+    if len(y) == 3:
+        sx = sy = sz = 0.0
+        for a, (vx, vy, vz) in zip(row, vels):
+            sx += a * vx
+            sy += a * vy
+            sz += a * vz
+        return (y[0] + h * sx, y[1] + h * sy, y[2] + h * sz)
+    su = sv = 0.0
+    for a, (vu, vv) in zip(row, vels):
+        su += a * vu
+        sv += a * vv
+    return (y[0] + h * su, y[1] + h * sv)
 
 
 def _world_err(err_state, k1):
-    if err_state.shape[-1] == 3:
-        return float(np.linalg.norm(err_state))
+    if len(err_state) == 3:
+        return _norm(err_state)
     # chart state: push the (du, dv) error to world scale via the jacobian
     # hidden in the unit-speed velocity; |a_u|, |a_v| from the tangent
     # decomposition are not stored, so approximate with the velocity norm
-    vel = k1.vel
-    scale = np.linalg.norm(k1.tangent) / max(np.linalg.norm(vel), 1e-300)
-    return float(np.linalg.norm(err_state) * scale)
+    (eu, ev), (du, dv) = err_state, k1.vel
+    scale = _norm(k1.tangent) / max(math.sqrt(du * du + dv * dv), 1e-300)
+    return math.sqrt(eu * eu + ev * ev) * scale
+
+
+def _sub(a, b):
+    return (a[0] - b[0], a[1] - b[1], a[2] - b[2])
+
+
+def _norm(a):
+    return math.sqrt(_dot(a, a))
 
 
 def _hermite(y0, f0, y1, f1, h, t):
@@ -697,10 +730,12 @@ def _bisect_step(step, offset, locate, g_old):
     ``locate(y)``, no field.  Returns the step fraction t in [0, _T_LAST]
     and the last interpolated state and its point."""
     y_old, k_old, y1, k_end, h, _ = step
+    y_old, f_old = np.array(y_old), np.array(k_old.vel)
+    y1, f1 = np.array(y1), np.array(k_end.vel)
     lo, hi, g_lo = 0.0, 1.0, g_old
     for _ in range(_BISECTIONS):
         mid = 0.5 * (lo + hi)
-        yt = _hermite(y_old, k_old.vel, y1, k_end.vel, h, mid)
+        yt = _hermite(y_old, f_old, y1, f1, h, mid)
         xyz = locate(yt)
         g_mid = offset(yt, xyz)
         if g_mid == 0.0:

@@ -353,8 +353,10 @@ class ImplicitSurface:
             f"no projection onto {self.name} in {max_iter} Newton steps")
 
     def in_box(self, p):
-        lo, hi = self.bounding_box
-        return all(a <= c <= b for a, c, b in zip(lo, p.tolist(), hi))
+        """Whether the float triple ``p`` lies in the bounding box."""
+        (x0, y0, z0), (x1, y1, z1) = self.bounding_box
+        x, y, z = p
+        return x0 <= x <= x1 and y0 <= y <= y1 and z0 <= z <= z1
 
 
 # ---------------------------------------------------------------------------
@@ -549,6 +551,8 @@ def _dot3(a, b):
 def principal_direction_fast(surface, u, v, minimal):
     """Lean scalar path for the tracer: one foliation direction plus the
     point and normal, with the shape-operator kernel run on plain floats.
+    Returns float tuples: (du, dv), the point, the world direction and the
+    unit normal.
 
     Raises RegularityError at immersion failures.
     """
@@ -583,8 +587,7 @@ def principal_direction_fast(surface, u, v, minimal):
     dx = du * aux_x + dv * avx
     dy = du * aux_y + dv * avy
     dz = du * aux_z + dv * avz
-    return (np.array([du, dv]), np.array([rx, ry, rz]),
-            np.array([dx, dy, dz]), np.array([nx, ny, nz]))
+    return (du, dv), (rx, ry, rz), (dx, dy, dz), (nx, ny, nz)
 
 
 def fundamental_forms(surface, p):

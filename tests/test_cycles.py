@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from principal_config import cycles, foliation
-from principal_config.errors import RegularityError
+from principal_config.errors import RegularityError, ReturnFailure
 from principal_config.cycles import (cycle_from_closed_trajectory,
                                      find_cycles, hyperbolicity,
                                      return_map_derivative_fd,
@@ -235,6 +235,42 @@ def test_periodic_spline_matches_scipy(n):
     scale = np.abs(values).max()
     assert np.abs(value - ref(x)).max() <= 1e-12 * scale
     assert np.abs(slope - ref(x, 1)).max() <= 1e-12 * scale
+
+
+@pytest.mark.parametrize("which", ["torus", "perturbed_torus"])
+def test_return_map_starts_lie_on_the_section_plane(request, which):
+    surface = request.getfixturevalue(which)
+    diam = surface.diameter()
+    for seed, fol, factors in (
+            ((6.15, 1.2), MINIMAL, (0.0, 1e-3, 0.05, 0.2)),
+            ((2.4, 1.2), MINIMAL, (0.0, 1e-3, 0.05, 0.2)),
+            ((0.4, 4.6), MAXIMAL, (0.0, 1e-3, 0.05))):
+        anchor = cycles._Anchor(surface, seed, fol)
+        for h in sorted({sign * f * diam for f in factors
+                         for sign in (1.0, -1.0)}):
+            uv, w = anchor.start_info(h)
+            r = surface.point(*uv) - anchor.p0
+            assert abs(float(r @ anchor.t0)) <= 1e-12 * diam
+            assert abs(float(r @ anchor.w0) - h) <= 1e-12 * diam
+            assert abs(w - h) <= 1e-12 * diam
+    # the section curve of a meridian anchor is a circle of radius about
+    # 1 = diam / 6: no point of it has the coordinate 0.2·diam
+    anchor = cycles._Anchor(surface, (0.4, 4.6), MAXIMAL)
+    with pytest.raises(ReturnFailure):
+        anchor.start_at_offset(0.2 * diam)
+
+
+def test_perturbed_torus_minimal_seeds_without_a_return_root(
+        perturbed_torus):
+    # on-plane starts make the secant's residual the true displacement:
+    # near these two seeds it has no root (with starts off the plane the
+    # secant certified a root that closed no line)
+    log = cycles.SearchLog()
+    assert find_cycles(perturbed_torus, [(6.15, 1.2), (2.4, 1.2)], MINIMAL,
+                       log=log) == []
+    assert log.dropped == [
+        (MINIMAL, seed, "no root of the return displacement")
+        for seed in ((6.15, 1.2), (2.4, 1.2))]
 
 
 def _raising_chart(error):

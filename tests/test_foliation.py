@@ -456,16 +456,77 @@ def test_dp_step_is_the_dormand_prince_polynomial_on_a_linear_field():
     def R(z):
         return sum(z ** k / math.factorial(k) for k in range(6)) + z ** 6 / 600
 
-    y0 = np.array([1.0, -0.5, 0.25])
+    y0 = (1.0, -0.5, 0.25)
     for lam in (-1.0, 0.7, -2.3):
         def fld(y, ref):
-            return foliation._FieldEval(lam * y, y, lam * y, None)
+            v = tuple(lam * c for c in y)
+            return foliation._FieldEval(v, y, v, None)
 
         k1 = fld(y0, None)
         for h in (0.1, 0.5, 1.3):
             y5, _, _ = foliation._dp_step(fld, y0, k1, h)
-            scale = R(abs(h * lam)) * np.abs(y0).max()
-            assert np.abs(y5 - R(h * lam) * y0).max() <= 1e-15 * scale
+            scale = R(abs(h * lam)) * max(map(abs, y0))
+            assert np.abs(np.subtract(y5, np.multiply(R(h * lam), y0))
+                          ).max() <= 1e-15 * scale
         errs = [np.linalg.norm(foliation._dp_step(fld, y0, k1, h)[1])
                 for h in (0.2, 0.1)]
         assert 28.0 <= errs[0] / errs[1] <= 36.0
+
+
+def test_dp_step_runs_on_floats_and_matches_the_numpy_tableau():
+    # the float loops sum each stage left to right; the tableau product
+    # rounds in its own order, so the two agree to a few units of the
+    # rounding of the terms
+    rng = np.random.default_rng(1501)
+    eps = np.finfo(float).eps
+    for n in (2, 3):
+        for _ in range(20):
+            K = rng.normal(size=(7, n)) * rng.uniform(0.1, 10.0)
+            y0 = tuple(rng.normal(size=n).tolist())
+            h = float(rng.uniform(1e-3, 1.0))
+            states = []
+
+            def fld(y, ref):
+                states.append(y)
+                v = tuple(K[len(states)].tolist())
+                return foliation._FieldEval(v, y, (1.0, 0.0, 0.0), None)
+
+            k1 = foliation._FieldEval(tuple(K[0].tolist()), y0,
+                                      (1.0, 0.0, 0.0), None)
+            y5, err, stages = foliation._dp_step(fld, y0, k1, h)
+            assert len(stages) == 7 and len(states) == 6
+            assert states[5] is y5
+            for got in states + [err]:
+                assert isinstance(got, tuple) and len(got) == n
+                assert all(type(x) is float for x in got)
+            y = np.array(y0)
+            for i, got in enumerate(states, start=1):
+                a = foliation._DP_AM[i]
+                want = y + h * (a @ K)
+                bound = 8 * eps * (np.abs(y) + h * (np.abs(a) @ np.abs(K)))
+                assert np.all(np.abs(np.array(got) - want) <= bound)
+            e = foliation._DP_E
+            bound = 8 * eps * h * (np.abs(e) @ np.abs(K))
+            assert np.all(np.abs(np.array(err) - h * (e @ K)) <= bound)
+
+
+@pytest.mark.parametrize("kind", ["chart", "implicit"])
+def test_trace_records_are_float_arrays_from_the_start(torus, kind):
+    if kind == "chart":
+        surface, start, dim = torus, (0.3, 0.9), 2
+    else:
+        surface = catalog.cubic_levelset_surface(0.05, 3.0, 2.0)
+        start, dim = (3.0 * math.cos(0.3), 2.0 * math.sin(0.3), 0.0), 3
+    traj = trace(surface, start, MAXIMAL, TraceOptions(max_length=2.0))
+    n = len(traj.arclength)
+    assert n > 2
+    for arr, width in ((traj.points_uv, dim), (traj.points_xyz, 3),
+                       (traj.tangents, 3), (traj.normals, 3)):
+        assert arr.dtype == np.float64 and arr.shape == (n, width)
+    assert traj.arclength.dtype == np.float64
+    assert traj.arclength[0] == 0.0
+    assert np.array_equal(traj.points_uv[0], start)
+    if kind == "chart":
+        assert np.array_equal(traj.points_xyz[0], surface.point(*start))
+    else:
+        assert np.array_equal(traj.points_xyz[0], start)
