@@ -29,8 +29,10 @@ _SECTION_CAPTURE_FACTOR = 0.12  # radius of the return disc
 _NEWTON_TOL_FACTOR = 1e-9       # a root of the return displacement
 _MAX_NEWTON = 18                # secant iterations from a seed
 _MAX_SECANT_STEP_FACTOR = 0.35
-_BRACKET_SPAN_FACTOR = 0.35     # the bracket scan covers +-span, in
-_BRACKET_PROBES = 6             # this many probes per side
+# the bracket scan covers +-span, in this many probes per side; the span
+# stays inside the return disc, with room for the sag of the section curve
+_BRACKET_SPAN_FACTOR = 0.85 * _SECTION_CAPTURE_FACTOR
+_BRACKET_PROBES = 6
 _CYCLE_MERGE_FACTOR = 1e-3      # Hausdorff distance of one cycle
 _FD_OFFSET_FACTOR = 1e-3        # section offset h of the FD return map
 _MAX_PERIOD_FACTOR = 8.0        # return budget: length per return
@@ -131,14 +133,16 @@ class _Anchor:
             self.t0 = -self.t0
         self.w0 = np.cross(b["normal"], self.t0)
 
-    def start_at_offset(self, h):
-        """Chart point for the section coordinate h (0 is the anchor): the
-        point of the surface on the section plane whose w0-coordinate is
-        h.  The foot of the tangent-line target p0 + h·w0 is moved onto
-        the plane by Newton steps in (u, v) on (P - p0)·t0 = 0 and
-        (P - p0)·w0 = h."""
+    def start_info(self, h):
+        """(chart point, section coordinate) for the offset h (0 is the
+        anchor): the point of the surface on the section plane whose
+        w0-coordinate is h.  The foot of the tangent-line target p0 + h·w0
+        is moved onto the plane by Newton steps in (u, v) on (P - p0)·t0 =
+        0 and (P - p0)·w0 = h; the coordinate returned is the one measured
+        at the converged point, which return displacements are taken
+        against."""
         if h == 0.0:
-            return np.array(self.uv)
+            return np.array(self.uv), 0.0
         uv = chart_point_near(self.surface, self.p0 + h * self.w0, self.uv)
         if uv is None:
             raise ReturnFailure(f"no chart point at section offset {h:.3e}")
@@ -147,9 +151,10 @@ class _Anchor:
         for _ in range(_PLANE_NEWTON):
             J = self.surface.jet(uv[0], uv[1])
             r, a, b = J[0, 0] - self.p0, J[1, 0], J[0, 1]
-            f1, f2 = float(r @ t0), float(r @ w0) - h
+            f1, w = float(r @ t0), float(r @ w0)
+            f2 = w - h
             if abs(f1) <= tol and abs(f2) <= tol:
-                return uv
+                return uv, w
             m11, m12 = float(a @ t0), float(b @ t0)
             m21, m22 = float(a @ w0), float(b @ w0)
             det = m11 * m22 - m12 * m21
@@ -159,15 +164,6 @@ class _Anchor:
                                 (m21 * f1 - m11 * f2) / det])
         raise ReturnFailure(
             f"no start on the section plane at offset {h:.3e}")
-
-    def start_info(self, h):
-        """(chart point, section coordinate) for the offset h.  The start
-        lies on the section plane with coordinate h up to the Newton
-        tolerance; the coordinate returned is the one measured at the
-        start point, which return displacements are taken against."""
-        uv = self.start_at_offset(h)
-        p = self.surface.point(uv[0], uv[1])
-        return uv, float(np.dot(p - self.p0, self.w0))
 
     def section(self):
         """The local Poincare section: the disc of radius
@@ -265,7 +261,7 @@ def _cycle_from_seed(surface, seed, foliation_id, known_umbilics, log):
         return None, "no root of the return displacement"
 
     try:
-        uv_star = anchor.start_at_offset(h)
+        uv_star = anchor.start_info(h)[0]
     except ReturnFailure as exc:
         return None, f"no start at the root: {exc}"
     closed = log.count(trace(surface, uv_star, foliation_id, TraceOptions(

@@ -651,17 +651,17 @@ def normal_curvature(pd, theta):
 # ---------------------------------------------------------------------------
 
 def implicit_bundle(surface, p, check_on_surface=True):
-    """Curvature data of a level set at one point ``p`` of shape (3,).
+    """Curvature data of a level set at one point ``p``: a float triple or
+    an array of shape (3,).
 
     Runs on python floats, like the chart tracer's kernel: the surface's
     ``grad`` and ``hess`` get the float triple of ``p``, and ``normal``,
-    ``d1_xyz`` and ``d2_xyz`` come back as float triples (``r`` is ``p``
-    as an array).  The tangent pair is Gram-Schmidt on the axis of the
-    smallest |n_i| (the first on ties), and the shape operator in it goes
-    through :func:`shape_operator_eigen`.
+    ``d1_xyz`` and ``d2_xyz`` come back as float triples.  The tangent
+    pair is Gram-Schmidt on the axis of the smallest |n_i| (the first on
+    ties), and the shape operator in it goes through
+    :func:`shape_operator_eigen`.
     """
-    p = np.asarray(p, dtype=float)
-    xyz = p.tolist()
+    xyz = (float(p[0]), float(p[1]), float(p[2]))
     gx, gy, gz = surface.grad(xyz)
     gn = math.sqrt(gx * gx + gy * gy + gz * gz)
     floor = surface.regularity_floor()
@@ -702,7 +702,7 @@ def implicit_bundle(surface, p, check_on_surface=True):
         scale * (bx * hbx + by * hby + bz * hbz))
     c, s = math.cos(phi), math.sin(phi)
     return {
-        "r": p, "normal": (nx, ny, nz),
+        "normal": (nx, ny, nz),
         "k1": k1, "k2": k2, "H": H, "K": K,
         "d1_xyz": (c * tx + s * bx, c * ty + s * by, c * tz + s * bz),
         "d2_xyz": (-s * tx + c * bx, -s * ty + c * by, -s * tz + c * bz),
@@ -719,7 +719,7 @@ def implicit_principal_data(surface, p):
         k1=b["k1"], k2=b["k2"], H=b["H"], K=b["K"], umbilic_deviation=dev,
         directions_defined=dev > b["direction_tol"],
         d1_xyz=np.array(b["d1_xyz"]), d2_xyz=np.array(b["d2_xyz"]),
-        normal=np.array(b["normal"]), point=b["r"])
+        normal=np.array(b["normal"]), point=np.asarray(p, dtype=float))
 
 
 # ---------------------------------------------------------------------------

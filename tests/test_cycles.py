@@ -256,7 +256,7 @@ def test_return_map_starts_lie_on_the_section_plane(request, which):
     # 1 = diam / 6: no point of it has the coordinate 0.2·diam
     anchor = cycles._Anchor(surface, (0.4, 4.6), MAXIMAL)
     with pytest.raises(ReturnFailure):
-        anchor.start_at_offset(0.2 * diam)
+        anchor.start_info(0.2 * diam)
 
 
 def test_perturbed_torus_minimal_seeds_without_a_return_root(
@@ -270,6 +270,18 @@ def test_perturbed_torus_minimal_seeds_without_a_return_root(
     assert log.dropped == [
         (MINIMAL, seed, "no root of the return displacement")
         for seed in ((6.15, 1.2), (2.4, 1.2))]
+
+
+def test_bracket_scan_finds_the_outer_parallel_of_the_perturbed_torus(
+        perturbed_torus):
+    # the secant search from this seed fails and the bracket scan finds
+    # the root; its probes must start inside the return disc, where their
+    # returns can be kept
+    log = cycles.SearchLog()
+    found = find_cycles(perturbed_torus, [(3.864, 5.679)], MAXIMAL, log=log)
+    assert log.dropped == []
+    assert len(found) == 1
+    assert found[0].period_length == pytest.approx(18.7767, abs=1e-3)
 
 
 def _raising_chart(error):
