@@ -49,8 +49,9 @@ DUPLICATE_SEED = "duplicate of an earlier cycle"
 class SearchLog:
     """Work of a cycle search, filled in as it runs: the Dormand-Prince
     steps and field evaluations of every trace it made (secant search, FD
-    return map, closing trace), and each seed that gave no new cycle, with
-    the reason."""
+    return map, and a closing trace where the trace that certified the
+    root did not close), and each seed that gave no new cycle, with the
+    reason."""
 
     steps: int = 0
     evals: int = 0
@@ -75,7 +76,6 @@ class PrincipalCycle:
     anchor_xyz: np.ndarray
     tangent: np.ndarray                # t0 at the anchor
     conormal: np.ndarray               # w0 = n x t0, section coordinate axis
-    double_return: bool = False
     tprime_fd: float | None = None
     tprime_fd_error: float | None = None
     tprime_integral: float | None = None
@@ -97,7 +97,6 @@ class PrincipalCycle:
             "period_length": self.period_length,
             "anchor_uv": [float(x) for x in self.anchor_uv],
             "anchor_xyz": [float(x) for x in self.anchor_xyz],
-            "double_return": self.double_return,
             "tprime_fd": self.tprime_fd,
             "tprime_fd_error": self.tprime_fd_error,
             "tprime_integral": self.tprime_integral,
@@ -175,29 +174,35 @@ class _Anchor:
                            skip=1e-3 * diam)
 
 
-def _return_offsets(anchor, h, n_returns, tol=_TRACE_TOL):
-    """(start coordinate, section coordinates of the first ``n_returns``
-    returns to the anchor's disc).  The trace stops at the last of them; a
-    line that does not make them within ``_MAX_PERIOD_FACTOR``·diam of
-    length per return raises ReturnFailure."""
+def _return_offsets(anchor, h, tol=_TRACE_TOL, detect_closure=False):
+    """(start coordinate, section coordinate of the first return to the
+    anchor's disc, the trace).  The trace stops at that return; a line
+    that does not make it within ``_MAX_PERIOD_FACTOR``·diam raises
+    ReturnFailure.  With ``detect_closure`` the trace also stops where it
+    closes onto its start.  The tracer locates a return before a closure
+    in the same step, so the return is the same as without closure; a
+    trace that closes a step before its return is traced again without
+    closure for the return, and the closed trace is returned."""
     surface, foliation_id = anchor.surface, anchor.foliation_id
-    diam = surface.diameter()
     uv, w_start = anchor.start_info(h)
     topts = TraceOptions(
-        rel_tol=tol, detect_closure=False,
-        max_length=_MAX_PERIOD_FACTOR * diam * n_returns,
+        rel_tol=tol, detect_closure=detect_closure,
+        max_length=_MAX_PERIOD_FACTOR * surface.diameter(),
         known_umbilics=anchor.known_umbilics,
         sections=(anchor.section(),), precise_crossings=True,
-        max_crossings=n_returns)
+        max_crossings=1)
     # the start heading is the anchor's tangent
     traj = anchor.log.count(trace(surface, uv, foliation_id, topts,
                                   anchor.t0))
-    if len(traj.crossings) < n_returns:
+    if not traj.crossings:
+        if traj.termination == TERM_CLOSED:
+            w_start, hit, _ = _return_offsets(anchor, h, tol)
+            return w_start, hit, traj
         raise ReturnFailure(
-            f"trajectory produced {len(traj.crossings)} return(s) within "
-            f"budget (termination {traj.termination})")
-    return w_start, [float(np.dot(c.xyz - anchor.p0, anchor.w0))
-                     for c in traj.crossings]
+            f"trajectory produced 0 return(s) within budget (termination "
+            f"{traj.termination})")
+    hit = float(np.dot(traj.crossings[0].xyz - anchor.p0, anchor.w0))
+    return w_start, hit, traj
 
 
 # ---------------------------------------------------------------------------
@@ -211,9 +216,12 @@ def find_cycles(surface, seeds, foliation_id, known_umbilics=(), log=None):
     displacement T(h) - h (Newton on the return map), so isolated cycles
     are found from seeds merely near them; non-converging seeds are
     dropped.  Cycles closer than the merge tolerance (Hausdorff distance)
-    are reported once, in seed order.  Traces stop at ``known_umbilics``;
-    a :class:`SearchLog` passed as ``log`` receives the steps of every
-    trace and the dropped seeds.
+    are reported once, in seed order.  The derivative-quality trace that
+    certifies a root also detects closure, and its closed trajectory is
+    the cycle's curve; only a certifying trace that stops at its return
+    before it closes is followed by a separate closing trace from the
+    root.  Traces stop at ``known_umbilics``; a :class:`SearchLog` passed
+    as ``log`` receives the steps of every trace and the dropped seeds.
     """
     log = log if log is not None else SearchLog()
     merge_tol = _CYCLE_MERGE_FACTOR * surface.diameter()
@@ -244,11 +252,16 @@ def _cycle_from_seed(surface, seed, foliation_id, known_umbilics, log):
         return None, f"no anchor: {type(exc).__name__}: {exc}"
     tol = _NEWTON_TOL_FACTOR * diam
     step_cap = _MAX_SECANT_STEP_FACTOR * diam
+    tight_trace = None       # of the last certifying (tight) evaluation
 
     def G(h, tight=False):
-        w_start, hits = _return_offsets(
-            anchor, h, 1, tol=_TRACE_TOL if tight else _SEARCH_TOL)
-        return hits[0] - w_start
+        nonlocal tight_trace
+        w_start, hit, traj = _return_offsets(
+            anchor, h, tol=_TRACE_TOL if tight else _SEARCH_TOL,
+            detect_closure=tight)
+        if tight:
+            tight_trace = traj
+        return hit - w_start
 
     try:
         g = G(0.0)
@@ -260,14 +273,15 @@ def _cycle_from_seed(surface, seed, foliation_id, known_umbilics, log):
     if h is None:
         return None, "no root of the return displacement"
 
-    try:
-        uv_star = anchor.start_info(h)[0]
-    except ReturnFailure as exc:
-        return None, f"no start at the root: {exc}"
-    closed = log.count(trace(surface, uv_star, foliation_id, TraceOptions(
-        rel_tol=_TRACE_TOL, detect_closure=True,
-        max_length=_MAX_PERIOD_FACTOR * diam,
-        known_umbilics=known_umbilics)))
+    # a root is returned right after its certifying evaluation
+    closed = tight_trace
+    if closed.termination != TERM_CLOSED:
+        # it stopped at its return before closing: trace on from the root
+        closed = log.count(trace(
+            surface, anchor.start_info(h)[0], foliation_id, TraceOptions(
+                rel_tol=_TRACE_TOL, detect_closure=True,
+                max_length=_MAX_PERIOD_FACTOR * diam,
+                known_umbilics=known_umbilics)))
     if closed.termination != TERM_CLOSED:
         return None, f"closing trace ended {closed.termination}"
     return cycle_from_closed_trajectory(surface, closed), None
@@ -400,45 +414,25 @@ def return_map_derivative_fd(surface, cycle, h=None, log=None,
     """Central difference of the return map, Richardson extrapolated over
     h and h/2.  Differences run over the section coordinates measured at
     the start points (the offsets up to the Newton tolerance).  Four
-    traces: T(h), which also decides single or double return, T(-h) and
-    T(±h/2).  T(h) is traced to its first return; only when that lands on
-    the far side of the cycle (a one-sided cycle, which no surface in R³
-    has) is it traced again to two returns, and the map uses the second
-    return throughout.  So the probe's length budget is one return's: a
-    line whose first return needs more would fail T(-h) anyway.  ``h``
-    defaults to ``_FD_OFFSET_FACTOR``·diam.  Returns (value,
-    error_estimate, double_return_used); the traces stop at
-    ``known_umbilics`` and put their steps in ``log``."""
+    traces, T(±h) and T(±h/2), each to its first return; ``h`` defaults
+    to ``_FD_OFFSET_FACTOR``·diam.  Returns (value, error_estimate); the
+    traces stop at ``known_umbilics`` and put their steps in ``log``."""
     diam = surface.diameter()
     if h is None:
         h = _FD_OFFSET_FACTOR * diam
     anchor = _Anchor(surface, cycle.anchor_uv, cycle.foliation_id,
                      cycle.tangent, log, known_umbilics)
-    # the probe runs T(h)'s line (same start, same tolerance): reuse it
-    w_h, hits = _return_offsets(anchor, h, 1)
-    double = (hits[0] * w_h) < 0.0
-    # No catalog surface has a one-sided cycle, so only a test reaches this
-    # retrace.  It stays while cycle reports carry ``double_return``: on a
-    # chart of a one-sided strip the first return is the wrong map.
-    if double:
-        w_h, hits = _return_offsets(anchor, h, 2)
-
-    def T(x):
-        if x == h:
-            return w_h, hits[1] if double else hits[0]
-        w_x, ret = _return_offsets(anchor, x, 2 if double else 1)
-        return w_x, ret[-1]
 
     def central(x):
-        w_p, r_p = T(x)
-        w_m, r_m = T(-x)
+        w_p, r_p, _ = _return_offsets(anchor, x)
+        w_m, r_m, _ = _return_offsets(anchor, -x)
         return (r_p - r_m) / (w_p - w_m)
 
     d_h = central(h)
     d_h2 = central(0.5 * h)
     value = (4.0 * d_h2 - d_h) / 3.0
     err = abs(d_h2 - d_h) / 3.0
-    return value, err, double
+    return value, err
 
 
 # ---------------------------------------------------------------------------
@@ -557,11 +551,11 @@ def attach_estimates(surface, cycle, log=None, known_umbilics=()):
     arguments pass on to :func:`return_map_derivative_fd`."""
     meta = dict(cycle.meta)
     try:
-        fd, fd_err, double = return_map_derivative_fd(
+        fd, fd_err = return_map_derivative_fd(
             surface, cycle, log=log, known_umbilics=known_umbilics)
     except ReturnFailure as exc:
         meta["fd_failure"] = str(exc)
-        fd, fd_err, double = None, None, False
+        fd, fd_err = None, None
     try:
         log_dH, log_dk2 = return_map_derivative_integral(surface, cycle)
     except (UmbilicProximityError, ConvergenceError) as exc:
@@ -581,7 +575,7 @@ def attach_estimates(surface, cycle, log=None, known_umbilics=()):
         tprime_integral = math.exp(sign_branch * magnitude)
 
     cyc = replace(cycle, tprime_fd=fd, tprime_fd_error=fd_err,
-                  double_return=double, tprime_integral=tprime_integral,
+                  tprime_integral=tprime_integral,
                   log_integral_dH=log_dH, log_integral_dk2=log_dk2,
                   sign_branch=sign_branch, meta=meta)
     verdict = hyperbolicity(cyc)

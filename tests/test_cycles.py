@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -85,8 +86,8 @@ def test_sign_change_of_displacement_across_seed_band(perturbed_cycles):
 
 def test_fd_estimator_is_h_stable(perturbed_torus, perturbed_cycles):
     c = next(cc for cc in perturbed_cycles if cc.hyperbolic)
-    t1, e1, _ = return_map_derivative_fd(perturbed_torus, c, h=6e-3)
-    t2, e2, _ = return_map_derivative_fd(perturbed_torus, c, h=3e-3)
+    t1, e1 = return_map_derivative_fd(perturbed_torus, c, h=6e-3)
+    t2, e2 = return_map_derivative_fd(perturbed_torus, c, h=3e-3)
     assert abs(t1 - t2) < 5.0 * (e1 + e2 + 1e-9)
 
 
@@ -157,13 +158,11 @@ def _fd_before_one_return_probe(surface, cycle):
     anchor = cycles._Anchor(surface, cycle.anchor_uv, cycle.foliation_id,
                             cycle.tangent)
     w_h, hits = _return_offsets_before_heading(anchor, h, 2)
-    double = (hits[0] * w_h) < 0.0
 
     def T(x):
         if x == h:
-            return w_h, hits[1] if double else hits[0]
-        w_x, ret = _return_offsets_before_heading(anchor, x,
-                                                  2 if double else 1)
+            return w_h, hits[0]
+        w_x, ret = _return_offsets_before_heading(anchor, x, 1)
         return w_x, ret[-1]
 
     def central(x):
@@ -172,21 +171,17 @@ def _fd_before_one_return_probe(surface, cycle):
         return (r_p - r_m) / (w_p - w_m)
 
     d_h, d_h2 = central(h), central(0.5 * h)
-    return (4.0 * d_h2 - d_h) / 3.0, abs(d_h2 - d_h) / 3.0, double
+    return (4.0 * d_h2 - d_h) / 3.0, abs(d_h2 - d_h) / 3.0
 
 
-def _recording_return_offsets(monkeypatch, flip_first=False):
-    """Record (h, n_returns) of each _return_offsets call; with
-    ``flip_first`` the first call's first return lands on the far side."""
+def _recording_return_offsets(monkeypatch):
+    """Record (h, detect_closure) of each _return_offsets call."""
     asked = []
     real = cycles._return_offsets
 
-    def recording(anchor, h, n_returns, tol=cycles._TRACE_TOL):
-        asked.append((h, n_returns))
-        w, hits = real(anchor, h, n_returns, tol)
-        if flip_first and len(asked) == 1:
-            hits = [-hits[0]] + hits[1:]
-        return w, hits
+    def recording(anchor, h, tol=cycles._TRACE_TOL, detect_closure=False):
+        asked.append((h, detect_closure))
+        return real(anchor, h, tol, detect_closure)
 
     monkeypatch.setattr(cycles, "_return_offsets", recording)
     return asked
@@ -200,21 +195,11 @@ def test_fd_probe_traces_one_return(which, torus, torus_parallel_cycle,
                       else (perturbed_torus, perturbed_cycles[0]))
     asked = _recording_return_offsets(monkeypatch)
     got = return_map_derivative_fd(surface, cycle)
-    # T(h) reuses the probe; T(-h) and T(±h/2) trace one return each
-    assert [n for _, n in asked] == [1, 1, 1, 1]
+    # T(±h) and T(±h/2), one return each, none of them closing
+    h = cycles._FD_OFFSET_FACTOR * surface.diameter()
+    assert asked == [(x, False) for x in (h, -h, 0.5 * h, -0.5 * h)]
     monkeypatch.undo()
     assert got == _fd_before_one_return_probe(surface, cycle)
-
-
-def test_a_far_side_first_return_retraces_two(torus, torus_parallel_cycle,
-                                              monkeypatch):
-    asked = _recording_return_offsets(monkeypatch, flip_first=True)
-    value, _, double = return_map_derivative_fd(torus, torus_parallel_cycle)
-    h = cycles._FD_OFFSET_FACTOR * torus.diameter()
-    assert double
-    assert asked == [(h, 1), (h, 2), (-h, 2), (0.5 * h, 2), (-0.5 * h, 2)]
-    # two turns round the parallel: still the identity
-    assert value == pytest.approx(1.0, abs=1e-6)
 
 
 def test_duplicate_cycles_merge(torus):
@@ -307,12 +292,81 @@ def test_search_log_counts_every_trace(torus):
     log = cycles.SearchLog()
     found = find_cycles(torus, [(0.3, 0.9), (1.5, 0.9)], MAXIMAL, log=log)
     assert len(found) == 1
-    # secant search, FD return map and two closing traces, not only the
+    # secant searches of both seeds and the FD return map, not only the
     # closed curve that is kept
     assert log.steps > 3 * found[0].curve.meta["steps"]
     assert log.evals > 6 * log.steps
     assert log.dropped == [(MAXIMAL, (1.5, 0.9),
                             "duplicate of an earlier cycle")]
+
+
+# (surface fixture, foliation, seed) whose certifying trace closes
+CLOSING_CASES = [("torus", MAXIMAL, (0.3, 0.9)),
+                 ("perturbed_torus", MAXIMAL, (0.4, 4.6)),
+                 ("ellipsoid", MINIMAL, (0.7, 0.4))]
+
+
+def _seed_search(surface, fol, seed, force=None):
+    """(cycle, SearchLog, the root h*, the separate closing traces) of one
+    seed's search.  ``force`` takes a fallback: "early" drops the return
+    of a certifying trace that closed (closure a step before its return),
+    "open" runs the certifying traces without closure."""
+    closing = []
+    real = cycles.trace
+
+    def tracing(surface, start, fol, opts, heading=None):
+        certifying = opts.sections and opts.detect_closure
+        if certifying and force == "open":
+            opts = dataclasses.replace(opts, detect_closure=False)
+        traj = real(surface, start, fol, opts, heading)
+        if not opts.sections:
+            closing.append(traj)
+        if certifying and force == "early" and traj.termination == "Closed":
+            traj = dataclasses.replace(traj, crossings=[])
+        return traj
+
+    with pytest.MonkeyPatch.context() as mp:
+        asked = _recording_return_offsets(mp)
+        mp.setattr(cycles, "trace", tracing)
+        log = cycles.SearchLog()
+        cyc, reason = cycles._cycle_from_seed(surface, seed, fol, (), log)
+    assert reason is None
+    h_star = [h for h, closes in asked if closes][-1]
+    return cyc, log, h_star, closing
+
+
+def _assert_same_curve(traj, ref):
+    for key in ("points_uv", "points_xyz", "arclength"):
+        assert np.array_equal(getattr(traj, key), getattr(ref, key))
+    assert traj.closed_length == ref.closed_length
+
+
+@pytest.mark.parametrize("which, fol, seed", CLOSING_CASES)
+def test_the_certifying_trace_closes_the_cycle(request, which, fol, seed):
+    surface = request.getfixturevalue(which)
+    cyc, log, h_star, closing = _seed_search(surface, fol, seed)
+    assert closing == []
+    # the closing trace from the root, as the search made it before
+    anchor = cycles._Anchor(surface, seed, fol)
+    ref = trace(surface, anchor.start_info(h_star)[0], fol, TraceOptions(
+        rel_tol=cycles._TRACE_TOL, detect_closure=True,
+        max_length=cycles._MAX_PERIOD_FACTOR * surface.diameter()))
+    assert ref.termination == "Closed"
+    _assert_same_curve(cyc.curve, ref)
+    # a return that comes before closure runs that trace: the search costs
+    # exactly its steps more
+    opened, opened_log, _, closing = _seed_search(surface, fol, seed, "open")
+    _assert_same_curve(closing[0], ref)
+    _assert_same_curve(opened.curve, ref)
+    assert opened_log.steps - log.steps == ref.meta["steps"]
+    # a closure a step before the return retraces for the return alone
+    early, early_log, _, closing = _seed_search(surface, fol, seed, "early")
+    assert closing == []
+    _assert_same_curve(early.curve, ref)
+    assert early_log.steps > log.steps
+    for other in (opened, early):
+        assert other.anchor_uv == cyc.anchor_uv
+        assert other.period_length == cyc.period_length
 
 
 def test_return_trace_never_counts_its_start(torus):
