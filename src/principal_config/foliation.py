@@ -22,7 +22,7 @@ import numpy as np
 
 from .errors import ConvergenceError, RegularityError, TransversalityError
 from . import geometry
-from .geometry import MAXIMAL, MINIMAL, ImplicitSurface, _dot3, chart_bundle
+from .geometry import MAXIMAL, MINIMAL, ImplicitSurface, _dot3
 
 TERM_CLOSED = "Closed"
 TERM_HIT_UMBILIC = "HitUmbilic"
@@ -466,10 +466,11 @@ def trace_lanes(surface, starts, foliation_id, opts=None, headings=None,
     ValueError is raised (so ``max_crossings`` and ``precise_crossings``
     have nothing to act on).
     A lane whose start is not a regular chart point ends at once with
-    StepFailure.  The field comes from batched ``chart_bundle`` calls
-    whose points are evaluated independently, so a lane's trajectory does
-    not depend on the other lanes in its batch.  Returns one Trajectory
-    per lane; ``meta["evals"]`` counts the points the lane evaluated.
+    StepFailure.  The field comes from batched :func:`_lane_field` calls,
+    which form only each lane's own principal direction and evaluate
+    their points independently, so a lane's trajectory does not depend on
+    the other lanes in its batch.  Returns one Trajectory per lane;
+    ``meta["evals"]`` counts the points the lane evaluated.
     """
     opts = opts or TraceOptions()
     if isinstance(surface, ImplicitSurface):
@@ -500,10 +501,11 @@ def trace_lanes(surface, starts, foliation_id, opts=None, headings=None,
         surface, y, minimal, None if headings is None
         else np.asarray(headings, dtype=float).reshape(-1, 3))
 
-    # rows of arrays that are never written again: the state arrays are
-    # updated in place, so the start rows are copies
-    rec = [([y[i].copy()], [p[i].copy()], [tan[i].copy()], [nrm[i].copy()],
-            [0.0]) for i in range(m)]
+    # one block of rows per accepting iteration: (lanes, uv, xyz, tangent,
+    # normal, arclength), split per lane at the end.  The state arrays are
+    # updated in place, so the start block holds copies
+    rec = [(np.arange(m), y.copy(), p.copy(), tan.copy(), nrm.copy(),
+            np.zeros(m))]
     term = [TERM_MAX_LENGTH] * m
     hit = [None] * m
     s = np.zeros(m)
@@ -612,40 +614,50 @@ def trace_lanes(surface, starts, foliation_id, opts=None, headings=None,
                 for x, f in zip(k_new, fresh):
                     x[moved] = f
 
-            for k, i in enumerate(lanes):
-                for lst, x in zip(rec[i], (y_new, k_new[1], k_new[2],
-                                           k_new[3])):
-                    lst.append(x[k])
-                rec[i][4].append(float(s_new[k]))
+            rec.append((lanes, y_new, *k_new[1:], s_new))
             y[lanes], s[lanes] = y_new, s_new
             vel[lanes], p[lanes], tan[lanes], nrm[lanes] = k_new
             stop(lanes[~ends & (s_new >= max_len)], TERM_MAX_LENGTH)
             h[lanes] = np.minimum(h[lanes] * np.minimum(
                 4.0, 0.9 * ratio[accept] ** 0.25), h_max)
 
+    lane, *cols = (np.concatenate(c) for c in zip(*rec))
+    order = np.argsort(lane, kind="stable")
+    cuts = np.cumsum(np.bincount(lane, minlength=m))[:-1]
+    ys, ps, ts, ns, ss = (np.split(c[order], cuts) for c in cols)
     return [Trajectory(
-        foliation_id=fols[i], points_uv=np.asarray(ys),
-        points_xyz=np.asarray(ps), tangents=np.asarray(ts),
-        normals=np.asarray(ns), arclength=np.asarray(ss),
+        foliation_id=fols[i], points_uv=ys[i], points_xyz=ps[i],
+        tangents=ts[i], normals=ns[i], arclength=ss[i],
         termination=term[i], hit_umbilic_index=hit[i],
         meta={"steps": int(steps[i]), "evals": int(evals[i]),
               "surface": surface.name})
-        for i, (ys, ps, ts, ns, ss) in enumerate(rec)]
+        for i in range(m)]
 
 
 def _lane_field(surface, y, minimal, ref):
     """Line-field samples at chart points ``y`` (M, 2): velocity, point,
     unit tangent and normal, the sign of each lane's direction along its
-    row of ``ref`` when given.  Failed points come back as NaN."""
-    b = chart_bundle(surface, y[:, 0], y[:, 1], strict=False)
-    pick = minimal[:, None]
-    vel = np.where(pick, b["d1_uv"], b["d2_uv"])
-    tan = np.where(pick, b["d1_xyz"], b["d2_xyz"])
+    row of ``ref`` when given.  Failed points come back as NaN, except the
+    point.  Only each lane's own direction is formed, with the arithmetic
+    of :func:`geometry.chart_bundle`, whose pick it equals bit for bit."""
+    r, ru, rv, n, bad, forms = geometry.chart_forms(surface, y[:, 0],
+                                                    y[:, 1])
+    (w11, w12, w22), (e1u, e2u, e2v) = geometry.frame_operator(*forms)
+    phi = 0.5 * np.arctan2(-2.0 * w12, w22 - w11)
+    c, s = np.cos(phi), np.sin(phi)
+    # (a, b) multiply (e1u, e2u) and (0, e2v) as in geometry.principal_uv:
+    # (c, s) for the minimal direction, (-s, c) for the maximal one
+    a, b = np.where(minimal, c, -s), np.where(minimal, s, c)
+    vel = np.empty((len(y), 2))
+    vel[:, 0], vel[:, 1] = a * e1u + b * e2u, b * e2v
+    if bad.any():
+        vel[bad] = np.nan
+        n[bad] = np.nan
+    tan = vel[:, :1] * ru + vel[:, 1:] * rv
     if ref is not None:
-        flip = (np.sum(tan * ref, axis=1) < 0.0)[:, None]
-        vel = np.where(flip, -vel, vel)
-        tan = np.where(flip, -tan, tan)
-    return vel, b["r"], tan, b["normal"]
+        sign = np.where(_dot3(tan, ref) < 0.0, -1.0, 1.0)[:, None]
+        vel, tan = sign * vel, sign * tan
+    return vel, r, tan, n
 
 
 def _append(ys, ps, ts, ns, ss, y, ev, s):

@@ -472,6 +472,41 @@ def principal_uv(phi, frame):
 # vectorized chart core
 # ---------------------------------------------------------------------------
 
+def chart_forms(surface, u, v):
+    """The jet-to-forms prefix of :func:`chart_bundle`, broadcast over
+    point axes.
+
+    Returns (r, a_u, a_v, normal, bad, (E, F, G, e, f, g)).  ``bad`` marks
+    points with |a_u x a_v| at or below the regularity floor; they get a
+    unit first form (E = G = 1, F = 0) so that later arithmetic stays
+    finite, and callers turn their outputs into NaN.
+    """
+    J = surface.jet(u, v)
+    r = J[0, 0]
+    ru, rv = J[1, 0], J[0, 1]
+    ux, uy, uz = ru[..., 0], ru[..., 1], ru[..., 2]
+    vx, vy, vz = rv[..., 0], rv[..., 1], rv[..., 2]
+
+    # W = a_u x a_v and the dot products written out per component, as the
+    # products and left-to-right sums that np.cross and np.sum compute
+    W = np.empty(r.shape)
+    W[..., 0] = uy * vz - uz * vy
+    W[..., 1] = uz * vx - ux * vz
+    W[..., 2] = ux * vy - uy * vx
+    wn = np.sqrt(_dot3(W, W))
+    bad = wn <= surface.regularity_floor()
+    n = surface.orientation * W / np.where(bad, 1.0, wn)[..., None]
+
+    E = ux * ux + uy * uy + uz * uz
+    F = ux * vx + uy * vy + uz * vz
+    G = vx * vx + vy * vy + vz * vz
+    e, f, g = _dot3(n, J[2, 0]), _dot3(n, J[1, 1]), _dot3(n, J[0, 2])
+    if np.any(bad):
+        E, F, G = (np.where(bad, 1.0, E), np.where(bad, 0.0, F),
+                   np.where(bad, 1.0, G))
+    return r, ru, rv, n, bad, (E, F, G, e, f, g)
+
+
 def chart_bundle(surface, u, v, strict=True):
     """All pointwise curvature data, broadcast over point axes.
 
@@ -480,40 +515,16 @@ def chart_bundle(surface, u, v, strict=True):
     With ``strict`` a regularity violation raises; otherwise offending
     points yield NaNs (used by coarse grid scans).
     """
-    J = surface.jet(u, v)
-    r = J[0, 0]
-    ru, rv = J[1, 0], J[0, 1]
-    pts = r.shape[:-1]
-    ux, uy, uz = ru[..., 0], ru[..., 1], ru[..., 2]
-    vx, vy, vz = rv[..., 0], rv[..., 1], rv[..., 2]
-
-    # W = a_u x a_v and the dot products written out per component, as the
-    # products and left-to-right sums that np.cross and np.sum compute
-    W = np.empty(pts + (3,))
-    W[..., 0] = uy * vz - uz * vy
-    W[..., 1] = uz * vx - ux * vz
-    W[..., 2] = ux * vy - uy * vx
-    wn = np.sqrt(_dot3(W, W))
-    floor = surface.regularity_floor()
-    bad = wn <= floor
+    r, ru, rv, n, bad, forms = chart_forms(surface, u, v)
     any_bad = bool(np.any(bad))
     if strict and any_bad:
         raise RegularityError(
-            f"|a_u x a_v| <= {floor:.3e} at a requested point of "
-            f"{surface.name}")
-    wn_safe = np.where(bad, 1.0, wn)
-    n = surface.orientation * W / wn_safe[..., None]
+            f"|a_u x a_v| <= {surface.regularity_floor():.3e} at a "
+            f"requested point of {surface.name}")
+    E, F, G, e, f, g = forms
+    pts = r.shape[:-1]
 
-    E = ux * ux + uy * uy + uz * uz
-    F = ux * vx + uy * vy + uz * vz
-    G = vx * vx + vy * vy + vz * vz
-    e, f, g = _dot3(n, J[2, 0]), _dot3(n, J[1, 1]), _dot3(n, J[0, 2])
-    if any_bad:
-        # a unit frame at failed points; all their outputs become NaN below
-        E, F, G = (np.where(bad, 1.0, E), np.where(bad, 0.0, F),
-                   np.where(bad, 1.0, G))
-
-    w, frame = frame_operator(E, F, G, e, f, g)
+    w, frame = frame_operator(*forms)
     k1, k2, H, K, phi = shape_operator_eigen(*w)
     d1_uv, d2_uv = np.empty(pts + (2,)), np.empty(pts + (2,))
     (d1_uv[..., 0], d1_uv[..., 1]), (d2_uv[..., 0], d2_uv[..., 1]) = \
@@ -526,6 +537,7 @@ def chart_bundle(surface, u, v, strict=True):
         np.maximum(np.abs(k1), np.abs(k2)), 1.0)
 
     if any_bad:
+        # a unit frame at failed points; all their outputs become NaN
         fill = np.where(bad, np.nan, 1.0)
         E, F, G, e, f, g, k1, k2, H, K, dev = (
             x * fill for x in (E, F, G, e, f, g, k1, k2, H, K, dev))

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -11,7 +12,7 @@ from principal_config.foliation import (DomainSection, KnownFeatures,
                                         omega_limit_classify,
                                         separatrix_connection_scan, trace,
                                         trace_lanes)
-from principal_config.geometry import (MAXIMAL, MINIMAL,
+from principal_config.geometry import (MAXIMAL, MINIMAL, chart_bundle,
                                        implicit_principal_data)
 
 
@@ -419,6 +420,84 @@ def test_trace_lanes_follows_trace_and_rejects_unsupported(ellipsoid, torus):
         trace_lanes(torus, [(0.3, 0.9)], MAXIMAL, TraceOptions(
             detect_closure=False,
             sections=(DomainSection("m", "u", 0.0),)))
+
+
+def _bundle_pick(surface, y, minimal, ref):
+    """The lane field as chart_bundle gives it: both directions, then
+    each lane's one picked and signed along ``ref``."""
+    b = chart_bundle(surface, y[:, 0], y[:, 1], strict=False)
+    pick = minimal[:, None]
+    vel = np.where(pick, b["d1_uv"], b["d2_uv"])
+    tan = np.where(pick, b["d1_xyz"], b["d2_xyz"])
+    if ref is not None:
+        flip = (np.sum(tan * ref, axis=1) < 0.0)[:, None]
+        vel = np.where(flip, -vel, vel)
+        tan = np.where(flip, -tan, tan)
+    return vel, b["r"], tan, b["normal"]
+
+
+@pytest.mark.parametrize("orientation", [1, -1])
+@pytest.mark.parametrize("make", [
+    lambda: catalog.sphere_chart(1.0),
+    lambda: catalog.ellipsoid_chart(3.0, 2.0, 1.0),
+    lambda: catalog.perturbed_ellipsoid_chart(3, 2, 1, 0.008, 0),
+    lambda: catalog.torus_chart(2.0, 1.0),
+    lambda: catalog.perturbed_torus_chart(2.0, 1.0, 0.05),
+    lambda: catalog.rotated_cap_ellipsoid_chart(1.0),
+    lambda: catalog.monge_graph_chart(1, 4, 1, 0),
+], ids=["sphere", "ellipsoid", "perturbed_ellipsoid", "torus",
+        "perturbed_torus", "e_theta", "monge_graph"])
+def test_lane_field_is_chart_bundles_pick(make, orientation):
+    chart = make().with_orientation(orientation)
+    rng = np.random.default_rng(18)
+    (u0, u1), (v0, v1) = chart.domain
+    for m in (1, 3, 17):
+        y = np.column_stack([rng.uniform(u0, u1, m), rng.uniform(v0, v1, m)])
+        minimal = rng.random(m) < 0.5
+        if m > 1:
+            minimal[:2] = (True, False)
+        ref = rng.normal(size=(m, 3))
+        for r in (None, ref):
+            got = foliation._lane_field(chart, y, minimal, r)
+            want = _bundle_pick(chart, y, minimal, r)
+            for a, b in zip(got, want):
+                assert a.shape == b.shape
+                assert np.array_equal(a, b)
+
+
+def test_lane_field_is_nan_at_the_pole_but_the_point(ellipsoid):
+    y = np.array([[0.7, 1.2], [0.5, 0.0], [1.9, 2.5]])   # row 1: the pole
+    minimal = np.array([True, True, False])
+    ref = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
+    for r in (None, ref):
+        got = foliation._lane_field(ellipsoid, y, minimal, r)
+        vel, point, tan, nrm = got
+        assert np.all(np.isnan(vel[1])) and np.all(np.isnan(tan[1]))
+        assert np.all(np.isnan(nrm[1]))
+        assert np.all(np.isfinite(point))
+        for k in (0, 2):
+            assert all(np.all(np.isfinite(x[k])) for x in got)
+        for a, b in zip(got, _bundle_pick(ellipsoid, y, minimal, r)):
+            assert np.array_equal(a, b, equal_nan=True)
+
+
+def test_trace_lanes_ends_an_irregular_start_at_once(ellipsoid):
+    opts = TraceOptions(detect_closure=False, max_length=2.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        pole, lane = trace_lanes(ellipsoid, [(0.5, 0.0), (0.8, 1.1)],
+                                 MINIMAL, opts)
+        alone = trace_lanes(ellipsoid, [(0.8, 1.1)], MINIMAL, opts)[0]
+    assert pole.termination == foliation.TERM_STEP_FAILURE
+    assert len(pole.points_uv) == len(pole.arclength) == 1
+    assert pole.meta["steps"] == 0
+    assert lane.termination == alone.termination == "MaxLength"
+    assert np.array_equal(lane.points_uv[0], (0.8, 1.1))
+    assert np.array_equal(lane.points_xyz[0], ellipsoid.point(0.8, 1.1))
+    for name in ("points_uv", "points_xyz", "tangents", "normals",
+                 "arclength"):
+        assert np.array_equal(getattr(lane, name), getattr(alone, name))
+    assert lane.meta == alone.meta
 
 
 def test_chart_inversion_row_does_not_depend_on_its_batch(ellipsoid,
