@@ -276,12 +276,13 @@ def _cycle_from_seed(surface, seed, foliation_id, known_umbilics, log):
     # a root is returned right after its certifying evaluation
     closed = tight_trace
     if closed.termination != TERM_CLOSED:
-        # it stopped at its return before closing: trace on from the root
+        # it stopped at its return before closing: trace on from the root,
+        # headed like the certifying trace
         closed = log.count(trace(
             surface, anchor.start_info(h)[0], foliation_id, TraceOptions(
                 rel_tol=_TRACE_TOL, detect_closure=True,
                 max_length=_MAX_PERIOD_FACTOR * diam,
-                known_umbilics=known_umbilics)))
+                known_umbilics=known_umbilics), anchor.t0))
     if closed.termination != TERM_CLOSED:
         return None, f"closing trace ended {closed.termination}"
     return cycle_from_closed_trajectory(surface, closed), None

@@ -75,28 +75,26 @@ class SurfaceChart:
         self.params = dict(params or {})
         self.euler_characteristic = euler_characteristic
         self._diameter = diameter_hint
-        self._build_fast_path()
+        self._build_tables()
 
-    def _build_fast_path(self):
-        """Evaluation tables for the all-harmonic terms, one per side.
-
-        Each side's table holds one atom per distinct (freq, phase) pair of
-        its factors and the folded coefficient matrix of
-        :func:`_harmonic_table`; terms with a Poly factor stay generic.
+    def _build_tables(self):
+        """The evaluation tables of the terms, one per variable
+        (:func:`_harmonic_table`).  The term weights are folded into the u
+        table: its product with a point's row is ``U_t^(i)(u) * w_t[c]``
+        for every derivative i, coordinate c and term t.  Charts whose
+        subclass overrides :meth:`jet` have no terms and no tables.
         """
-        def harmonic(term):
-            return (isinstance(term[0], Harmonics)
-                    and isinstance(term[1], Harmonics))
-
-        fast = [term for term in self.terms if harmonic(term)]
-        self._generic_terms = [term for term in self.terms
-                               if not harmonic(term)]
-        self._fast_tables = None
-        if fast:
-            self._fast_tables = (
-                _harmonic_table([tu for tu, _, _ in fast]),
-                _harmonic_table([tv for _, tv, _ in fast]),
-                np.stack([w for _, _, w in fast], axis=1))
+        self._tables = None
+        if not self.terms:
+            return
+        factors_u, factors_v, weights = zip(*self.terms)
+        freq_u, phase_u, M_u = _harmonic_table(factors_u)
+        freq_v, phase_v, M_v = _harmonic_table(factors_v)
+        W = np.stack(weights)                                     # (T, 3)
+        # columns (i, c, t) of the u table and (t, j) of the v table
+        MW = (M_u[:, :, None, :] * W.T).reshape(len(M_u), -1)
+        MV = M_v.transpose(0, 2, 1).reshape(len(M_v), -1)
+        self._tables = ((freq_u, phase_u, MW), (freq_v, phase_v, MV))
 
     # -- evaluation --------------------------------------------------------
 
@@ -104,14 +102,14 @@ class SurfaceChart:
         """Full derivative tensor, shape ``(4, 4) + pts + (3,)``.
 
         ``jet[i, j]`` is the mixed partial d^(i+j) P / du^i dv^j for
-        ``i + j <= 3``; higher slots are computed but unused.  Harmonic
-        terms are evaluated from one table per variable: one cos and one
-        sin per distinct (freq, phase) pair, times the folded coefficient
-        matrix of :func:`_harmonic_table`.  The rest (Poly factors: the
-        Monge graphs) are evaluated factor by factor.  Points are the
-        leading axis of every contraction and each point is contracted by
-        its own small matrix product, so point i of a batch is
-        bit-identical to the same point evaluated alone.
+        ``i + j <= 3``; higher slots are computed but unused.  Each variable
+        has one table (:func:`_harmonic_table`): a point's row of cosines,
+        sines and powers of u times the u table gives ``U_t^(i)(u) w_t`` for
+        every term t, the same row of v times the v table gives
+        ``V_t^(j)(v)``, and the jet is their contraction over t.  Points are
+        the leading axis of every product and each point is multiplied by
+        its own small matrices, so point i of a batch is bit-identical to
+        the same point evaluated alone.
         """
         u = np.asarray(u, dtype=float)
         v = np.asarray(v, dtype=float)
@@ -119,26 +117,12 @@ class SurfaceChart:
                else np.broadcast_shapes(u.shape, v.shape))
         u = (u if u.shape == pts else np.broadcast_to(u, pts)).reshape(-1)
         v = (v if v.shape == pts else np.broadcast_to(v, pts)).reshape(-1)
-        sides = []                  # (U, V, W^T) per group of terms
-        if self._fast_tables is not None:
-            fast_u, fast_v, WT = self._fast_tables
-            sides.append((_harmonic_side(*fast_u, u),
-                          _harmonic_side(*fast_v, v), WT))
-        if self._generic_terms:
-            sides.append((
-                np.stack([np.broadcast_to(tu.jet(u), (ORDER, u.size))
-                          for tu, _, _ in self._generic_terms], axis=-1
-                         ).transpose(1, 0, 2),
-                np.stack([np.broadcast_to(tv.jet(v), (ORDER, v.size))
-                          for _, tv, _ in self._generic_terms], axis=-1
-                         ).transpose(1, 0, 2),
-                np.stack([w for _, _, w in self._generic_terms], axis=1)))
-        U, V, WT = (sides[0] if len(sides) == 1 else
-                    [np.concatenate(part, axis=-1) for part in zip(*sides)])
-        # out[n, i, j, c] = sum_t (U[n, i, t] W[t, c]) V[n, j, t]
-        n, t = len(u), WT.shape[1]
-        UW = (U[:, :, None, :] * WT).reshape(n, 3 * ORDER, t)
-        out = np.matmul(UW, V.transpose(0, 2, 1))           # (n, (i, c), j)
+        table_u, table_v = self._tables
+        n, n_terms = len(u), len(self.terms)
+        UW = _harmonic_side(*table_u, u).reshape(n, 3 * ORDER, n_terms)
+        V = _harmonic_side(*table_v, v).reshape(n, n_terms, ORDER)
+        # out[n, (i, c), j] = sum_t UW[n, (i, c), t] V[n, t, j]
+        out = np.matmul(UW, V)
         return out.reshape(n, ORDER, 3, ORDER).transpose(1, 3, 0, 2).reshape(
             (ORDER, ORDER) + pts + (3,))
 
@@ -184,54 +168,80 @@ class SurfaceChart:
         return f"SurfaceChart({self.name}, params={self.params})"
 
 
-# signs of the derivatives of cos: cos, -sin, -cos, sin
-_COS_SIGNS = np.array([1.0, -1.0, -1.0, 1.0])
+# cos(theta + m pi/2) for m = 0..3 (mod 4): cos, -sin, -cos, sin; the
+# derivatives of cos in turn
+_COS_SIGNS = (1.0, -1.0, -1.0, 1.0)
+_QUARTER_TURN = 0.5 * math.pi
+_QUARTER_TURN_TOL = 1e-15   # a phase this close to k*pi/2 is folded
 
 
 def _harmonic_table(funcs):
-    """(freq, phase, M) of the factors ``funcs`` over their distinct atoms.
+    """(freq, phase, M) of the factors ``funcs`` of one variable.
 
-    One atom stands for each distinct (freq, phase) pair.  The
-    coefficient matrix M has shape (2A, 4T): row a (row A + a) multiplies
-    cos (sin) of atom a, and column k*T + t collects derivative k of
-    factor t.  Its entries are the atom's amp * freq**k times the sign of
-    the k-th derivative of cos, in the cos half for even k and the sin
-    half for odd k: the coefficient ``Harmonics.jet`` uses (summed where
-    a factor lists one pair twice).
+    A point x has the row ``cos(x*freq + phase)``, ``sin(x*freq +
+    phase)`` (A atoms each), then ``x, x**2, ..., x**D`` for the top Poly
+    degree D.  M, of shape (2A + D, 4, T), maps that row to derivative k
+    of factor t.  An atom ``amp cos(f x + p)`` whose phase is k*pi/2 (to
+    1e-15, a few ulps) is read off cos(f x) and sin(f x): derivative d is
+    amp * f**d times cos(f x) or sin(f x) with the exact sign of the
+    quarter turns k + d.  So those atoms share one atom per frequency, and
+    f = 0 gives exactly 1 and 0.  Other phases keep one atom per distinct
+    (freq, phase) pair.  A Poly coefficient c_m enters derivative d as
+    c_m * m!/(m-d)! on the row of x**(m-d), where x**0 is cos(0 x) = 1.
     """
-    ks = np.arange(ORDER)
-    entries = []
+    trig = {}       # (freq, phase) -> [(t, k, quarter turns, coefficient)]
+    powers = []     # (t, k, power, coefficient), power >= 1
     for t, fn in enumerate(funcs):
-        coef = (fn.amp[:, None] * fn.freq[:, None] ** ks[None, :]
-                * _COS_SIGNS)
-        for f, p, c in zip(fn.freq.tolist(), fn.phase.tolist(), coef):
-            entries.append(((f, p), t, c))
-    # sorted like each factor's own atoms, so a term's products are summed
-    # in the order of its atom list
-    atoms = sorted({key for key, _, _ in entries})
-    index = {key: a for a, key in enumerate(atoms)}
-    n_atoms, n_terms = len(atoms), len(funcs)
-    M = np.zeros((2 * n_atoms, ORDER * n_terms))
-    for key, t, c in entries:
+        if isinstance(fn, Harmonics):
+            for f, p, a in zip(fn.freq.tolist(), fn.phase.tolist(),
+                               fn.amp.tolist()):
+                turns = round(p / _QUARTER_TURN)
+                if abs(p - turns * _QUARTER_TURN) <= _QUARTER_TURN_TOL:
+                    p = 0.0
+                else:
+                    turns = 0
+                trig.setdefault((f, p), []).extend(
+                    (t, k, turns + k, a * f ** k) for k in range(ORDER))
+            continue
+        c = fn.coeffs.tolist()
         for k in range(ORDER):
-            M[index[key] + n_atoms * (k % 2), k * n_terms + t] += c[k]
+            for m in range(k, len(c)):
+                entry = (t, k, m - k, c[m] * math.perm(m, k))
+                if m == k:
+                    trig.setdefault((0.0, 0.0), []).append(entry)
+                else:
+                    powers.append(entry)
+    atoms = sorted(trig)
+    n_atoms = len(atoms)
+    degree = max((j for _, _, j, _ in powers), default=0)
+    M = np.zeros((2 * n_atoms + degree, ORDER, len(funcs)))
+    for a, key in enumerate(atoms):
+        for t, k, turns, coef in trig[key]:
+            M[a + n_atoms * (turns % 2), k, t] += _COS_SIGNS[turns % 4] * coef
+    for t, k, j, coef in powers:
+        M[2 * n_atoms + j - 1, k, t] += coef
     freq, phase = (np.array(col, dtype=float) for col in zip(*atoms))
     return freq, phase, M
 
 
 def _harmonic_side(freq, phase, M, x):
-    """(N, 4, T) jets of the harmonic factors of one table at N points.
+    """(N, 1, C) products of N points' rows with one table's matrix M of
+    shape (2A + D, C) (:func:`_harmonic_table`).
 
-    One cos and one sin per distinct atom; each point's (1, 2A) row of
-    them is multiplied by the coefficient matrix on its own, so a batch
-    point is bit-identical to the point alone.
+    One cos and one sin per atom and D powers per point; each point's
+    (1, 2A + D) row is multiplied by M on its own, so a batch point is
+    bit-identical to the point alone.
     """
     n, n_atoms = len(x), len(freq)
     theta = x[:, None] * freq + phase
-    trig = np.empty((n, 1, 2 * n_atoms))
-    np.cos(theta, out=trig[:, 0, :n_atoms])
-    np.sin(theta, out=trig[:, 0, n_atoms:])
-    return np.matmul(trig, M).reshape(n, ORDER, M.shape[1] // ORDER)
+    row = np.empty((n, 1, len(M)))
+    np.cos(theta, out=row[:, 0, :n_atoms])
+    np.sin(theta, out=row[:, 0, n_atoms:2 * n_atoms])
+    if len(M) > 2 * n_atoms:
+        row[:, 0, 2 * n_atoms] = x
+        for j in range(2 * n_atoms + 1, len(M)):
+            np.multiply(row[:, 0, j - 1], x, out=row[:, 0, j])
+    return np.matmul(row, M)
 
 
 # stencil weights, 4th order accurate central differences

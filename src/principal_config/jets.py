@@ -10,12 +10,13 @@ Trigonometric factors are kept as lists of cosine atoms
 ``amp * cos(freq x + phase)``; products and sums of such factors combine
 exactly into new atom lists (:meth:`Harmonics.times`, :meth:`Harmonics.plus`),
 so a whole factor evaluates in one vectorized pass however many harmonics
-it carries.  A chart evaluates all its harmonic factors of one variable
-together: one cos and one sin per distinct (freq, phase) pair, since many
-factors share their harmonics, and one product with a coefficient matrix
-that holds every amp * freq**k (``geometry._harmonic_table``).  Charts
-that are not separable write their jet in closed form with
-:func:`jet_mul`.
+it carries.  A chart evaluates all its factors of one variable together
+(``geometry._harmonic_table``): one cos and one sin per frequency for the
+atoms whose phase is a quarter turn k*pi/2 (their phase becomes an exact
+sign), one per distinct (freq, phase) pair for the rest, the powers of x
+for Poly factors, and one product with a coefficient matrix that holds
+every amp * freq**k.  Charts that are not separable write their jet in
+closed form with :func:`jet_mul`.
 """
 
 from __future__ import annotations

@@ -346,11 +346,13 @@ def test_the_certifying_trace_closes_the_cycle(request, which, fol, seed):
     surface = request.getfixturevalue(which)
     cyc, log, h_star, closing = _seed_search(surface, fol, seed)
     assert closing == []
-    # the closing trace from the root, as the search made it before
+    # a closing trace from the root, headed along the anchor's tangent as
+    # every certifying trace is
     anchor = cycles._Anchor(surface, seed, fol)
     ref = trace(surface, anchor.start_info(h_star)[0], fol, TraceOptions(
         rel_tol=cycles._TRACE_TOL, detect_closure=True,
-        max_length=cycles._MAX_PERIOD_FACTOR * surface.diameter()))
+        max_length=cycles._MAX_PERIOD_FACTOR * surface.diameter()),
+        anchor.t0)
     assert ref.termination == "Closed"
     _assert_same_curve(cyc.curve, ref)
     # a return that comes before closure runs that trace: the search costs

@@ -50,16 +50,20 @@ def test_sphere_principal_data_umbilic():
         normal_curvature(pd, 0.3)
 
 
-def test_cylinder_principal_values():
-    # hand-built cylinder of radius 2 with inward-style normal
+def cylinder_chart():
+    """Hand-built cylinder of radius 2 with inward-style normal: harmonic
+    factors in u, a Poly factor in v."""
     from principal_config.jets import Const, Poly, Wave, wave_sin
-    cyl = geometry.SurfaceChart(
+    return geometry.SurfaceChart(
         [(Wave(1.0, amp=2.0), Const(1.0), np.array([1.0, 0, 0])),
          (wave_sin(1.0, amp=2.0), Const(1.0), np.array([0, 1.0, 0])),
          (Const(1.0), Poly([0.0, 1.0]), np.array([0, 0, 1.0]))],
         ((0, 2 * math.pi), (-1.0, 1.0)), periodic_u=True, orientation=-1,
         name="cylinder", diameter_hint=4.0)
-    pd = principal_at(cyl, 0.7, 0.1)
+
+
+def test_cylinder_principal_values():
+    pd = principal_at(cylinder_chart(), 0.7, 0.1)
     assert pd.k1 == pytest.approx(0.0, abs=1e-12)
     assert pd.k2 == pytest.approx(0.5, rel=1e-12)
     # axis direction pairs with curvature 0
@@ -416,6 +420,7 @@ def test_with_orientation_keeps_class_and_state(make):
     lambda: catalog.rotated_cap_ellipsoid_chart(0.3),
     lambda: catalog.torus_chart(2.0, 1.0),
     lambda: catalog.monge_graph_chart(1.0, 0.5, 1.0, 0.2),
+    cylinder_chart,
 ])
 def test_batch_point_is_bit_identical_to_the_point_alone(make):
     chart = make()

@@ -3,6 +3,7 @@ import pytest
 
 from principal_config import catalog, jets
 from principal_config.geometry import SurfaceChart
+from test_geometry import cylinder_chart
 
 
 def fd4(fn, x, h=1e-3):
@@ -110,6 +111,8 @@ SEPARABLE_CHARTS = {
          (jets.Wave(1.0, 0.3), jets.wave_sin(2.0, -0.5), (0, 1.0, 0)),
          (jets.Const(), jets.Wave(2.0, -0.5), (0, 0, 1.0))],
         ((0, 2 * np.pi), (0, 2 * np.pi)), periodic_u=True, periodic_v=True),
+    # harmonic factors in u, a Poly factor in v
+    "cylinder": cylinder_chart,
 }
 
 
@@ -134,18 +137,62 @@ def test_chart_jet_matches_the_factor_by_factor_sum(name):
 
 def test_tables_hold_one_atom_per_distinct_harmonic():
     chart = SEPARABLE_CHARTS["perturbed_ellipsoid"]()
-    (freq_u, _, M_u), (freq_v, _, M_v), WT = chart._fast_tables
-    n_terms = WT.shape[1]
-    assert n_terms == len(chart.terms)
-    # the terms carry 62 and 84 atoms, over 18 and 19 distinct harmonics
+    (freq_u, phase_u, MW), (freq_v, phase_v, MV) = chart._tables
+    n_terms = len(chart.terms)
+    # the terms carry 62 and 84 atoms; every phase is a quarter turn, so
+    # they fold onto the 5 frequencies 0..4 of each variable
     assert sum(len(tu.freq) for tu, _, _ in chart.terms) == 62
     assert sum(len(tv.freq) for _, tv, _ in chart.terms) == 84
-    assert (len(freq_u), len(freq_v)) == (18, 19)
-    assert M_u.shape == (2 * 18, 4 * n_terms)
-    assert M_v.shape == (2 * 19, 4 * n_terms)
-    (freq_u, _, _), (freq_v, _, _), _ = SEPARABLE_CHARTS[
-        "perturbed_torus"]()._fast_tables
-    assert (len(freq_u), len(freq_v)) == (10, 11)
+    assert list(freq_u) == list(freq_v) == [0.0, 1.0, 2.0, 3.0, 4.0]
+    assert not phase_u.any() and not phase_v.any()
+    # u columns (derivative, coordinate, term); v columns (term, derivative)
+    assert MW.shape == (2 * 5, 4 * 3 * n_terms)
+    assert MV.shape == (2 * 5, n_terms * 4)
+    # the perturbed torus keeps its phases 0.3 and 1.1 (and their sums)
+    (freq_u, _, _), (freq_v, _, _) = SEPARABLE_CHARTS[
+        "perturbed_torus"]()._tables
+    assert (len(freq_u), len(freq_v)) == (4, 10)
+    # a Poly side: cos(0 u) = 1 carries the constant, then u, u**2, u**3
+    (freq_u, _, MW), _ = SEPARABLE_CHARTS["monge_graph"]()._tables
+    assert list(freq_u) == [0.0] and MW.shape == (2 + 3, 4 * 3 * 5)
+
+
+def test_quarter_turn_atoms_fold_onto_one_atom_per_frequency():
+    # phases 0, +-pi/2 and +-pi, one 1 ulp off pi/2 as the products of the
+    # perturbed ellipsoid leave it, and f = 0 atoms with such phases
+    atoms = [(1.0, 0.0, 0.7), (1.0, np.pi / 2, 0.3), (1.0, -np.pi / 2, 0.5),
+             (2.0, np.pi, 0.2), (2.0, -np.pi, 0.4),
+             (2.0, 1.5707963267948968, 0.6), (0.0, -np.pi / 2, 0.9),
+             (0.0, np.pi, 0.25)]
+    chart = SurfaceChart(
+        [(jets.Harmonics(atoms), jets.Wave(2.0, np.pi, 0.5), (1.0, 0.5, 0)),
+         (jets.wave_sin(2.0), jets.Harmonics(atoms[::-1]), (0, 1.0, 0)),
+         (jets.Const(0.3), jets.wave_sin(1.0, np.pi / 2), (0.2, 0, 1.0))],
+        ((0, 2 * np.pi), (0, 2 * np.pi)), periodic_u=True, periodic_v=True)
+    for freq, phase, _ in chart._tables:
+        assert list(freq) == [0.0, 1.0, 2.0]
+        assert not phase.any()
+    rng = np.random.default_rng(29)
+    u, v = rng.uniform(0.0, 2 * np.pi, (2, 40))
+    jet = chart.jet(u, v)
+    want = np.zeros_like(jet)
+    for tu, tv, w in chart.terms:
+        want += (tu.jet(u)[:, None, :] * tv.jet(v)[None, :, :])[..., None] * w
+    for i in range(4):
+        for j in range(4 - i):
+            assert np.abs(jet[i, j] - want[i, j]).max() \
+                <= 1e-14 * chart.diameter(), (i, j)
+    # a frequency-0 atom is exactly its cos(k pi/2): cos(-pi/2) adds no
+    # amp * 6e-17, and its derivatives are exactly 0
+    flat = SurfaceChart(
+        [(jets.Harmonics([(0.0, -np.pi / 2, 0.9)]), jets.Const(1.0),
+          (1.0, 1.0, 1.0)),
+         (jets.Harmonics([(0.0, np.pi, 0.25)]), jets.Const(1.0),
+          (1.0, 0, 0))],
+        ((0, 1), (0, 1)))
+    got = flat.jet(u, v)
+    assert np.all(got[0, 0] == [-0.25, 0.0, 0.0])
+    assert not got[1:].any() and not got[:, 1:].any()
 
 
 def test_products_keep_the_exact_phase():
