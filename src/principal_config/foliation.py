@@ -221,14 +221,25 @@ def _chart_field(surface, foliation_id):
 
 
 def _implicit_field(surface, foliation_id):
-    key = "d1_xyz" if foliation_id == MINIMAL else "d2_xyz"
+    """The line field of a level set at float triples ``p``: only the
+    traced direction is formed, from :func:`geometry.implicit_frame`,
+    with the arithmetic of :func:`geometry.implicit_bundle`, whose
+    ``d1_xyz`` or ``d2_xyz`` it equals bit for bit."""
+    minimal = foliation_id == MINIMAL
 
     def f(p, ref):
-        b = geometry.implicit_bundle(surface, p, check_on_surface=False)
-        d = b[key]
+        n, (tx, ty, tz), (bx, by, bz), (w11, w12, w22) = \
+            geometry.implicit_frame(surface, p)
+        # the angle of geometry.shape_operator_eigen; (c, s) is the minimal
+        # direction and (-s, c) the maximal one, as in geometry.principal_uv
+        phi = 0.5 * math.atan2(-2.0 * w12, w22 - w11)
+        c, s = math.cos(phi), math.sin(phi)
+        if not minimal:
+            c, s = -s, c
+        d = (c * tx + s * bx, c * ty + s * by, c * tz + s * bz)
         if ref is not None and _dot(d, ref) < 0.0:
             d = (-d[0], -d[1], -d[2])
-        return _FieldEval(d, p, d, b["normal"])
+        return _FieldEval(d, p, d, n)
 
     return f
 
@@ -391,7 +402,8 @@ def _trace_core(surface, y0, foliation_id, opts, implicit, heading):
                               for a, b in zip(p_old, p_new))
                 if _norm(_sub(p_lin, p0)) < _CLOSURE_CAPTURE * diam:
                     t_c, _, _ = _bisect_step(
-                        step, lambda _y, p: float(np.dot(p - p0, t0)),
+                        step,
+                        lambda _y, p: float(np.dot(np.subtract(p, p0), t0)),
                         locate, g0_old)
                     y_c, ev_c = _restep(fld, step, t_c)
                     dist = _norm(_sub(ev_c.xyz, p0))
@@ -726,7 +738,8 @@ def _norm(a):
 
 
 def _hermite(y0, f0, y1, f1, h, t):
-    """Cubic Hermite interpolation of the state across one step."""
+    """Cubic Hermite interpolation of the state across one step, on
+    arrays; :func:`_bisect_step` runs the same arithmetic on floats."""
     t2, t3 = t * t, t * t * t
     h00 = 2 * t3 - 3 * t2 + 1
     h10 = t3 - 2 * t2 + t
@@ -742,14 +755,23 @@ def _bisect_step(step, offset, locate, g_old):
     Dormand-Prince stage, the field at y1.  The bisections run on the
     cubic Hermite interpolant of the state and evaluate only the point
     ``locate(y)``, no field.  Returns the step fraction t in [0, _T_LAST]
-    and the last interpolated state and its point."""
+    and the last interpolated state (a float tuple) and its point.
+
+    The interpolant runs on python floats: the four weights are formed
+    once per midpoint and each component is combined in the order of
+    :func:`_hermite`, so the state equals its array result bit for bit."""
     y_old, k_old, y1, k_end, h, _ = step
-    y_old, f_old = np.array(y_old), np.array(k_old.vel)
-    y1, f1 = np.array(y1), np.array(k_end.vel)
+    comps = tuple(zip(y_old, k_old.vel, y1, k_end.vel))
     lo, hi, g_lo = 0.0, 1.0, g_old
     for _ in range(_BISECTIONS):
         mid = 0.5 * (lo + hi)
-        yt = _hermite(y_old, f_old, y1, f1, h, mid)
+        t2, t3 = mid * mid, mid * mid * mid
+        h00 = 2 * t3 - 3 * t2 + 1
+        h10 = (t3 - 2 * t2 + mid) * h
+        h01 = -2 * t3 + 3 * t2
+        h11 = (t3 - t2) * h
+        yt = tuple(h00 * a + h10 * fa + h01 * b + h11 * fb
+                   for a, fa, b, fb in comps)
         xyz = locate(yt)
         g_mid = offset(yt, xyz)
         if g_mid == 0.0:

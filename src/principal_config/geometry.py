@@ -4,9 +4,8 @@ Two surface flavors are supported:
 
 * ``SurfaceChart``: an immersion ``(u, v) -> R^3`` assembled from separable
   terms ``w * U(u) * V(v)`` so that every partial derivative through order 3
-  is analytic (see :mod:`principal_config.jets`).  Subclasses override the
-  jet: the rotated-cap ellipsoid in closed form, and a finite-difference
-  fallback chart for user-supplied point functions.
+  is analytic (see :mod:`principal_config.jets`).  Subclasses may override
+  the jet, as the rotated-cap ellipsoid does in closed form.
 * ``ImplicitSurface``: a level set ``f = level`` with analytic gradient
   and Hessian, each evaluated at one point of shape (3,).
 
@@ -242,69 +241,6 @@ def _harmonic_side(freq, phase, M, x):
         for j in range(2 * n_atoms + 1, len(M)):
             np.multiply(row[:, 0, j - 1], x, out=row[:, 0, j])
     return np.matmul(row, M)
-
-
-# stencil weights, 4th order accurate central differences
-_D1_5 = np.array([1.0, -8.0, 0.0, 8.0, -1.0]) / 12.0
-_D2_5 = np.array([-1.0, 16.0, -30.0, 16.0, -1.0]) / 12.0
-_D3_7 = np.array([1.0, -8.0, 13.0, 0.0, -13.0, 8.0, -1.0]) / 8.0
-
-
-class FiniteDifferenceChart(SurfaceChart):
-    """Chart backed by a plain point function; partials by central stencils.
-
-    Third-order coefficients are too noise sensitive for one global step, so
-    each derivative order uses its own step: 1e-5 for order 1 (as a
-    baseline), with larger steps for orders 2 and 3 where the round-off
-    floor of the stencil would otherwise dominate.
-    """
-
-    h1, h2, h3 = 1e-5, 2e-4, 3e-3
-
-    def __init__(self, fn, domain, periodic_u=False, periodic_v=False,
-                 name="fd-chart", diameter_hint=None):
-        self.fn = fn
-        super().__init__([], domain, periodic_u, periodic_v, name=name,
-                         diameter_hint=diameter_hint)
-
-    def _grid(self, u, v, h, half):
-        offs = np.arange(-half, half + 1) * h
-        vals = [[np.asarray(self.fn(u + du, v + dv), dtype=float)
-                 for dv in offs] for du in offs]
-        return np.asarray(vals)
-
-    def jet(self, u, v):
-        u = np.asarray(u, dtype=float)
-        v = np.asarray(v, dtype=float)
-        pts = np.broadcast_shapes(u.shape, v.shape)
-        out = np.zeros((ORDER, ORDER) + pts + (3,))
-        out[0, 0] = self.fn(u, v)
-
-        g1 = self._grid(u, v, self.h1, 2)
-        d0 = np.zeros(5)
-        d0[2] = 1.0
-        out[1, 0] = np.einsum("i,j,ij...->...", _D1_5 / self.h1, d0, g1)
-        out[0, 1] = np.einsum("i,j,ij...->...", d0, _D1_5 / self.h1, g1)
-
-        g2 = self._grid(u, v, self.h2, 2)
-        out[2, 0] = np.einsum("i,j,ij...->...", _D2_5 / self.h2 ** 2, d0, g2)
-        out[0, 2] = np.einsum("i,j,ij...->...", d0, _D2_5 / self.h2 ** 2, g2)
-        out[1, 1] = np.einsum("i,j,ij...->...", _D1_5 / self.h2,
-                              _D1_5 / self.h2, g2)
-
-        g3 = self._grid(u, v, self.h3, 3)
-        d0_7 = np.zeros(7)
-        d0_7[3] = 1.0
-        d1_7 = np.zeros(7)
-        d1_7[1:6] = _D1_5
-        d2_7 = np.zeros(7)
-        d2_7[1:6] = _D2_5
-        h3 = self.h3
-        out[3, 0] = np.einsum("i,j,ij...->...", _D3_7 / h3 ** 3, d0_7, g3)
-        out[0, 3] = np.einsum("i,j,ij...->...", d0_7, _D3_7 / h3 ** 3, g3)
-        out[2, 1] = np.einsum("i,j,ij...->...", d2_7 / h3 ** 2, d1_7 / h3, g3)
-        out[1, 2] = np.einsum("i,j,ij...->...", d1_7 / h3, d2_7 / h3 ** 2, g3)
-        return out
 
 
 @dataclass(frozen=True)
@@ -672,18 +608,21 @@ def normal_curvature(pd, theta):
 # implicit surfaces
 # ---------------------------------------------------------------------------
 
-def implicit_bundle(surface, p, check_on_surface=True):
-    """Curvature data of a level set at one point ``p``: a float triple or
-    an array of shape (3,).
+def implicit_frame(surface, xyz):
+    """The gradient-to-operator prefix of a level set at the float triple
+    ``xyz``, shared by :func:`implicit_bundle` and the tracer's line field
+    (``foliation._implicit_field``) as :func:`chart_forms` is shared by
+    the chart paths, so both run this one copy of the arithmetic.
 
-    Runs on python floats, like the chart tracer's kernel: the surface's
-    ``grad`` and ``hess`` get the float triple of ``p``, and ``normal``,
-    ``d1_xyz`` and ``d2_xyz`` come back as float triples.  The tangent
-    pair is Gram-Schmidt on the axis of the smallest |n_i| (the first on
-    ties), and the shape operator in it goes through
-    :func:`shape_operator_eigen`.
+    Runs on python floats: the surface's ``grad`` and ``hess`` get
+    ``xyz``.  The unit normal n follows ``grad f`` times the orientation;
+    the tangent t is Gram-Schmidt of the axis of the smallest |n_i| (the
+    first on ties) and b = n x t.  Returns n, t, b and the shape operator
+    (w11, w12, w22) in the frame (t, b), each a float triple.
+
+    Raises CriticalPointError where |grad f| is at or below the surface's
+    regularity floor.
     """
-    xyz = (float(p[0]), float(p[1]), float(p[2]))
     gx, gy, gz = surface.grad(xyz)
     gn = math.sqrt(gx * gx + gy * gy + gz * gz)
     floor = surface.regularity_floor()
@@ -691,10 +630,6 @@ def implicit_bundle(surface, p, check_on_surface=True):
         raise CriticalPointError(
             f"|grad f| <= {floor:.3e}: point rejected as critical on "
             f"{surface.name}")
-    if check_on_surface:
-        val = abs(surface.value(p))
-        if val > surface.on_surface_tol * max(surface.diameter(), 1.0):
-            raise CriticalPointError(f"point off the level set by {val:.3e}")
 
     o = surface.orientation
     nx, ny, nz = o * gx / gn, o * gy / gn, o * gz / gn
@@ -718,13 +653,33 @@ def implicit_bundle(surface, p, check_on_surface=True):
     hbz = hzx * bx + hzy * by + hzz * bz
 
     scale = -o / gn
-    k1, k2, H, K, phi = shape_operator_eigen(
-        scale * (tx * htx + ty * hty + tz * htz),
-        scale * (tx * hbx + ty * hby + tz * hbz),
-        scale * (bx * hbx + by * hby + bz * hbz))
+    return ((nx, ny, nz), (tx, ty, tz), (bx, by, bz),
+            (scale * (tx * htx + ty * hty + tz * htz),
+             scale * (tx * hbx + ty * hby + tz * hbz),
+             scale * (bx * hbx + by * hby + bz * hbz)))
+
+
+def implicit_bundle(surface, p):
+    """Curvature data of a level set at one point ``p``: a float triple or
+    an array of shape (3,) on the level set.
+
+    :func:`implicit_frame` on the float triple of ``p``, then the
+    operator's eigen-solve by :func:`shape_operator_eigen`; ``normal``,
+    ``d1_xyz`` and ``d2_xyz`` come back as float triples.  The tracer's
+    line field forms only its own direction from the same frame, and equals
+    ``d1_xyz`` or ``d2_xyz`` here bit for bit.  Raises CriticalPointError
+    at a critical point or off the level set.
+    """
+    xyz = (float(p[0]), float(p[1]), float(p[2]))
+    n, (tx, ty, tz), (bx, by, bz), w = implicit_frame(surface, xyz)
+    val = abs(surface.value(p))
+    if val > surface.on_surface_tol * max(surface.diameter(), 1.0):
+        raise CriticalPointError(f"point off the level set by {val:.3e}")
+
+    k1, k2, H, K, phi = shape_operator_eigen(*w)
     c, s = math.cos(phi), math.sin(phi)
     return {
-        "normal": (nx, ny, nz),
+        "normal": n,
         "k1": k1, "k2": k2, "H": H, "K": K,
         "d1_xyz": (c * tx + s * bx, c * ty + s * by, c * tz + s * bz),
         "d2_xyz": (-s * tx + c * bx, -s * ty + c * by, -s * tz + c * bz),

@@ -11,8 +11,8 @@ from principal_config.cycles import (cycle_from_closed_trajectory,
                                      return_map_derivative_fd,
                                      return_map_derivative_integral)
 from principal_config.foliation import TraceOptions, chart_point_near, trace
-from principal_config.geometry import (MAXIMAL, MINIMAL,
-                                       FiniteDifferenceChart, chart_bundle)
+from principal_config.geometry import MAXIMAL, MINIMAL, chart_bundle
+from fd_chart import FiniteDifferenceChart
 
 # seeds bracketing displacement roots, frozen from the sign-change scan
 PT_MAX_SEEDS = [(0.4, 1.5), (0.4, 2.9), (0.4, 4.6)]

@@ -112,17 +112,19 @@ def test_implicit_field_is_the_kernel_direction_signed_by_ref():
         d = rng.normal(size=3)
         p = s.project(1.5 * d / np.linalg.norm(d))
         pd = implicit_principal_data(s, p)
-        for fol, want in ((MINIMAL, pd.d1_xyz), (MAXIMAL, pd.d2_xyz)):
-            ev = fields[fol](p, None)
-            assert np.array_equal(ev.vel, want)
-            assert np.array_equal(ev.tangent, want)
-            assert np.array_equal(ev.normal, pd.normal)
-            assert np.array_equal(ev.xyz, p)
-            for ref in (want, -want):
-                got = fields[fol](p, ref).tangent
-                assert (np.array_equal(got, want)
-                        or np.array_equal(got, -want))
-                assert float(got @ ref) >= 0.0
+        # an array point, and the float triple the tracer passes
+        for q in (p, tuple(p.tolist())):
+            for fol, want in ((MINIMAL, pd.d1_xyz), (MAXIMAL, pd.d2_xyz)):
+                ev = fields[fol](q, None)
+                assert np.array_equal(ev.vel, want)
+                assert np.array_equal(ev.tangent, want)
+                assert np.array_equal(ev.normal, pd.normal)
+                assert np.array_equal(ev.xyz, p)
+                for ref in (want, -want):
+                    got = fields[fol](q, ref).tangent
+                    assert (np.array_equal(got, want)
+                            or np.array_equal(got, -want))
+                    assert float(np.dot(got, ref)) >= 0.0
 
 
 def test_foliation_orthogonal_crossing(ellipsoid):
@@ -587,6 +589,57 @@ def test_dp_step_runs_on_floats_and_matches_the_numpy_tableau():
             e = foliation._DP_E
             bound = 8 * eps * h * (np.abs(e) @ np.abs(K))
             assert np.all(np.abs(np.array(err) - h * (e @ K)) <= bound)
+
+
+@pytest.mark.parametrize("kind", ["chart", "implicit"])
+def test_bisect_step_on_floats_is_the_array_hermite(torus, kind):
+    # every state the bisection offers its offset, and the state it
+    # returns, is _hermite on arrays at that midpoint, bit for bit
+    if kind == "chart":
+        surface, y0 = torus, (0.3, 0.9)
+        fld = foliation._chart_field(surface, MAXIMAL)
+    else:
+        surface = catalog.cubic_levelset_surface(0.05, 3.0, 2.0)
+        y0 = tuple(surface.project((2.866, 0.591, 0.0)).tolist())
+        fld = foliation._implicit_field(surface, MAXIMAL)
+    k1 = fld(y0, None)
+    h = 0.05
+    y5, _, stages = foliation._dp_step(fld, y0, k1, h)
+    step = (y0, k1, y5, stages[6], h, 0.0)
+    middle = 0.5 * (y0[0] + y5[0])
+    seen = []
+
+    def offset(y, xyz):
+        seen.append(y)
+        return y[0] - middle
+
+    g_old = y0[0] - middle
+    t, yt, _ = foliation._bisect_step(step, offset, lambda y: y, g_old)
+    assert len(seen) == foliation._BISECTIONS and yt is seen[-1]
+    arrays = [np.array(x) for x in (y0, k1.vel, y5, stages[6].vel)]
+    lo, hi = 0.0, 1.0
+    for y in seen:
+        mid = 0.5 * (lo + hi)
+        assert type(y) is tuple and len(y) == len(y0)
+        assert y == tuple(foliation._hermite(*arrays, h, mid).tolist())
+        if (y[0] < middle) == (g_old < 0.0):
+            lo = mid
+        else:
+            hi = mid
+    assert t == 0.5 * (lo + hi)
+
+
+@pytest.mark.parametrize("fol", [MINIMAL, MAXIMAL])
+def test_s_rho_at_rho_0_closes_as_the_ellipsoid_chart(ellipsoid, fol):
+    # S_0 is the ellipsoid (3, 2, 1): the implicit trace, whose closure is
+    # located on float-triple states, closes where the chart trace does
+    p = np.array([3.0 * math.cos(0.3), 2.0 * math.sin(0.3), 0.0])
+    level = trace(catalog.cubic_levelset_surface(0.0), p, fol)
+    chart = trace(ellipsoid, foliation.chart_point_near(ellipsoid, p,
+                                                        (0.3, 1.5)), fol)
+    assert level.termination == chart.termination == "Closed"
+    assert level.closed_length == pytest.approx(chart.closed_length,
+                                                rel=1e-6)
 
 
 @pytest.mark.parametrize("kind", ["chart", "implicit"])

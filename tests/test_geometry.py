@@ -13,6 +13,7 @@ from principal_config.geometry import (chart_bundle, curvature_gradients,
                                        normal_curvature, principal_at,
                                        principal_data,
                                        principal_direction_fast)
+from fd_chart import FiniteDifferenceChart
 
 
 def test_sphere_equator_forms():
@@ -239,9 +240,9 @@ def test_implicit_critical_point_rejected():
     s = catalog.cubic_levelset_surface(0.05, 3.0, 2.0)
     with pytest.raises(CriticalPointError):
         implicit_principal_data(s, np.zeros(3))
-    # the gradient floor holds without the on-surface check too
+    # the tracer's frame skips the on-surface check but keeps the floor
     with pytest.raises(CriticalPointError):
-        geometry.implicit_bundle(s, np.zeros(3), check_on_surface=False)
+        geometry.implicit_frame(s, (0.0, 0.0, 0.0))
     with pytest.raises(CriticalPointError):
         implicit_principal_data(s, np.array([1.0, 1.0, 1.0]))
 
@@ -362,7 +363,7 @@ def test_finite_difference_chart_fallback(torus):
                          (R + r * np.cos(v)) * np.sin(u),
                          r * np.sin(v)], axis=-1)
 
-    fd = geometry.FiniteDifferenceChart(
+    fd = FiniteDifferenceChart(
         fn, ((0, 2 * math.pi), (0, 2 * math.pi)), periodic_u=True,
         periodic_v=True, diameter_hint=6.0)
     J_fd = fd.jet(1.1, 0.7)
@@ -379,7 +380,7 @@ def _fd_torus():
         rad = 2.0 + np.cos(v)
         return np.stack([rad * np.cos(u), rad * np.sin(u), np.sin(v)],
                         axis=-1)
-    return geometry.FiniteDifferenceChart(
+    return FiniteDifferenceChart(
         point, ((0, 2 * math.pi), (0, 2 * math.pi)), periodic_u=True,
         periodic_v=True, name="fd-torus")
 

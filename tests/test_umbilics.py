@@ -9,13 +9,13 @@ from principal_config.errors import (ConvergenceError, FrameError,
 from principal_config.foliation import (TERM_HIT_UMBILIC, TraceOptions,
                                         chart_point_near, chart_points_near,
                                         separatrix_connection_scan, trace)
-from principal_config.geometry import (MAXIMAL, MINIMAL,
-                                       FiniteDifferenceChart, chart_bundle)
+from principal_config.geometry import MAXIMAL, MINIMAL, chart_bundle
 from principal_config.umbilics import (AllUmbilicSurface, classify,
                                        classify_direct, classify_umbilic,
                                        index_sum_check, locate_umbilics,
                                        monge_form, refine_umbilic_record,
                                        rotate_monge_cubic, winding_index)
+from fd_chart import FiniteDifferenceChart
 
 DARBOUXIAN_CASES = [
     ((4.0, 1.0, 0.0), "D1"),
