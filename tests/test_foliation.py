@@ -1,5 +1,6 @@
 import math
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -373,24 +374,20 @@ def _launch_lanes(surface, records):
     return lanes
 
 
-def _run(surface, lanes, opts):
+def _run(surface, lanes, opts, pair):
     uv, ray, fol, rtol = zip(*lanes)
-    return trace_lanes(surface, uv, fol, opts, headings=ray, rel_tol=rtol)
+    return trace_lanes(surface, uv, fol, opts, headings=ray, rel_tol=rtol,
+                       pair=pair)
 
 
-def test_trace_lanes_lane_does_not_depend_on_its_batch(ellipsoid,
-                                                       ellipsoid_records):
-    lanes = _launch_lanes(ellipsoid, ellipsoid_records)
-    assert len(lanes) == 24
-    opts = TraceOptions(known_umbilics=ellipsoid_records,
-                        detect_closure=False,
-                        max_length=4.0 * ellipsoid.diameter())
-    batch = _run(ellipsoid, lanes, opts)
+def _assert_batch_invariant(surface, lanes, opts, pair, evals_per_step):
+    """Each of a few lanes traced alone equals its trace in the batch and
+    in a shuffled batch, bit for bit.  Returns the batch."""
+    batch = _run(surface, lanes, opts, pair)
     order = [(7 * k + 5) % 24 for k in range(24)]       # a permutation
-    shuffled = _run(ellipsoid, [lanes[k] for k in order], opts)
-    assert {t.termination for t in batch} == {foliation.TERM_HIT_UMBILIC}
+    shuffled = _run(surface, [lanes[k] for k in order], opts, pair)
     for k in (0, 5, 13, 23):
-        alone = _run(ellipsoid, [lanes[k]], opts)[0]
+        alone = _run(surface, [lanes[k]], opts, pair)[0]
         for other in (batch[k], shuffled[order.index(k)]):
             assert np.array_equal(other.points_uv, alone.points_uv)
             assert np.array_equal(other.points_xyz, alone.points_xyz)
@@ -399,6 +396,32 @@ def test_trace_lanes_lane_does_not_depend_on_its_batch(ellipsoid,
             assert other.hit_umbilic_index == alone.hit_umbilic_index
             assert other.meta["steps"] == alone.meta["steps"]
             assert other.meta["evals"] == alone.meta["evals"]
+    # no lane is handed across a pole: one start evaluation, then one per
+    # stage after the first of every step tried
+    for t in batch:
+        assert t.meta["evals"] == 1 + evals_per_step * t.meta["steps"]
+    return batch
+
+
+def test_trace_lanes_lane_does_not_depend_on_its_batch(ellipsoid,
+                                                       ellipsoid_records):
+    """Both passes of the connection scan: the launches on DOP853, then
+    the passes through the balls they enter on DP5(4)."""
+    lanes = _launch_lanes(ellipsoid, ellipsoid_records)
+    assert len(lanes) == 24
+    opts = TraceOptions(known_umbilics=ellipsoid_records,
+                        detect_closure=False,
+                        max_length=4.0 * ellipsoid.diameter())
+    launched = _assert_batch_invariant(ellipsoid, lanes, opts,
+                                       foliation._DOP853, 12)
+    assert {t.termination for t in launched} == {foliation.TERM_HIT_UMBILIC}
+    entries = [(t.points_uv[-1], t.tangents[-1], fol, rtol)
+               for t, (_, _, fol, rtol) in zip(launched, lanes)]
+    through = _assert_batch_invariant(
+        ellipsoid, entries, replace(opts, known_umbilics=(),
+                                    max_length=2e-3 * ellipsoid.diameter()),
+        foliation._DP54, 6)
+    assert {t.termination for t in through} == {foliation.TERM_MAX_LENGTH}
 
 
 def test_trace_lanes_follows_trace_and_rejects_unsupported(ellipsoid, torus):
@@ -582,13 +605,92 @@ def test_dp_step_runs_on_floats_and_matches_the_numpy_tableau():
                 assert all(type(x) is float for x in got)
             y = np.array(y0)
             for i, got in enumerate(states, start=1):
-                a = foliation._DP_AM[i]
+                a = foliation._DP54.a[i]
                 want = y + h * (a @ K)
                 bound = 8 * eps * (np.abs(y) + h * (np.abs(a) @ np.abs(K)))
                 assert np.all(np.abs(np.array(got) - want) <= bound)
-            e = foliation._DP_E
+            e = foliation._DP54.e
             bound = 8 * eps * h * (np.abs(e) @ np.abs(K))
             assert np.all(np.abs(np.array(err) - h * (e @ K)) <= bound)
+
+
+def test_pair_tableaux_are_dormand_prince():
+    """DOP853's literals are the coefficients of Hairer's DOP853 code as
+    scipy carries them, bit for bit: the 12 stages, the solution as the
+    last row (first same as last) and both error rows.  For both pairs
+    each stage row sums to its node, and the error weights to 0."""
+    from scipy.integrate._ivp import dop853_coefficients as ref
+
+    dop = foliation._DOP853
+    assert dop.a.shape == (13, 13)
+    assert np.array_equal(dop.a[:12, :12], ref.A[:12, :12])
+    assert np.array_equal(dop.a[12, :12], ref.B)
+    assert np.array_equal(dop.e, ref.E5)
+    assert np.array_equal(dop.e3, ref.E3)
+    eps = np.finfo(float).eps
+    for pair, nodes in ((foliation._DP54, (0, 1 / 5, 3 / 10, 4 / 5, 8 / 9,
+                                           1, 1)),
+                        (dop, ref.C[:13])):
+        assert np.array_equal(pair.a, np.tril(pair.a, -1))   # explicit
+        assert np.abs(pair.a.sum(axis=1) - nodes).max() <= 8 * eps
+        for e in (pair.e, pair.e3):
+            assert e is None or abs(e.sum()) <= 8 * eps
+
+
+@pytest.mark.parametrize("name, order, solver", [("_DP54", 5, "RK45"),
+                                                  ("_DOP853", 8, "DOP853")])
+def test_lane_step_has_the_order_of_its_pair(name, order, solver):
+    """On a smooth nonlinear field, the one-step error of the lanes' step
+    falls as h^(order + 1) and its error estimate as h^(1 / exponent + 1),
+    the power the step control assumes.  The reference takes 64 steps
+    of the same pair.  The estimate is scipy's error norm of the pair
+    (Hairer's combination of both error rows for DOP853) at unit scale."""
+    from scipy import integrate
+
+    pair = getattr(foliation, name)
+    ode = getattr(integrate, solver)(lambda t, y: y, 0.0, np.zeros(2), 1.0)
+    stages = []
+
+    def fld(y):
+        stages.append(np.column_stack([np.exp(y[:, 1]), -y[:, 0] * y[:, 1]]))
+        return (stages[-1],)
+
+    def step(y, h):
+        stages.clear()
+        return foliation._lane_step(pair, fld, y, fld(y)[0], np.full(1, h))
+
+    y0 = np.array([[2.5, -1.2]])
+    hs = (0.4, 0.2, 0.1) if order == 8 else (0.1, 0.05, 0.025)
+    errs, ests = [], []
+    for h in hs:
+        y1, est, last, failed = step(y0, h)
+        assert not failed[0] and np.array_equal(last[0], fld(y1)[0])
+        # the RMS norm of scipy at scale 1 / sqrt(2) is the 2-norm
+        want = ode._estimate_error_norm(np.concatenate(stages[:-1]), h,
+                                        np.full(2, 0.5 ** 0.5))
+        assert est[0] == pytest.approx(want, rel=1e-12)
+        ref = y0
+        for _ in range(64):
+            ref = step(ref, h / 64)[0]
+        errs.append(np.linalg.norm(y1 - ref))
+        ests.append(est[0])
+    for values, power in ((errs, order + 1), (ests, 1 / pair.exponent + 1)):
+        slopes = np.log2(np.divide(values[:-1], values[1:]))
+        assert np.all(np.abs(slopes - power) < 0.6), (slopes, power)
+
+
+def test_connection_scan_gaps_hold_at_a_tight_tolerance():
+    """The scan's gaps on the paper's perturbed ellipsoid lie within
+    1e-9 diam of a scan at rel_tol 1e-12, far inside the gaps' distance
+    from their bounds (about 4e-5 against 1e-7 diam)."""
+    pe = catalog.perturbed_ellipsoid_chart(3, 2, 1, 0.008, 0)
+    recs = umbilics.analyze_umbilics(pe, grid=32)
+    scan = separatrix_connection_scan(pe, recs)
+    ref = separatrix_connection_scan(pe, recs, TraceOptions(rel_tol=1e-12))
+    assert len(scan.gaps) == len(ref.gaps) == 8
+    for a, b in zip(scan.gaps, ref.gaps):
+        assert a.near == b.near is not None
+        assert abs(a.gap - b.gap) <= 1e-9
 
 
 @pytest.mark.parametrize("kind", ["chart", "implicit"])
