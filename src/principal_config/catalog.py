@@ -244,7 +244,8 @@ class RotatedCapChart(SurfaceChart):
 
         Python floats run on ``math``, anything else on numpy arrays, with
         the same elementwise operations (powers written as products), so a
-        point of a batch is bit-identical to the same point alone.
+        point of a batch is bit-identical to the same point alone.  For
+        floats the tensor is filled from python floats in one array.
         """
         if isinstance(u, float) and isinstance(v, float):
             u, v = float(u), float(v)
@@ -272,15 +273,26 @@ class RotatedCapChart(SurfaceChart):
         cv, sv = fn.cos(v), fn.sin(v)
         g_v = (A * cv, -A * sv, -A * cv, A * sv)      # y semi-profile
         f_v = jet_mul(scale, g_v)                     # x semi-profile
-        F = np.array((jet_mul(f_v, cpsi), jet_mul(g_v, spsi),
-                      jet_mul(f_v, spsi), jet_mul(g_v, cpsi),
-                      (C * sv, C * cv, -C * sv, -C * cv)))
+        F = (jet_mul(f_v, cpsi), jet_mul(g_v, spsi), jet_mul(f_v, spsi),
+             jet_mul(g_v, cpsi), (C * sv, C * cv, -C * sv, -C * cv))
         cu, su = fn.cos(u), fn.sin(u)
-        cu4 = np.array((cu, -su, -cu, su))[:, None]
-        su4 = np.array((su, cu, -su, -cu))[:, None]
+        cu4 = (cu, -su, -cu, su)
+        su4 = (su, cu, -su, -cu)
 
         # out[i, j] = d^i/du^i d^j/dv^j of
         # (F1 cos u - F2 sin u, F3 cos u + F4 sin u, F5)
+        if type(u) is float:
+            F1, F2, F3, F4, F5 = F
+            flat = []
+            for i in range(ORDER):
+                c, s = cu4[i], su4[i]
+                for j in range(ORDER):
+                    flat += (F1[j] * c - F2[j] * s, F3[j] * c + F4[j] * s,
+                             F5[j] if i == 0 else 0.0)
+            return np.array(flat).reshape(ORDER, ORDER, 3)
+        F = np.array(F)
+        cu4 = np.array(cu4)[:, None]
+        su4 = np.array(su4)[:, None]
         out = np.empty((ORDER, ORDER) + np.shape(u) + (3,))
         out[..., 0] = F[0] * cu4 - F[1] * su4
         out[..., 1] = F[2] * cu4 + F[3] * su4

@@ -94,6 +94,9 @@ class SurfaceChart:
         MW = (M_u[:, :, None, :] * W.T).reshape(len(M_u), -1)
         MV = M_v.transpose(0, 2, 1).reshape(len(M_v), -1)
         self._tables = ((freq_u, phase_u, MW), (freq_v, phase_v, MV))
+        # the float path's copies: (freq, phase) pairs as python floats
+        self._float_atoms = tuple(tuple(zip(f.tolist(), p.tolist()))
+                                  for f, p, _ in self._tables)
 
     # -- evaluation --------------------------------------------------------
 
@@ -109,15 +112,29 @@ class SurfaceChart:
         the leading axis of every product and each point is multiplied by
         its own small matrices, so point i of a batch is bit-identical to
         the same point evaluated alone.
+
+        Python floats (a scalar trace's one point) build their two rows
+        with ``math`` (:func:`_float_side`) and skip numpy's elementwise
+        calls, which cost more than the arithmetic at one point; the rows
+        then go through the same three products as a one-point batch, so
+        the float jet is bit-identical to the batch jet too.
         """
+        table_u, table_v = self._tables
+        n_terms = len(self.terms)
+        if isinstance(u, float) and isinstance(v, float):
+            atoms_u, atoms_v = self._float_atoms
+            UW = _float_side(atoms_u, table_u[2], float(u)).reshape(
+                1, 3 * ORDER, n_terms)
+            V = _float_side(atoms_v, table_v[2], float(v)).reshape(
+                1, n_terms, ORDER)
+            return np.matmul(UW, V).reshape(ORDER, 3, ORDER).transpose(0, 2, 1)
         u = np.asarray(u, dtype=float)
         v = np.asarray(v, dtype=float)
         pts = (u.shape if u.shape == v.shape
                else np.broadcast_shapes(u.shape, v.shape))
         u = (u if u.shape == pts else np.broadcast_to(u, pts)).reshape(-1)
         v = (v if v.shape == pts else np.broadcast_to(v, pts)).reshape(-1)
-        table_u, table_v = self._tables
-        n, n_terms = len(u), len(self.terms)
+        n = len(u)
         UW = _harmonic_side(*table_u, u).reshape(n, 3 * ORDER, n_terms)
         V = _harmonic_side(*table_v, v).reshape(n, n_terms, ORDER)
         # out[n, (i, c), j] = sum_t UW[n, (i, c), t] V[n, t, j]
@@ -223,6 +240,22 @@ def _harmonic_table(funcs):
     return freq, phase, M
 
 
+def _float_side(atoms, M, x):
+    """:func:`_harmonic_side` for one python float ``x``: the row is built
+    with ``math`` from the table's (freq, phase) ``atoms`` (the same
+    angles ``x*freq + phase``, cosines, sines and running powers), then
+    takes the same (1, 1, 2A + D) product with M, so the result equals
+    that function's bit for bit."""
+    theta = [x * f + p for f, p in atoms]
+    row = [math.cos(t) for t in theta]
+    row += [math.sin(t) for t in theta]
+    power = x
+    while len(row) < len(M):
+        row.append(power)
+        power = power * x
+    return np.matmul(np.array(row).reshape(1, 1, len(M)), M)
+
+
 def _harmonic_side(freq, phase, M, x):
     """(N, 1, C) products of N points' rows with one table's matrix M of
     shape (2A + D, C) (:func:`_harmonic_table`).
@@ -274,7 +307,11 @@ class ImplicitSurface:
                            REGULARITY_FLOOR_FACTOR * max(diameter, 1e-12))
 
     def value(self, p):
-        return float(self.f(np.asarray(p, dtype=float).tolist())) - self.level
+        """``f(p) - level``; the tracer's float triple goes to ``f`` as it
+        is, arrays and other sequences as a list of floats."""
+        if type(p) is not tuple:
+            p = np.asarray(p, dtype=float).tolist()
+        return float(self.f(p)) - self.level
 
     def diameter(self):
         return self._diameter
@@ -672,7 +709,7 @@ def implicit_bundle(surface, p):
     """
     xyz = (float(p[0]), float(p[1]), float(p[2]))
     n, (tx, ty, tz), (bx, by, bz), w = implicit_frame(surface, xyz)
-    val = abs(surface.value(p))
+    val = abs(surface.value(xyz))
     if val > surface.on_surface_tol * max(surface.diameter(), 1.0):
         raise CriticalPointError(f"point off the level set by {val:.3e}")
 

@@ -424,18 +424,24 @@ def test_with_orientation_keeps_class_and_state(make):
     cylinder_chart,
 ])
 def test_batch_point_is_bit_identical_to_the_point_alone(make):
+    # 48 points in the domain box, then 16 outside it: negative u and v
+    # (the Monge chart's power rows at negative coordinates) and u > 2 pi
     chart = make()
     rng = np.random.default_rng(11)
-    u = rng.uniform(0.0, 2 * math.pi, 48)
-    v = rng.uniform(-0.4, 1.4, 48)
+    u = np.concatenate((rng.uniform(0.0, 2 * math.pi, 48),
+                        rng.uniform(-2 * math.pi, -0.1, 8),
+                        rng.uniform(2 * math.pi, 4 * math.pi, 8)))
+    v = np.concatenate((rng.uniform(-0.4, 1.4, 48),
+                        rng.uniform(-3.0, -0.1, 16)))
     jet = chart.jet(u, v)
     bundle = chart_bundle(chart, u, v, strict=False)
-    for i in range(48):
+    for i in range(len(u)):
         one = u[i:i + 1], v[i:i + 1]
+        floats = float(u[i]), float(v[i])
         assert np.array_equal(jet[..., i, :], chart.jet(*one)[..., 0, :])
         assert np.array_equal(jet[..., i, :], chart.jet(u[i], v[i]))
-        assert np.array_equal(jet[..., i, :],
-                              chart.jet(float(u[i]), float(v[i])))
+        assert np.array_equal(jet[..., i, :], chart.jet(*floats))
+        assert np.array_equal(jet[0, 0, i], chart.point(*floats))
         alone = chart_bundle(chart, *one, strict=False)
         for key, value in bundle.items():
             assert np.array_equal(value[i], alone[key][0], equal_nan=True), key
