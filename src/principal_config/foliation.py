@@ -890,32 +890,38 @@ def _bisect_step(step, offset, locate, g_old):
     Dormand-Prince stage, the field at y1.  The bisections run on the
     cubic Hermite interpolant of the state and evaluate only the point
     ``locate(y)``, no field.  Returns the step fraction t in [0, _T_LAST]
-    and the last interpolated state (a float tuple) and its point.
+    and the interpolated state at t (a float tuple) and its point.
 
     The interpolant runs on python floats: the four weights are formed
-    once per midpoint and each component is combined in the order of
+    once per fraction and each component is combined in the order of
     :func:`_hermite`, so the state equals its array result bit for bit."""
     y_old, k_old, y1, k_end, h, _ = step
     comps = tuple(zip(y_old, k_old.vel, y1, k_end.vel))
+
+    def state(t):
+        t2, t3 = t * t, t * t * t
+        h00 = 2 * t3 - 3 * t2 + 1
+        h10 = (t3 - 2 * t2 + t) * h
+        h01 = -2 * t3 + 3 * t2
+        h11 = (t3 - t2) * h
+        return tuple(h00 * a + h10 * fa + h01 * b + h11 * fb
+                     for a, fa, b, fb in comps)
+
     lo, hi, g_lo = 0.0, 1.0, g_old
     for _ in range(_BISECTIONS):
         mid = 0.5 * (lo + hi)
-        t2, t3 = mid * mid, mid * mid * mid
-        h00 = 2 * t3 - 3 * t2 + 1
-        h10 = (t3 - 2 * t2 + mid) * h
-        h01 = -2 * t3 + 3 * t2
-        h11 = (t3 - t2) * h
-        yt = tuple(h00 * a + h10 * fa + h01 * b + h11 * fb
-                   for a, fa, b, fb in comps)
+        yt = state(mid)
         xyz = locate(yt)
         g_mid = offset(yt, xyz)
         if g_mid == 0.0:
-            break
+            return mid, yt, xyz
         if math.copysign(1.0, g_mid) == math.copysign(1.0, g_lo):
             lo, g_lo = mid, g_mid
         else:
             hi = mid
-    return 0.5 * (lo + hi), yt, xyz
+    t = 0.5 * (lo + hi)
+    yt = state(t)
+    return t, yt, locate(yt)
 
 
 def _restep(fld, step, t):

@@ -695,8 +695,9 @@ def test_connection_scan_gaps_hold_at_a_tight_tolerance():
 
 @pytest.mark.parametrize("kind", ["chart", "implicit"])
 def test_bisect_step_on_floats_is_the_array_hermite(torus, kind):
-    # every state the bisection offers its offset, and the state it
-    # returns, is _hermite on arrays at that midpoint, bit for bit
+    # every state the bisection offers its offset is _hermite on arrays at
+    # that midpoint, and the state it returns is _hermite at the returned
+    # fraction, with its own point, bit for bit
     if kind == "chart":
         surface, y0 = torus, (0.3, 0.9)
         fld = foliation._chart_field(surface, MAXIMAL)
@@ -716,8 +717,8 @@ def test_bisect_step_on_floats_is_the_array_hermite(torus, kind):
         return y[0] - middle
 
     g_old = y0[0] - middle
-    t, yt, _ = foliation._bisect_step(step, offset, lambda y: y, g_old)
-    assert len(seen) == foliation._BISECTIONS and yt is seen[-1]
+    t, yt, xyz = foliation._bisect_step(step, offset, lambda y: y, g_old)
+    assert len(seen) == foliation._BISECTIONS and xyz == yt
     arrays = [np.array(x) for x in (y0, k1.vel, y5, stages[6].vel)]
     lo, hi = 0.0, 1.0
     for y in seen:
@@ -729,6 +730,8 @@ def test_bisect_step_on_floats_is_the_array_hermite(torus, kind):
         else:
             hi = mid
     assert t == 0.5 * (lo + hi)
+    assert yt == tuple(foliation._hermite(*arrays, h, t).tolist())
+    assert yt != seen[-1]
 
 
 @pytest.mark.parametrize("fol", [MINIMAL, MAXIMAL])
