@@ -310,20 +310,28 @@ _DOP853 = _Pair(
     }),
     1 / 7)
 
-# the tableau for the scalar tracer's float loops: row i's weights of the
-# stages before it, and the error weights
-_DP_ROWS = tuple(tuple(row[:i]) for i, row in enumerate(_DP54.a.tolist()))
-_DP_E_ROW = tuple(_DP54.e.tolist())
+# the DP5(4) weights as python floats for the scalar tracer's step: _Aij
+# weighs stage j in stage i's state (row 7 is y5), _Ej stage j in the
+# error.  The two zero weights, a72 and e2, are left out of the sums
+(_, (_A21,), (_A31, _A32), (_A41, _A42, _A43), (_A51, _A52, _A53, _A54),
+ (_A61, _A62, _A63, _A64, _A65),
+ (_A71, _, _A73, _A74, _A75, _A76)) = (
+    tuple(row[:i]) for i, row in enumerate(_DP54.a.tolist()))
+_E1, _, _E3, _E4, _E5, _E6, _E7 = _DP54.e.tolist()
 
 
 # direction-field sample: state velocity plus world data, float tuples
 _FieldEval = namedtuple("_FieldEval", "vel xyz tangent normal")
 
 
-def _chart_field(surface, foliation_id):
+def _chart_field(surface, foliation_id, meta):
+    """The line field of a chart at float pairs ``y``, signed along
+    ``ref``.  Each call adds one to ``meta["evals"]`` before the kernel
+    runs, so a call that raises is counted too."""
     minimal = foliation_id == MINIMAL
 
     def f(y, ref):
+        meta["evals"] += 1
         duv, r, dxyz, n = geometry.principal_direction_fast(
             surface, y[0], y[1], minimal)
         if ref is not None and _dot(dxyz, ref) < 0.0:
@@ -334,14 +342,16 @@ def _chart_field(surface, foliation_id):
     return f
 
 
-def _implicit_field(surface, foliation_id):
+def _implicit_field(surface, foliation_id, meta):
     """The line field of a level set at float triples ``p``: only the
     traced direction is formed, from :func:`geometry.implicit_frame`,
     with the arithmetic of :func:`geometry.implicit_bundle`, whose
-    ``d1_xyz`` or ``d2_xyz`` it equals bit for bit."""
+    ``d1_xyz`` or ``d2_xyz`` it equals bit for bit.  Counted in
+    ``meta["evals"]`` as :func:`_chart_field` is."""
     minimal = foliation_id == MINIMAL
 
     def f(p, ref):
+        meta["evals"] += 1
         n, (tx, ty, tz), (bx, by, bz), (w11, w12, w22) = \
             geometry.implicit_frame(surface, p)
         # the angle of geometry.shape_operator_eigen; (c, s) is the minimal
@@ -394,15 +404,10 @@ def _trace_core(surface, y0, foliation_id, opts, implicit, heading):
     tuple), every field sample and every stage state are python floats;
     the records become arrays once, in the Trajectory."""
     diam = surface.diameter()
-    field_at = (_implicit_field if implicit else _chart_field)(surface,
-                                                               foliation_id)
-    evals = 0
-
-    def fld(y, ref):
-        nonlocal evals
-        evals += 1
-        return field_at(y, ref)
-
+    meta = {"steps": 0, "evals": 0, "surface": surface.name}
+    fld = (_implicit_field if implicit else _chart_field)(surface,
+                                                          foliation_id, meta)
+    dp_step = _dp_step_xyz if implicit else _dp_step_uv
     # the world point of a state, all that crossing refinement needs
     locate = ((lambda y: y) if implicit
               else (lambda y: surface.point(y[0], y[1])))
@@ -439,7 +444,7 @@ def _trace_core(surface, y0, foliation_id, opts, implicit, heading):
                 termination = TERM_MAX_LENGTH
                 break
         try:
-            y5, err, stages = _dp_step(fld, y, k1, h)
+            y5, err, stages = dp_step(fld, y, k1, h)
             tol = opts.rel_tol * max(h, 1e-3 * h_max)
             err_world = _world_err(err, stages[0])
             accept = math.isfinite(err_world) and err_world <= tol
@@ -555,6 +560,7 @@ def _trace_core(surface, y0, foliation_id, opts, implicit, heading):
         h = min(h * min(4.0, 0.9 * (tol / max(err_world, 1e-300))
                         ** _DP54.exponent), h_max)
 
+    meta["steps"] = steps
     return Trajectory(
         foliation_id=foliation_id,
         points_uv=np.array(ys, dtype=float),
@@ -566,7 +572,7 @@ def _trace_core(surface, y0, foliation_id, opts, implicit, heading):
         crossings=crossings,
         hit_umbilic_index=hit_idx,
         closed_length=closed_len,
-        meta={"steps": steps, "evals": evals, "surface": surface.name},
+        meta=meta,
     )
 
 
@@ -822,35 +828,101 @@ def _umbilic_points(known):
 
 
 def _dp_step(fld, y, k1, h):
-    """One DP5(4) step from the float tuple ``y``: y5, the error y5 - y4
-    (float tuples) and the 7 stages.  The last stage's state is y5 (first
-    same as last)."""
-    ks = [k1]
-    vels = [k1.vel]
-    for row in _DP_ROWS[1:]:
-        yi = _stage_sum(y, h, row, vels)
-        ks.append(fld(yi, k1.tangent))
-        vels.append(ks[-1].vel)
-    return yi, _stage_sum((0.0,) * len(y), h, _DP_E_ROW, vels), ks
+    """One DP5(4) step from the float tuple ``y``, on the body for its
+    size; :func:`_trace_core` picks the body once per trace."""
+    return (_dp_step_xyz if len(y) == 3 else _dp_step_uv)(fld, y, k1, h)
 
 
-def _stage_sum(y, h, row, vels):
-    """y + h·sum_j row[j]·vels[j] for a state of 2 or 3 floats, each
-    component's sum taken left to right.  Unrolled per state size: a loop
-    over the components made a levelset-rotation pass about 14 % slower
-    (BENCH_15.json, "stage_sum")."""
-    if len(y) == 3:
-        sx = sy = sz = 0.0
-        for a, (vx, vy, vz) in zip(row, vels):
-            sx += a * vx
-            sy += a * vy
-            sz += a * vz
-        return (y[0] + h * sx, y[1] + h * sy, y[2] + h * sz)
-    su = sv = 0.0
-    for a, (vu, vv) in zip(row, vels):
-        su += a * vu
-        sv += a * vv
-    return (y[0] + h * su, y[1] + h * sv)
+def _dp_step_uv(fld, y, k1, h):
+    """One DP5(4) step from the chart state ``y``, a float pair: y5, the
+    error y5 - y4 (float pairs) and the 7 stages.  The last stage's state
+    is y5 (first same as last).  Each component of a stage state is
+    y + h·(0.0 + a1·v1 + a2·v2 + ...), summed left to right over the
+    row's nonzero weights.  For finite stages that is the left-to-right
+    sum over the whole row bit for bit: a partial sum from 0.0 is never
+    -0.0, so adding a zero weight's term (+-0.0) leaves it as it is."""
+    u, v = y
+    ref = k1.tangent
+    k1u, k1v = k1.vel
+    k2 = fld((u + h * (0.0 + _A21 * k1u),
+              v + h * (0.0 + _A21 * k1v)), ref)
+    k2u, k2v = k2.vel
+    k3 = fld((u + h * (0.0 + _A31 * k1u + _A32 * k2u),
+              v + h * (0.0 + _A31 * k1v + _A32 * k2v)), ref)
+    k3u, k3v = k3.vel
+    k4 = fld((u + h * (0.0 + _A41 * k1u + _A42 * k2u + _A43 * k3u),
+              v + h * (0.0 + _A41 * k1v + _A42 * k2v + _A43 * k3v)), ref)
+    k4u, k4v = k4.vel
+    k5 = fld((u + h * (0.0 + _A51 * k1u + _A52 * k2u + _A53 * k3u
+                       + _A54 * k4u),
+              v + h * (0.0 + _A51 * k1v + _A52 * k2v + _A53 * k3v
+                       + _A54 * k4v)), ref)
+    k5u, k5v = k5.vel
+    k6 = fld((u + h * (0.0 + _A61 * k1u + _A62 * k2u + _A63 * k3u
+                       + _A64 * k4u + _A65 * k5u),
+              v + h * (0.0 + _A61 * k1v + _A62 * k2v + _A63 * k3v
+                       + _A64 * k4v + _A65 * k5v)), ref)
+    k6u, k6v = k6.vel
+    y5 = (u + h * (0.0 + _A71 * k1u + _A73 * k3u + _A74 * k4u + _A75 * k5u
+                   + _A76 * k6u),
+          v + h * (0.0 + _A71 * k1v + _A73 * k3v + _A74 * k4v + _A75 * k5v
+                   + _A76 * k6v))
+    k7 = fld(y5, ref)
+    k7u, k7v = k7.vel
+    err = (h * (0.0 + _E1 * k1u + _E3 * k3u + _E4 * k4u + _E5 * k5u
+                + _E6 * k6u + _E7 * k7u),
+           h * (0.0 + _E1 * k1v + _E3 * k3v + _E4 * k4v + _E5 * k5v
+                + _E6 * k6v + _E7 * k7v))
+    return y5, err, [k1, k2, k3, k4, k5, k6, k7]
+
+
+def _dp_step_xyz(fld, y, k1, h):
+    """:func:`_dp_step_uv` for the level-set state ``y``, a float
+    triple."""
+    px, py, pz = y
+    ref = k1.tangent
+    k1x, k1y, k1z = k1.vel
+    k2 = fld((px + h * (0.0 + _A21 * k1x),
+              py + h * (0.0 + _A21 * k1y),
+              pz + h * (0.0 + _A21 * k1z)), ref)
+    k2x, k2y, k2z = k2.vel
+    k3 = fld((px + h * (0.0 + _A31 * k1x + _A32 * k2x),
+              py + h * (0.0 + _A31 * k1y + _A32 * k2y),
+              pz + h * (0.0 + _A31 * k1z + _A32 * k2z)), ref)
+    k3x, k3y, k3z = k3.vel
+    k4 = fld((px + h * (0.0 + _A41 * k1x + _A42 * k2x + _A43 * k3x),
+              py + h * (0.0 + _A41 * k1y + _A42 * k2y + _A43 * k3y),
+              pz + h * (0.0 + _A41 * k1z + _A42 * k2z + _A43 * k3z)), ref)
+    k4x, k4y, k4z = k4.vel
+    k5 = fld((px + h * (0.0 + _A51 * k1x + _A52 * k2x + _A53 * k3x
+                        + _A54 * k4x),
+              py + h * (0.0 + _A51 * k1y + _A52 * k2y + _A53 * k3y
+                        + _A54 * k4y),
+              pz + h * (0.0 + _A51 * k1z + _A52 * k2z + _A53 * k3z
+                        + _A54 * k4z)), ref)
+    k5x, k5y, k5z = k5.vel
+    k6 = fld((px + h * (0.0 + _A61 * k1x + _A62 * k2x + _A63 * k3x
+                        + _A64 * k4x + _A65 * k5x),
+              py + h * (0.0 + _A61 * k1y + _A62 * k2y + _A63 * k3y
+                        + _A64 * k4y + _A65 * k5y),
+              pz + h * (0.0 + _A61 * k1z + _A62 * k2z + _A63 * k3z
+                        + _A64 * k4z + _A65 * k5z)), ref)
+    k6x, k6y, k6z = k6.vel
+    y5 = (px + h * (0.0 + _A71 * k1x + _A73 * k3x + _A74 * k4x + _A75 * k5x
+                    + _A76 * k6x),
+          py + h * (0.0 + _A71 * k1y + _A73 * k3y + _A74 * k4y + _A75 * k5y
+                    + _A76 * k6y),
+          pz + h * (0.0 + _A71 * k1z + _A73 * k3z + _A74 * k4z + _A75 * k5z
+                    + _A76 * k6z))
+    k7 = fld(y5, ref)
+    k7x, k7y, k7z = k7.vel
+    err = (h * (0.0 + _E1 * k1x + _E3 * k3x + _E4 * k4x + _E5 * k5x
+                + _E6 * k6x + _E7 * k7x),
+           h * (0.0 + _E1 * k1y + _E3 * k3y + _E4 * k4y + _E5 * k5y
+                + _E6 * k6y + _E7 * k7y),
+           h * (0.0 + _E1 * k1z + _E3 * k3z + _E4 * k4z + _E5 * k5z
+                + _E6 * k6z + _E7 * k7z))
+    return y5, err, [k1, k2, k3, k4, k5, k6, k7]
 
 
 def _world_err(err_state, k1):

@@ -107,7 +107,7 @@ def test_reversal_symmetry(torus):
 def test_implicit_field_is_the_kernel_direction_signed_by_ref():
     s = catalog.cubic_levelset_surface(0.05, 3.0, 2.0)
     rng = np.random.default_rng(1401)
-    fields = {fol: foliation._implicit_field(s, fol)
+    fields = {fol: foliation._implicit_field(s, fol, {"evals": 0})
               for fol in (MINIMAL, MAXIMAL)}
     for _ in range(40):
         d = rng.normal(size=3)
@@ -700,11 +700,11 @@ def test_bisect_step_on_floats_is_the_array_hermite(torus, kind):
     # fraction, with its own point, bit for bit
     if kind == "chart":
         surface, y0 = torus, (0.3, 0.9)
-        fld = foliation._chart_field(surface, MAXIMAL)
+        fld = foliation._chart_field(surface, MAXIMAL, {"evals": 0})
     else:
         surface = catalog.cubic_levelset_surface(0.05, 3.0, 2.0)
         y0 = tuple(surface.project((2.866, 0.591, 0.0)).tolist())
-        fld = foliation._implicit_field(surface, MAXIMAL)
+        fld = foliation._implicit_field(surface, MAXIMAL, {"evals": 0})
     k1 = fld(y0, None)
     h = 0.05
     y5, _, stages = foliation._dp_step(fld, y0, k1, h)
