@@ -520,7 +520,7 @@ def _trace_core(surface, y0, foliation_id, opts, implicit, heading):
                 p_lin = tuple(a + t_lin * (b - a)
                               for a, b in zip(p_old, p_new))
                 if _norm(_sub(p_lin, p0)) < _CLOSURE_CAPTURE * diam:
-                    t_c, _, _ = _bisect_step(
+                    t_c, _ = _bisect_step(
                         step,
                         lambda _y, p: float(np.dot(np.subtract(p, p0), t0)),
                         locate, g0_old)
@@ -962,7 +962,8 @@ def _bisect_step(step, offset, locate, g_old):
     Dormand-Prince stage, the field at y1.  The bisections run on the
     cubic Hermite interpolant of the state and evaluate only the point
     ``locate(y)``, no field.  Returns the step fraction t in [0, _T_LAST]
-    and the interpolated state at t (a float tuple) and its point.
+    and the interpolant, which maps a fraction to its state (a float
+    tuple); a caller that keeps the crossing's state forms it with that.
 
     The interpolant runs on python floats: the four weights are formed
     once per fraction and each component is combined in the order of
@@ -986,14 +987,12 @@ def _bisect_step(step, offset, locate, g_old):
         xyz = locate(yt)
         g_mid = offset(yt, xyz)
         if g_mid == 0.0:
-            return mid, yt, xyz
+            return mid, state
         if math.copysign(1.0, g_mid) == math.copysign(1.0, g_lo):
             lo, g_lo = mid, g_mid
         else:
             hi = mid
-    t = 0.5 * (lo + hi)
-    yt = state(t)
-    return t, yt, locate(yt)
+    return 0.5 * (lo + hi), state
 
 
 def _restep(fld, step, t):
@@ -1009,10 +1008,13 @@ def _refine_crossing(sec, fld, locate, step, g_old, g_new, opts):
     """A section crossing inside the accepted ``step`` (see
     :func:`_bisect_step`), re-stepped to when ``opts.precise_crossings``."""
     h, s_old = step[4], step[5]
-    t_star, yt, xyz = _bisect_step(step, sec.offset, locate, g_old)
+    t_star, state = _bisect_step(step, sec.offset, locate, g_old)
     if opts.precise_crossings:
         yt, ev = _restep(fld, step, t_star)
         xyz = ev.xyz
+    else:
+        yt = state(t_star)
+        xyz = locate(yt)
     tangent_rate = abs(g_new - g_old) / max(h, 1e-300)
     if tangent_rate < 1e-7:
         raise TransversalityError(

@@ -1,13 +1,14 @@
 import math
 import warnings
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from scipy.spatial import cKDTree
 
-from principal_config import catalog, foliation, umbilics
-from principal_config.errors import ConvergenceError
+from principal_config import catalog, foliation, geometry, umbilics
+from principal_config.errors import ConvergenceError, RegularityError
 from principal_config.foliation import (DomainSection, KnownFeatures,
                                         TraceOptions, WorldPlaneSection,
                                         omega_limit_classify,
@@ -70,6 +71,59 @@ def test_closure_costs_one_restep(torus, fol):
         detect_closure=False, max_length=closed.closed_length))
     assert unclosed.meta["steps"] == closed.meta["steps"]
     assert closed.meta["evals"] - unclosed.meta["evals"] == 7
+
+
+@pytest.mark.parametrize("case", ["closed", "precise", "reprojected",
+                                  "stage_raises"])
+def test_evals_count_every_kernel_call(torus, monkeypatch, case):
+    # meta["evals"] is the number of line-field kernel calls the trace
+    # made: the closure's and the precise crossings' re-steps, the field
+    # at a re-projected end point and a stage whose kernel raises included
+    calls = {"n": 0, "raised": 0}
+
+    def counted(kernel, raise_at=None):
+        def wrapped(*args):
+            calls["n"] += 1
+            if calls["n"] == raise_at:
+                calls["raised"] += 1
+                raise RegularityError("injected at a stage")
+            return kernel(*args)
+        return wrapped
+
+    pdf = geometry.principal_direction_fast
+    monkeypatch.setattr(geometry, "implicit_frame",
+                        counted(geometry.implicit_frame))
+    # call 10 is the fourth stage of the second step
+    monkeypatch.setattr(geometry, "principal_direction_fast", counted(
+        pdf, raise_at=10 if case == "stage_raises" else None))
+    if case == "reprojected":
+        surface = catalog.cubic_levelset_surface(0.05, 3.0, 2.0)
+        projections = []
+        project = type(surface).project
+        monkeypatch.setattr(type(surface), "project", lambda self, p: (
+            projections.append(p), project(self, p))[1])
+        traj = trace(surface, (2.866, 0.591, 0.0), MAXIMAL, TraceOptions())
+        # the start's projection and at least one of an end point
+        assert len(projections) >= 2
+        assert traj.meta["evals"] == (1 + 6 * traj.meta["steps"]
+                                      + len(projections) - 1)
+    elif case == "precise":
+        traj = trace(torus, (0.3, 0.9), MAXIMAL, TraceOptions(
+            sections=(DomainSection("m", "u", 0.0),), precise_crossings=True,
+            detect_closure=False, max_length=30.0))
+        assert len(traj.crossings) == 2
+        assert traj.meta["evals"] == (1 + 6 * traj.meta["steps"]
+                                      + 7 * len(traj.crossings))
+    else:
+        traj = trace(torus, (0.3, 0.9), MAXIMAL, TraceOptions())
+        assert traj.termination == "Closed"
+        # the closure's re-step costs 7; the raising stage is the third
+        # call of its step, which is tried again shorter
+        raised = case == "stage_raises"
+        assert calls["raised"] == raised
+        assert traj.meta["evals"] == (1 + 6 * (traj.meta["steps"] - raised)
+                                      + 3 * raised + 7)
+    assert traj.meta["evals"] == calls["n"] > 0
 
 
 def test_tangency_along_trajectory(torus):
@@ -614,6 +668,55 @@ def test_dp_step_runs_on_floats_and_matches_the_numpy_tableau():
             assert np.all(np.abs(np.array(err) - h * (e @ K)) <= bound)
 
 
+def _left_to_right(y, h, weights, vels):
+    """y + h * (0.0 + w0 v0 + w1 v1 + ...) per component, summed left to
+    right over every weight of the row, zeros included."""
+    out = []
+    for c, yc in enumerate(y):
+        acc = 0.0
+        for w, v in zip(weights, vels):
+            acc += w * v[c]
+        out.append(yc + h * acc)
+    return tuple(out)
+
+
+def test_dp_step_is_the_left_to_right_tableau_sum_bit_for_bit():
+    # every stage state, y5 and the error (y5 - y4, the sum from a zero
+    # state) of the written-out step equal a left-to-right sum over the
+    # rows of _DP54.a and _DP54.e, compared as bit patterns (float.hex
+    # tells -0.0 from 0.0); some velocities and start components are
+    # zeros of either sign
+    rng = np.random.default_rng(2401)
+    a, e = foliation._DP54.a.tolist(), foliation._DP54.e.tolist()
+    for n in (2, 3):
+        for trial in range(40):
+            K = rng.normal(size=(7, n)) * 10.0 ** rng.uniform(-3, 3, size=n)
+            y0 = rng.normal(size=n) * 10.0 ** rng.uniform(-2, 2)
+            if trial % 4 == 0:
+                K[:, trial % n] = -0.0 if trial % 8 else 0.0
+                y0[trial % n] = -0.0
+            if trial % 4 == 1:
+                K[rng.integers(7), :] = -0.0
+            vels = [tuple(row) for row in K.tolist()]
+            y0 = tuple(y0.tolist())
+            h = float(rng.uniform(1e-4, 2.0))
+            states = []
+
+            def fld(y, ref):
+                states.append(y)
+                return foliation._FieldEval(vels[len(states)], y,
+                                            (1.0, 0.0, 0.0), None)
+
+            k1 = foliation._FieldEval(vels[0], y0, (1.0, 0.0, 0.0), None)
+            y5, err, stages = foliation._dp_step(fld, y0, k1, h)
+            assert [k.vel for k in stages] == vels and states[5] is y5
+            want = [_left_to_right(y0, h, a[i][:i], vels)
+                    for i in range(1, 7)]
+            want.append(_left_to_right((0.0,) * n, h, e, vels))
+            for got, ref in zip(states + [err], want):
+                assert [x.hex() for x in got] == [x.hex() for x in ref]
+
+
 def test_pair_tableaux_are_dormand_prince():
     """DOP853's literals are the coefficients of Hairer's DOP853 code as
     scipy carries them, bit for bit: the 12 stages, the solution as the
@@ -696,15 +799,23 @@ def test_connection_scan_gaps_hold_at_a_tight_tolerance():
 @pytest.mark.parametrize("kind", ["chart", "implicit"])
 def test_bisect_step_on_floats_is_the_array_hermite(torus, kind):
     # every state the bisection offers its offset is _hermite on arrays at
-    # that midpoint, and the state it returns is _hermite at the returned
-    # fraction, with its own point, bit for bit
+    # that midpoint, and the interpolant it returns gives _hermite at the
+    # returned fraction, bit for bit.  A crossing keeps that state and
+    # its own point; a precise one is the re-step's, and the bisection
+    # forms no point at the returned fraction for it
     if kind == "chart":
         surface, y0 = torus, (0.3, 0.9)
         fld = foliation._chart_field(surface, MAXIMAL, {"evals": 0})
+
+        def point(y):
+            return surface.point(y[0], y[1])
     else:
         surface = catalog.cubic_levelset_surface(0.05, 3.0, 2.0)
         y0 = tuple(surface.project((2.866, 0.591, 0.0)).tolist())
         fld = foliation._implicit_field(surface, MAXIMAL, {"evals": 0})
+
+        def point(y):
+            return y
     k1 = fld(y0, None)
     h = 0.05
     y5, _, stages = foliation._dp_step(fld, y0, k1, h)
@@ -717,8 +828,8 @@ def test_bisect_step_on_floats_is_the_array_hermite(torus, kind):
         return y[0] - middle
 
     g_old = y0[0] - middle
-    t, yt, xyz = foliation._bisect_step(step, offset, lambda y: y, g_old)
-    assert len(seen) == foliation._BISECTIONS and xyz == yt
+    t, state = foliation._bisect_step(step, offset, lambda y: y, g_old)
+    assert len(seen) == foliation._BISECTIONS
     arrays = [np.array(x) for x in (y0, k1.vel, y5, stages[6].vel)]
     lo, hi = 0.0, 1.0
     for y in seen:
@@ -730,8 +841,34 @@ def test_bisect_step_on_floats_is_the_array_hermite(torus, kind):
         else:
             hi = mid
     assert t == 0.5 * (lo + hi)
+    yt = state(t)
+    assert type(yt) is tuple
     assert yt == tuple(foliation._hermite(*arrays, h, t).tolist())
     assert yt != seen[-1]
+
+    located = []
+
+    def locate(y):
+        located.append(y)
+        return point(y)
+
+    sec = SimpleNamespace(section_id="x",
+                          offset=lambda y, xyz: y[0] - middle,
+                          coordinate=lambda y, xyz: float(xyz[1]))
+    for precise in (False, True):
+        located.clear()
+        cross = foliation._refine_crossing(
+            sec, fld, locate, step, g_old, y5[0] - middle,
+            TraceOptions(precise_crossings=precise))
+        if precise:
+            xyz = foliation._restep(fld, step, t)[1].xyz
+        else:
+            xyz = point(yt)
+            assert located[-1] == yt
+        assert len(located) == foliation._BISECTIONS + (not precise)
+        assert cross.arclength == h * t
+        assert np.array_equal(cross.xyz, xyz)
+        assert cross.coordinate == float(xyz[1])
 
 
 @pytest.mark.parametrize("fol", [MINIMAL, MAXIMAL])
