@@ -632,61 +632,21 @@ def test_dp_step_is_the_dormand_prince_polynomial_on_a_linear_field():
 
 
 def test_dp_step_runs_on_floats_and_matches_the_numpy_tableau():
-    # the float loops sum each stage left to right; the tableau product
-    # rounds in its own order, so the two agree to a few units of the
-    # rounding of the terms
-    rng = np.random.default_rng(1501)
-    eps = np.finfo(float).eps
-    for n in (2, 3):
-        for _ in range(20):
-            K = rng.normal(size=(7, n)) * rng.uniform(0.1, 10.0)
-            y0 = tuple(rng.normal(size=n).tolist())
-            h = float(rng.uniform(1e-3, 1.0))
-            states = []
-
-            def fld(y, ref):
-                states.append(y)
-                v = tuple(K[len(states)].tolist())
-                return foliation._FieldEval(v, y, (1.0, 0.0, 0.0), None)
-
-            k1 = foliation._FieldEval(tuple(K[0].tolist()), y0,
-                                      (1.0, 0.0, 0.0), None)
-            y5, err, stages = foliation._dp_step(fld, y0, k1, h)
-            assert len(stages) == 7 and len(states) == 6
-            assert states[5] is y5
-            for got in states + [err]:
-                assert isinstance(got, tuple) and len(got) == n
-                assert all(type(x) is float for x in got)
-            y = np.array(y0)
-            for i, got in enumerate(states, start=1):
-                a = foliation._DP54.a[i]
-                want = y + h * (a @ K)
-                bound = 8 * eps * (np.abs(y) + h * (np.abs(a) @ np.abs(K)))
-                assert np.all(np.abs(np.array(got) - want) <= bound)
-            e = foliation._DP54.e
-            bound = 8 * eps * h * (np.abs(e) @ np.abs(K))
-            assert np.all(np.abs(np.array(err) - h * (e @ K)) <= bound)
-
-
-def _left_to_right(y, h, weights, vels):
-    """y + h * (0.0 + w0 v0 + w1 v1 + ...) per component, summed left to
-    right over every weight of the row, zeros included."""
-    out = []
-    for c, yc in enumerate(y):
-        acc = 0.0
-        for w, v in zip(weights, vels):
-            acc += w * v[c]
-        out.append(yc + h * acc)
-    return tuple(out)
-
-
-def test_dp_step_is_the_left_to_right_tableau_sum_bit_for_bit():
     # every stage state, y5 and the error (y5 - y4, the sum from a zero
     # state) of the written-out step equal a left-to-right sum over the
-    # rows of _DP54.a and _DP54.e, compared as bit patterns (float.hex
-    # tells -0.0 from 0.0); some velocities and start components are
-    # zeros of either sign
-    rng = np.random.default_rng(2401)
+    # rows of _DP54.a and _DP54.e, zero weights included, bit for bit
+    # (float.hex tells -0.0 from 0.0); some velocities and start
+    # components are zeros of either sign
+    def left_to_right(y, h, weights, vels):
+        out = []
+        for c, yc in enumerate(y):
+            acc = 0.0
+            for w, v in zip(weights, vels):
+                acc += w * v[c]
+            out.append(yc + h * acc)
+        return tuple(out)
+
+    rng = np.random.default_rng(1501)
     a, e = foliation._DP54.a.tolist(), foliation._DP54.e.tolist()
     for n in (2, 3):
         for trial in range(40):
@@ -709,11 +669,13 @@ def test_dp_step_is_the_left_to_right_tableau_sum_bit_for_bit():
 
             k1 = foliation._FieldEval(vels[0], y0, (1.0, 0.0, 0.0), None)
             y5, err, stages = foliation._dp_step(fld, y0, k1, h)
-            assert [k.vel for k in stages] == vels and states[5] is y5
-            want = [_left_to_right(y0, h, a[i][:i], vels)
-                    for i in range(1, 7)]
-            want.append(_left_to_right((0.0,) * n, h, e, vels))
+            assert [k.vel for k in stages] == vels and len(states) == 6
+            assert states[5] is y5
+            want = [left_to_right(y0, h, a[i][:i], vels) for i in range(1, 7)]
+            want.append(left_to_right((0.0,) * n, h, e, vels))
             for got, ref in zip(states + [err], want):
+                assert isinstance(got, tuple) and len(got) == n
+                assert all(type(x) is float for x in got)
                 assert [x.hex() for x in got] == [x.hex() for x in ref]
 
 
