@@ -90,12 +90,12 @@ def test_evals_count_every_kernel_call(torus, monkeypatch, case):
             return kernel(*args)
         return wrapped
 
-    pdf = geometry.principal_direction_fast
     monkeypatch.setattr(geometry, "implicit_frame",
                         counted(geometry.implicit_frame))
     # call 10 is the fourth stage of the second step
     monkeypatch.setattr(geometry, "principal_direction_fast", counted(
-        pdf, raise_at=10 if case == "stage_raises" else None))
+        geometry.principal_direction_fast,
+        raise_at=10 if case == "stage_raises" else None))
     if case == "reprojected":
         surface = catalog.cubic_levelset_surface(0.05, 3.0, 2.0)
         projections = []
