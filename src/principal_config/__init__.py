@@ -7,14 +7,12 @@ conditions of a principal configuration numerically.
 
 __version__ = "0.1.0"
 
-from .geometry import (MAXIMAL, MINIMAL, FundamentalForms, ImplicitSurface,
-                       PrincipalData, SurfaceChart, fundamental_forms,
-                       implicit_principal_data, normal_curvature,
-                       principal_at, principal_data)
+from .geometry import (MAXIMAL, MINIMAL, ImplicitSurface, PrincipalData,
+                       SurfaceChart, implicit_principal_data, normal_curvature,
+                       principal_at)
 
 __all__ = [
     "__version__", "MINIMAL", "MAXIMAL", "SurfaceChart", "ImplicitSurface",
-    "FundamentalForms", "PrincipalData", "fundamental_forms",
-    "principal_data", "principal_at", "normal_curvature",
+    "PrincipalData", "principal_at", "normal_curvature",
     "implicit_principal_data",
 ]

@@ -26,7 +26,7 @@ import numpy as np
 
 from .errors import ConvergenceError, RegularityError, TransversalityError
 from . import geometry
-from .geometry import MAXIMAL, MINIMAL, ImplicitSurface, _dot3
+from .geometry import MAXIMAL, MINIMAL, ImplicitSurface
 
 TERM_CLOSED = "Closed"
 TERM_HIT_UMBILIC = "HitUmbilic"
@@ -354,8 +354,8 @@ def _implicit_field(surface, foliation_id, meta):
         meta["evals"] += 1
         n, (tx, ty, tz), (bx, by, bz), (w11, w12, w22) = \
             geometry.implicit_frame(surface, p)
-        # the angle of geometry.shape_operator_eigen; (c, s) is the minimal
-        # direction and (-s, c) the maximal one, as in geometry.principal_uv
+        # geometry.principal_angle; (c, s) is the minimal direction and
+        # (-s, c) the maximal one, as in geometry.principal_direction_uv
         phi = 0.5 * math.atan2(-2.0 * w12, w22 - w11)
         c, s = math.cos(phi), math.sin(phi)
         if not minimal:
@@ -371,6 +371,12 @@ def _implicit_field(surface, foliation_id, meta):
 def _dot(a, b):
     """Dot product of two float triples, summed left to right."""
     return a[0] * b[0] + a[1] * b[1] + a[2] * b[2]
+
+
+def _dot3(a, b):
+    """Dot product over the last axis (length 3), summed left to right."""
+    return (a[..., 0] * b[..., 0] + a[..., 1] * b[..., 1]
+            + a[..., 2] * b[..., 2])
 
 
 def trace(surface, start, foliation_id, opts=None, heading=None):
@@ -791,21 +797,18 @@ def _lane_field(surface, y, minimal, ref):
     """Line-field samples at chart points ``y`` (M, 2): velocity, point,
     unit tangent and normal, the sign of each lane's direction along its
     row of ``ref`` when given.  Failed points come back as NaN, except the
-    point.  Only each lane's own direction is formed, with the arithmetic
-    of :func:`geometry.chart_bundle`, whose pick it equals bit for bit."""
-    r, ru, rv, n, bad, forms = geometry.chart_forms(surface, y[:, 0],
-                                                    y[:, 1])
-    (w11, w12, w22), (e1u, e2u, e2v) = geometry.frame_operator(*forms)
-    phi = 0.5 * np.arctan2(-2.0 * w12, w22 - w11)
-    c, s = np.cos(phi), np.sin(phi)
-    # (a, b) multiply (e1u, e2u) and (0, e2v) as in geometry.principal_uv:
-    # (c, s) for the minimal direction, (-s, c) for the maximal one
-    a, b = np.where(minimal, c, -s), np.where(minimal, s, c)
-    vel = np.empty((len(y), 2))
-    vel[:, 0], vel[:, 1] = a * e1u + b * e2u, b * e2v
+    point.  The code of :func:`geometry.principal_direction_fast` on
+    arrays: :func:`geometry.chart_forms` and the pick of each lane's own
+    direction, which equals :func:`geometry.chart_bundle`'s bit for bit."""
+    J, n, _, bad, forms = geometry.chart_forms(surface, y[:, 0], y[:, 1])
+    w, frame = geometry.frame_operator(*forms)
+    vel = np.array(geometry.principal_direction_uv(
+        geometry.principal_angle(*w), frame, minimal)).T
+    n = np.array(n).T
     if bad.any():
         vel[bad] = np.nan
         n[bad] = np.nan
+    r, ru, rv = J[0, 0].T, J[1, 0].T, J[0, 1].T
     tan = vel[:, :1] * ru + vel[:, 1:] * rv
     if ref is not None:
         sign = np.where(_dot3(tan, ref) < 0.0, -1.0, 1.0)[:, None]

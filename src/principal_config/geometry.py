@@ -9,8 +9,9 @@ Two surface flavors are supported:
 * ``ImplicitSurface``: a level set ``f = level`` with analytic gradient
   and Hessian, each evaluated at one point of shape (3,).
 
-The chart routines broadcast over trailing point axes; the dataclass
-wrappers are scalar conveniences on top of the array core.  The implicit
+The chart routines run one copy of their arithmetic on python floats and
+on arrays broadcast over point axes (:func:`chart_forms`);
+``PrincipalData`` is a scalar record on top of them.  The implicit
 routines take one point and run on python floats.  Everything here
 is immutable after construction and free of shared mutable state.
 """
@@ -347,23 +348,6 @@ class ImplicitSurface:
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class FundamentalForms:
-    """First and second fundamental form coefficients at one chart point."""
-
-    E: float
-    F: float
-    G: float
-    e: float
-    f: float
-    g: float
-    at_point: tuple
-    r: np.ndarray = None
-    ru: np.ndarray = None
-    rv: np.ndarray = None
-    normal: np.ndarray = None
-
-
-@dataclass(frozen=True)
 class PrincipalData:
     """Principal curvatures/directions with k1 <= k2.
 
@@ -432,62 +416,102 @@ def shape_operator_eigen(w11, w12, w22):
     """(k1, k2, H, K, phi) of the symmetric operator [[w11, w12], [w12, w22]].
 
     k1 <= k2 by construction; phi is the angle of the minimal direction
-    from e1, and exact ties fall on e1.  Negating the operator (a flip of
-    the normal) negates and swaps k1 and k2 exactly.
+    from e1 (:func:`principal_angle`), and exact ties fall on e1.  Negating
+    the operator (a flip of the normal) negates and swaps k1 and k2
+    exactly.
     """
-    fn = _fns(w11)
     mu = 0.5 * (w11 + w22)
-    half_gap = fn.hypot(0.5 * (w11 - w22), w12)
-    phi = 0.5 * fn.atan2(-2.0 * w12, w22 - w11)
-    return mu - half_gap, mu + half_gap, mu, w11 * w22 - w12 * w12, phi
+    half_gap = _fns(w11).hypot(0.5 * (w11 - w22), w12)
+    return (mu - half_gap, mu + half_gap, mu, w11 * w22 - w12 * w12,
+            principal_angle(w11, w12, w22))
+
+
+def principal_angle(w11, w12, w22):
+    """Angle of the minimal direction of [[w11, w12], [w12, w22]] from e1;
+    exact ties fall on e1."""
+    return 0.5 * _fns(w11).atan2(-2.0 * w12, w22 - w11)
+
+
+def principal_direction_uv(phi, frame, minimal):
+    """Chart coefficients (d_u, d_v) of one unit principal direction: the
+    minimal one at angle ``phi`` from e1 of ``frame`` where ``minimal``
+    holds, else the maximal one, a quarter turn on.  ``minimal`` is a bool,
+    or a bool array over the points of array inputs."""
+    fn = _fns(phi)
+    e1u, e2u, e2v = frame
+    c, s = fn.cos(phi), fn.sin(phi)
+    a, b = fn.where(minimal, c, -s), fn.where(minimal, s, c)
+    return a * e1u + b * e2u, b * e2v
 
 
 def principal_uv(phi, frame):
     """Chart coefficients ((d1_u, d1_v), (d2_u, d2_v)) of the unit minimal
     and maximal directions at angle ``phi`` from e1 of ``frame``."""
-    fn = _fns(phi)
-    e1u, e2u, e2v = frame
-    c, s = fn.cos(phi), fn.sin(phi)
-    return (c * e1u + s * e2u, s * e2v), (-s * e1u + c * e2u, c * e2v)
+    return (principal_direction_uv(phi, frame, True),
+            principal_direction_uv(phi, frame, False))
 
 
 # ---------------------------------------------------------------------------
-# vectorized chart core
+# chart core
 # ---------------------------------------------------------------------------
 
 def chart_forms(surface, u, v):
-    """The jet-to-forms prefix of :func:`chart_bundle`, broadcast over
-    point axes.
+    """The jet-to-forms arithmetic of every chart evaluator, written per
+    component, so one copy serves python floats and numpy arrays.
 
-    Returns (r, a_u, a_v, normal, bad, (E, F, G, e, f, g)).  ``bad`` marks
-    points with |a_u x a_v| at or below the regularity floor; they get a
-    unit first form (E = G = 1, F = 0) so that later arithmetic stays
-    finite, and callers turn their outputs into NaN.
+    On python floats ``u``, ``v`` the jet is read with ``.tolist()`` and
+    every output is a python float; a point where |a_u x a_v| is at or
+    below the regularity floor raises RegularityError.  On arrays the
+    jet's component axis is moved next to (i, j) and every output is
+    broadcast over the point axes; ``bad`` marks the points at the floor,
+    which get |W| = 1 and a unit first form (E = G = 1, F = 0) so that
+    later arithmetic stays finite, and callers turn their outputs into
+    NaN.
+
+    Returns (J, n, wn, bad, (E, F, G, e, f, g)).  ``J[i][j]`` is the
+    component triple of d^(i+j) P / du^i dv^j, so ``J[0][0]`` is the point
+    and ``J[1][0]``, ``J[0][1]`` are a_u, a_v.  n is the unit normal
+    ``(orientation / wn) * W`` as a triple, with W = a_u x a_v and wn =
+    |W|.  On floats ``bad`` is False.  Both paths run the same operations
+    in the same order, so a float point equals the same point of a batch
+    bit for bit.
     """
     J = surface.jet(u, v)
-    r = J[0, 0]
-    ru, rv = J[1, 0], J[0, 1]
-    ux, uy, uz = ru[..., 0], ru[..., 1], ru[..., 2]
-    vx, vy, vz = rv[..., 0], rv[..., 1], rv[..., 2]
+    floats = isinstance(u, float) and isinstance(v, float)
+    J = (J.tolist() if floats
+         else J.transpose(0, 1, J.ndim - 1, *range(2, J.ndim - 1)))
+    (ux, uy, uz), (vx, vy, vz) = J[1][0], J[0][1]
+    wx, wy, wz = uy * vz - uz * vy, uz * vx - ux * vz, ux * vy - uy * vx
+    wn = (math.sqrt if floats else np.sqrt)(wx * wx + wy * wy + wz * wz)
+    floor = surface.regularity_floor()
+    bad = wn <= floor
+    if floats and bad:
+        raise RegularityError(
+            f"|a_u x a_v| <= {floor:.3e} at ({u}, {v}) on {surface.name}")
+    any_bad = not floats and bad.any()
+    if any_bad:
+        wn = np.where(bad, 1.0, wn)
+    sig = surface.orientation / wn
+    nx, ny, nz = sig * wx, sig * wy, sig * wz
 
-    # W = a_u x a_v and the dot products written out per component, as the
-    # products and left-to-right sums that np.cross and np.sum compute
-    W = np.empty(r.shape)
-    W[..., 0] = uy * vz - uz * vy
-    W[..., 1] = uz * vx - ux * vz
-    W[..., 2] = ux * vy - uy * vx
-    wn = np.sqrt(_dot3(W, W))
-    bad = wn <= surface.regularity_floor()
-    n = surface.orientation * W / np.where(bad, 1.0, wn)[..., None]
-
+    ruu, ruv, rvv = J[2][0], J[1][1], J[0][2]
     E = ux * ux + uy * uy + uz * uz
     F = ux * vx + uy * vy + uz * vz
     G = vx * vx + vy * vy + vz * vz
-    e, f, g = _dot3(n, J[2, 0]), _dot3(n, J[1, 1]), _dot3(n, J[0, 2])
-    if np.any(bad):
+    e = nx * ruu[0] + ny * ruu[1] + nz * ruu[2]
+    f = nx * ruv[0] + ny * ruv[1] + nz * ruv[2]
+    g = nx * rvv[0] + ny * rvv[1] + nz * rvv[2]
+    if any_bad:
         E, F, G = (np.where(bad, 1.0, E), np.where(bad, 0.0, F),
                    np.where(bad, 1.0, G))
-    return r, ru, rv, n, bad, (E, F, G, e, f, g)
+    return J, (nx, ny, nz), wn, bad, (E, F, G, e, f, g)
+
+
+def _points_last(x):
+    """Components of shape pts (a component-first array, or a tuple of
+    arrays) as one array of shape pts + (components,)."""
+    x = np.asarray(x)
+    return x.transpose(*range(1, x.ndim), 0)
 
 
 def chart_bundle(surface, u, v, strict=True):
@@ -495,23 +519,23 @@ def chart_bundle(surface, u, v, strict=True):
 
     Returns a dict of arrays: r, ru, rv, normal, E..g, k1, k2, H, K,
     d1_uv, d2_uv, d1_xyz, d2_xyz, umbilic_deviation, direction_tol.
+    ``u`` and ``v`` are taken as arrays, python floats included.
     With ``strict`` a regularity violation raises; otherwise offending
     points yield NaNs (used by coarse grid scans).
     """
-    r, ru, rv, n, bad, forms = chart_forms(surface, u, v)
+    J, n, _, bad, forms = chart_forms(surface, np.asarray(u, dtype=float),
+                                      np.asarray(v, dtype=float))
     any_bad = bool(np.any(bad))
     if strict and any_bad:
         raise RegularityError(
             f"|a_u x a_v| <= {surface.regularity_floor():.3e} at a "
             f"requested point of {surface.name}")
     E, F, G, e, f, g = forms
-    pts = r.shape[:-1]
+    r, ru, rv, n = map(_points_last, (J[0, 0], J[1, 0], J[0, 1], n))
 
     w, frame = frame_operator(*forms)
     k1, k2, H, K, phi = shape_operator_eigen(*w)
-    d1_uv, d2_uv = np.empty(pts + (2,)), np.empty(pts + (2,))
-    (d1_uv[..., 0], d1_uv[..., 1]), (d2_uv[..., 0], d2_uv[..., 1]) = \
-        principal_uv(phi, frame)
+    d1_uv, d2_uv = map(_points_last, principal_uv(phi, frame))
     d1_xyz = d1_uv[..., :1] * ru + d1_uv[..., 1:] * rv
     d2_xyz = d2_uv[..., :1] * ru + d2_uv[..., 1:] * rv
 
@@ -537,99 +561,37 @@ def chart_bundle(surface, u, v, strict=True):
     }
 
 
-def _dot3(a, b):
-    """Dot product over the last axis (length 3), summed left to right."""
-    return (a[..., 0] * b[..., 0] + a[..., 1] * b[..., 1]
-            + a[..., 2] * b[..., 2])
-
-
 def principal_direction_fast(surface, u, v, minimal):
-    """Lean scalar path for the tracer: one foliation direction plus the
-    point and normal, with the shape-operator kernel run on plain floats.
+    """The scalar tracer's line field at python floats ``u``, ``v``:
+    :func:`chart_forms` and the pick of one direction
+    (:func:`principal_direction_uv`), with no eigenvalues formed.
     Returns float tuples: (du, dv), the point, the world direction and the
     unit normal.
 
     Raises RegularityError at immersion failures.
     """
-    J = surface.jet(u, v).tolist()
-    rx, ry, rz = J[0][0]
-    aux_x, aux_y, aux_z = J[1][0]
-    avx, avy, avz = J[0][1]
-    ruu = J[2][0]
-    ruv = J[1][1]
-    rvv = J[0][2]
-
-    wx = aux_y * avz - aux_z * avy
-    wy = aux_z * avx - aux_x * avz
-    wz = aux_x * avy - aux_y * avx
-    wn = math.sqrt(wx * wx + wy * wy + wz * wz)
-    if wn <= surface.regularity_floor():
-        raise RegularityError(
-            f"|a_u x a_v| at floor on {surface.name} at ({u}, {v})")
-    sig = surface.orientation / wn
-    nx, ny, nz = sig * wx, sig * wy, sig * wz
-
-    E = aux_x * aux_x + aux_y * aux_y + aux_z * aux_z
-    F = aux_x * avx + aux_y * avy + aux_z * avz
-    G = avx * avx + avy * avy + avz * avz
-    e = nx * ruu[0] + ny * ruu[1] + nz * ruu[2]
-    f = nx * ruv[0] + ny * ruv[1] + nz * ruv[2]
-    g = nx * rvv[0] + ny * rvv[1] + nz * rvv[2]
-
-    w, frame = frame_operator(E, F, G, e, f, g)
-    d1, d2 = principal_uv(shape_operator_eigen(*w)[4], frame)
-    du, dv = d1 if minimal else d2
-    dx = du * aux_x + dv * avx
-    dy = du * aux_y + dv * avy
-    dz = du * aux_z + dv * avz
-    return (du, dv), (rx, ry, rz), (dx, dy, dz), (nx, ny, nz)
-
-
-def fundamental_forms(surface, p):
-    """First and second form coefficients of a chart at ``p = (u, v)``."""
-    u, v = float(p[0]), float(p[1])
-    b = chart_bundle(surface, u, v)
-    return FundamentalForms(
-        E=float(b["E"]), F=float(b["F"]), G=float(b["G"]),
-        e=float(b["e"]), f=float(b["f"]), g=float(b["g"]),
-        at_point=(u, v), r=b["r"], ru=b["ru"], rv=b["rv"],
-        normal=b["normal"])
-
-
-def principal_data(forms):
-    """Diagonalize the second form relative to the first.
-
-    Accepts the output of :func:`fundamental_forms`.  The eigen-solve uses
-    the closed form for the symmetric 2x2 operator in an orthonormal frame,
-    which keeps k1 <= k2 by construction and breaks exact ties toward the
-    first chart direction.
-    """
-    E, F, G = forms.E, forms.F, forms.G
-    if not (E > 0.0 and G > 0.0 and E * G - F * F > 0.0):
-        raise RegularityError("fundamental forms are not positive definite")
-
-    w, frame = frame_operator(E, F, G, forms.e, forms.f, forms.g)
-    k1, k2, H, K, phi = shape_operator_eigen(*w)
-    dev = k2 - k1
-    tol = DIRECTION_TOL_FACTOR * max(abs(k1), abs(k2), 1.0)
-    defined = dev > tol
-
-    d1, d2 = principal_uv(phi, frame)
-    d1_uv, d2_uv = np.array(d1), np.array(d2)
-    d1_xyz = d2_xyz = None
-    if forms.ru is not None:
-        d1_xyz = d1_uv[0] * forms.ru + d1_uv[1] * forms.rv
-        d2_xyz = d2_uv[0] * forms.ru + d2_uv[1] * forms.rv
-
-    return PrincipalData(
-        k1=float(k1), k2=float(k2), H=float(H), K=float(K),
-        umbilic_deviation=float(dev), directions_defined=bool(defined),
-        d1_uv=d1_uv, d2_uv=d2_uv, d1_xyz=d1_xyz, d2_xyz=d2_xyz,
-        normal=forms.normal, point=forms.r, at_point=forms.at_point)
+    J, n, _, _, forms = chart_forms(surface, u, v)
+    w, frame = frame_operator(*forms)
+    du, dv = principal_direction_uv(principal_angle(*w), frame, minimal)
+    (rx, ry, rz), (ux, uy, uz), (vx, vy, vz) = J[0][0], J[1][0], J[0][1]
+    return ((du, dv), (rx, ry, rz),
+            (du * ux + dv * vx, du * uy + dv * vy, du * uz + dv * vz), n)
 
 
 def principal_at(surface, u, v):
-    return principal_data(fundamental_forms(surface, (u, v)))
+    """PrincipalData of a chart at one point, read off one
+    :func:`chart_bundle` call.  Raises RegularityError at immersion
+    failures."""
+    u, v = float(u), float(v)
+    b = chart_bundle(surface, u, v)
+    dev = float(b["umbilic_deviation"])
+    return PrincipalData(
+        k1=float(b["k1"]), k2=float(b["k2"]), H=float(b["H"]),
+        K=float(b["K"]), umbilic_deviation=dev,
+        directions_defined=bool(dev > b["direction_tol"]),
+        d1_uv=b["d1_uv"], d2_uv=b["d2_uv"], d1_xyz=b["d1_xyz"],
+        d2_xyz=b["d2_xyz"], normal=b["normal"], point=b["r"],
+        at_point=(u, v))
 
 
 def normal_curvature(pd, theta):
@@ -744,30 +706,30 @@ def curvature_gradients(surface, u, v):
     """H, K and their (u, v) gradients, plus k2 gradient, broadcastable.
 
     The gradients come from differentiating the form-coefficient quotients,
-    which pulls in the third-order chart partials.  Used by the return-map
-    line integrals and by umbilic refinement.
+    which pulls in the third-order chart partials; the zeroth-order terms
+    (n, |W|, E..g) are :func:`chart_forms`'s.  Used by the return-map
+    line integrals and by umbilic refinement.  At a point at the
+    regularity floor every output is NaN on arrays, and python floats
+    raise RegularityError.
     """
-    J = surface.jet(u, v)
-    ru, rv = J[1, 0], J[0, 1]
-    ruu, ruv, rvv = J[2, 0], J[1, 1], J[0, 2]
-    ruuu, ruuv, ruvv, rvvv = J[3, 0], J[2, 1], J[1, 2], J[0, 3]
+    J, n, wn, bad, (E, F, G, e, f, g) = chart_forms(surface, u, v)
+    ru, rv = J[1][0], J[0][1]
+    ruu, ruv, rvv = J[2][0], J[1][1], J[0][2]
+    ruuu, ruuv, ruvv, rvvv = J[3][0], J[2][1], J[1][2], J[0][3]
 
-    dot = _dot3
-    E, F, G = dot(ru, ru), dot(ru, rv), dot(rv, rv)
+    dot = _dot
     Eu, Ev = 2 * dot(ru, ruu), 2 * dot(ru, ruv)
     Fu, Fv = dot(ruu, rv) + dot(ru, ruv), dot(ruv, rv) + dot(ru, rvv)
     Gu, Gv = 2 * dot(rv, ruv), 2 * dot(rv, rvv)
 
-    W = np.cross(ru, rv)
-    Wu = np.cross(ruu, rv) + np.cross(ru, ruv)
-    Wv = np.cross(ruv, rv) + np.cross(ru, rvv)
-    wn = np.linalg.norm(W, axis=-1)[..., None]
-    sig = surface.orientation
-    n = sig * W / wn
-    nu = sig * (Wu / wn - W * np.sum(W * Wu, axis=-1)[..., None] / wn ** 3)
-    nv = sig * (Wv / wn - W * np.sum(W * Wv, axis=-1)[..., None] / wn ** 3)
+    # n = sig W with sig = orientation / |W|, so n_u = sig (W_u - n (n.W_u))
+    Wu = [a + b for a, b in zip(_cross(ruu, rv), _cross(ru, ruv))]
+    Wv = [a + b for a, b in zip(_cross(ruv, rv), _cross(ru, rvv))]
+    sig = surface.orientation / wn
+    nWu, nWv = dot(n, Wu), dot(n, Wv)
+    nu = [sig * (a - c * nWu) for a, c in zip(Wu, n)]
+    nv = [sig * (a - c * nWv) for a, c in zip(Wv, n)]
 
-    e, f, g = dot(n, ruu), dot(n, ruv), dot(n, rvv)
     eu = dot(nu, ruu) + dot(n, ruuu)
     ev = dot(nv, ruu) + dot(n, ruuv)
     fu = dot(nu, ruv) + dot(n, ruuv)
@@ -797,7 +759,21 @@ def curvature_gradients(surface, u, v):
     safe = np.maximum(disc, 1e-300)
     k2u = Hu + (H * Hu - 0.5 * Ku) / safe
     k2v = Hv + (H * Hv - 0.5 * Kv) / safe
-    return {
+    out = {
         "H": H, "K": K, "H_u": Hu, "H_v": Hv, "K_u": Ku, "K_v": Kv,
         "sqrt_disc": disc, "k2_u": k2u, "k2_v": k2v,
     }
+    if np.any(bad):
+        out = {key: np.where(bad, np.nan, x) for key, x in out.items()}
+    return out
+
+
+def _dot(a, b):
+    """Dot product of two component triples, summed left to right."""
+    return a[0] * b[0] + a[1] * b[1] + a[2] * b[2]
+
+
+def _cross(a, b):
+    """Cross product of two component triples, as a tuple."""
+    return (a[1] * b[2] - a[2] * b[1], a[2] * b[0] - a[0] * b[2],
+            a[0] * b[1] - a[1] * b[0])

@@ -29,7 +29,8 @@ import numpy as np
 
 from .errors import (SEED_FAILURES, ConvergenceError, FrameError,
                      InconclusiveError, RegularityError)
-from .geometry import MAXIMAL, MINIMAL, chart_bundle, frame_operator
+from .geometry import (MAXIMAL, MINIMAL, chart_bundle, chart_forms,
+                       frame_operator)
 
 D1, D2, D3 = "D1", "D2", "D3"
 NON_TRANSVERSAL = "NonTransversal"
@@ -211,10 +212,11 @@ def _local_minima(S, periodic_u, periodic_v):
 
 
 def _umbilic_residual(surface, u, v):
-    """(w11 - w22, 2 w12) in the orthonormal frame; zero iff umbilic."""
-    b = chart_bundle(surface, u, v)
-    (w11, w12, w22), _ = frame_operator(b["E"], b["F"], b["G"],
-                                        b["e"], b["f"], b["g"])
+    """(w11 - w22, 2 w12) in the orthonormal frame; zero iff umbilic.
+    The forms come from :func:`chart_forms` on python floats, which raises
+    RegularityError at the regularity floor."""
+    forms = chart_forms(surface, float(u), float(v))[4]
+    (w11, w12, w22), _ = frame_operator(*forms)
     return np.array([w11 - w22, 2.0 * w12])
 
 

@@ -2,13 +2,14 @@
 line with the measured quantity against its stated tolerance."""
 
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from principal_config import catalog, cli, cycles, foliation, umbilics
-from principal_config.geometry import (MAXIMAL, MINIMAL, fundamental_forms,
-                                       normal_curvature, principal_data)
+from principal_config.geometry import (MAXIMAL, MINIMAL, chart_bundle,
+                                       normal_curvature, principal_at)
 
 
 def _report(ok, label, detail):
@@ -42,8 +43,9 @@ def test_criterion_1_euler_formula(ellipsoid):
         (u0, u1), (v0, v1) = surf.domain
         u = rng.uniform(u0 + 0.12 * (u1 - u0), u1 - 0.12 * (u1 - u0))
         v = rng.uniform(v0 + 0.12 * (v1 - v0), v1 - 0.12 * (v1 - v0))
-        f = fundamental_forms(surf, (u, v))
-        pd = principal_data(f)
+        b = chart_bundle(surf, u, v)
+        f = SimpleNamespace(**{k: float(b[k]) for k in "EFGefg"})
+        pd = principal_at(surf, u, v)
         if not pd.directions_defined:
             continue
         th = rng.uniform(0.0, 2 * math.pi)

@@ -1,24 +1,30 @@
 import dataclasses
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from principal_config import catalog, geometry
+from principal_config import catalog, foliation, geometry
 from principal_config.errors import (ConvergenceError, CriticalPointError,
                                      RegularityError, UmbilicReferenceError)
-from principal_config.geometry import (chart_bundle, curvature_gradients,
-                                       fundamental_forms,
+from principal_config.geometry import (chart_bundle, chart_forms,
+                                       curvature_gradients, frame_operator,
                                        implicit_principal_data,
                                        normal_curvature, principal_at,
-                                       principal_data,
                                        principal_direction_fast)
 from fd_chart import FiniteDifferenceChart
 
 
+def forms_at(surface, u, v):
+    """E, F, G, e, f, g of :func:`chart_bundle` at one point, as floats."""
+    b = chart_bundle(surface, u, v)
+    return SimpleNamespace(**{k: float(b[k]) for k in "EFGefg"})
+
+
 def test_sphere_equator_forms():
     s = catalog.sphere_chart(1.0)
-    f = fundamental_forms(s, (0.3, math.pi / 2))
+    f = forms_at(s, 0.3, math.pi / 2)
     assert f.E == pytest.approx(1.0, abs=1e-12)
     assert f.F == pytest.approx(0.0, abs=1e-12)
     assert f.G == pytest.approx(1.0, abs=1e-12)
@@ -29,13 +35,13 @@ def test_sphere_equator_forms():
 
 def test_plane_graph_second_form_vanishes():
     flat = catalog.monge_graph_chart(0.0, 0.0, 0.0, 0.0)
-    f = fundamental_forms(flat, (0.1, -0.2))
+    f = forms_at(flat, 0.1, -0.2)
     assert f.e == 0.0 and f.f == 0.0 and f.g == 0.0
 
 
 def test_paraboloid_origin_forms():
     g = catalog.monge_graph_chart(1.0, 0.0, 0.0, 0.0)
-    f = fundamental_forms(g, (0.0, 0.0))
+    f = forms_at(g, 0.0, 0.0)
     assert (f.E, f.F, f.G) == (1.0, 0.0, 1.0)
     assert f.e == pytest.approx(1.0) and f.g == pytest.approx(1.0)
     assert f.f == pytest.approx(0.0)
@@ -83,8 +89,8 @@ def test_ellipsoid_directions_match_normal_curvature_scan(ellipsoid):
     # independent oracle: scan normal curvature over directions; extremes
     # must sit at the reported principal directions
     u, v = 0.0, math.pi / 2
-    f = fundamental_forms(ellipsoid, (u, v))
-    pd = principal_data(f)
+    f = forms_at(ellipsoid, u, v)
+    pd = principal_at(ellipsoid, u, v)
     thetas = np.linspace(0, math.pi, 720, endpoint=False)
     vals = []
     for th in thetas:
@@ -105,8 +111,8 @@ def test_euler_formula_against_forms_ratio(ellipsoid, torus, rng):
         for _ in range(100):
             u = rng.uniform(u0 + 0.2, u1 - 0.2)
             v = rng.uniform(v0 + 0.2, v1 - 0.2)
-            f = fundamental_forms(surf, (u, v))
-            pd = principal_data(f)
+            f = forms_at(surf, u, v)
+            pd = principal_at(surf, u, v)
             if not pd.directions_defined:
                 continue
             th = rng.uniform(0, 2 * math.pi)
@@ -131,8 +137,8 @@ def test_orthogonality_and_hk_identities(ellipsoid, rng):
     for _ in range(60):
         u = rng.uniform(0.2, 6.0)
         v = rng.uniform(0.2, 2.9)
-        f = fundamental_forms(ellipsoid, (u, v))
-        pd = principal_data(f)
+        f = forms_at(ellipsoid, u, v)
+        pd = principal_at(ellipsoid, u, v)
         # metric inner product of the two directions
         ip = (f.E * pd.d1_uv[0] * pd.d2_uv[0]
               + f.F * (pd.d1_uv[0] * pd.d2_uv[1]
@@ -161,7 +167,74 @@ def test_orientation_flip_swaps_curvatures(ellipsoid, rng):
 
 def test_regularity_error_at_chart_pole(ellipsoid):
     with pytest.raises(RegularityError):
-        fundamental_forms(ellipsoid, (0.3, 0.0))
+        chart_bundle(ellipsoid, 0.3, 0.0)
+
+
+def test_curvature_gradients_are_not_finite_at_the_pole(ellipsoid):
+    with pytest.raises(RegularityError):
+        curvature_gradients(ellipsoid, 0.3, 0.0)
+    g = curvature_gradients(ellipsoid, np.array([0.7, 0.3]),
+                            np.array([1.2, 0.0]))
+    for key, value in g.items():
+        assert np.isfinite(value[0]) and np.isnan(value[1]), key
+
+
+def test_principal_at_reads_chart_bundle(ellipsoid, rng):
+    for surf in (ellipsoid, ellipsoid.with_orientation(-1),
+                 catalog.sphere_chart(2.0)):
+        for _ in range(10):
+            u, v = rng.uniform(0.2, 6.0), rng.uniform(0.2, 2.9)
+            b = chart_bundle(surf, u, v)
+            pd = principal_at(surf, u, v)
+            for key in ("k1", "k2", "H", "K", "d1_uv", "d2_uv"):
+                assert np.array_equal(getattr(pd, key), b[key]), key
+            assert pd.directions_defined == bool(
+                b["umbilic_deviation"] > b["direction_tol"])
+
+
+@pytest.mark.parametrize("orientation", [1, -1])
+def test_chart_forms_on_floats_is_the_batch(orientation):
+    # 200 points on each chart: the float path must be the batch path bit
+    # for bit, and the scalar tracer's direction the lanes' within libm's
+    # atan2, cos and sin against numpy's
+    rng = np.random.default_rng(25)
+    for make in (lambda: catalog.perturbed_torus_chart(2.0, 1.0, 0.05),
+                 lambda: catalog.rotated_cap_ellipsoid_chart(0.3),
+                 lambda: catalog.perturbed_ellipsoid_chart(3, 2, 1, 0.008, 0),
+                 lambda: catalog.monge_graph_chart(1.0, 4.0, 1.0, 0.0)):
+        chart = make().with_orientation(orientation)
+        (u0, u1), (v0, v1) = chart.domain
+        u, v = rng.uniform(u0, u1, 200), rng.uniform(v0, v1, 200)
+        minimal = rng.random(200) < 0.5
+        J, n, _, bad, forms = chart_forms(chart, u, v)
+        assert not bad.any()
+        w, frame = frame_operator(*forms)
+        vel = foliation._lane_field(chart, np.column_stack([u, v]),
+                                    minimal, None)[0]
+        for i in range(200):
+            Ji, ni, _, _, forms_i = chart_forms(chart, float(u[i]),
+                                                float(v[i]))
+            w_i, frame_i = frame_operator(*forms_i)
+            assert all(type(x) is float for x in ni + forms_i)
+            for got, want in ((ni, n), (forms_i, forms), (w_i, w),
+                              (frame_i, frame)):
+                assert [x.hex() for x in got] == [
+                    float(x[i]).hex() for x in want]
+            duv = principal_direction_fast(chart, float(u[i]), float(v[i]),
+                                           bool(minimal[i]))[0]
+            assert (np.linalg.norm(np.subtract(duv, vel[i]))
+                    <= 1e-14 * np.linalg.norm(vel[i]))
+    # the pole raises on floats and is NaN in the batch
+    ellipsoid = catalog.ellipsoid_chart(3.0, 2.0, 1.0)
+    with pytest.raises(RegularityError):
+        chart_forms(ellipsoid, 0.3, 0.0)
+    bad = chart_forms(ellipsoid, np.array([0.7, 0.3]), np.array([1.2, 0.0]))[3]
+    assert bad.tolist() == [False, True]
+    vel, _, _, nrm = foliation._lane_field(
+        ellipsoid, np.array([[0.7, 1.2], [0.3, 0.0]]), np.array([True, True]),
+        None)
+    assert np.all(np.isfinite(vel[0])) and np.all(np.isnan(vel[1]))
+    assert np.all(np.isnan(nrm[1]))
 
 
 def _assert_scalar_paths_match_bundle(s, u, v):
