@@ -18,7 +18,7 @@ import numpy as np
 from .errors import (SEED_FAILURES, ConvergenceError, ReturnFailure,
                      UmbilicProximityError)
 from .foliation import (TERM_CLOSED, DiscSection, TraceOptions,
-                        chart_point_near, nearest_distances, trace)
+                        chart_point_near, segment_distances, trace)
 from .geometry import MINIMAL, chart_bundle, curvature_gradients
 
 
@@ -225,20 +225,17 @@ def find_cycles(surface, seeds, foliation_id, known_umbilics=(), log=None):
     """
     log = log if log is not None else SearchLog()
     merge_tol = _CYCLE_MERGE_FACTOR * surface.diameter()
-    cycles, curves = [], []     # [polyline, densified or None] per cycle
+    cycles = []
     for seed in seeds:
         cyc, reason = _cycle_from_seed(surface, seed, foliation_id,
                                        known_umbilics, log)
-        if cyc is not None:
-            curve = [cyc.curve.points_xyz, None]
-            if _is_duplicate(curve, curves, merge_tol):
-                reason = DUPLICATE_SEED
+        if cyc is not None and _is_duplicate(cyc, cycles, merge_tol):
+            reason = DUPLICATE_SEED
         if reason is not None:
             log.dropped.append((foliation_id, tuple(map(float, seed)),
                                 reason))
             continue
         cycles.append(attach_estimates(surface, cyc, log, known_umbilics))
-        curves.append(curve)
     return cycles
 
 
@@ -379,31 +376,14 @@ def cycle_from_closed_trajectory(surface, traj):
         conormal=anchor.w0)
 
 
-def _densify(polyline, spacing):
-    seg = np.diff(polyline, axis=0)
-    lengths = np.linalg.norm(seg, axis=1)
-    parts = [polyline[:1]]
-    for i, L in enumerate(lengths):
-        n = max(1, int(L / spacing))
-        ts = np.linspace(0.0, 1.0, n + 1)[1:, None]
-        parts.append(polyline[i] + ts * seg[i])
-    return np.concatenate(parts)
-
-
-def _is_duplicate(curve, earlier, merge_tol):
-    """Whether ``curve`` lies within ``merge_tol`` (Hausdorff distance,
-    measured against the polylines densified to 0.5·merge_tol) of an
-    ``earlier`` curve.  A curve is a [polyline, densified polyline or
-    None] pair; each is densified once, on its first comparison."""
-    for other in earlier:
-        for c in (curve, other):
-            if c[1] is None:
-                c[1] = _densify(c[0], 0.5 * merge_tol)
-        d1 = nearest_distances(other[1], curve[0])
-        d2 = nearest_distances(curve[1], other[0])
-        if max(float(d1.max()), float(d2.max())) < merge_tol:
-            return True
-    return False
+def _is_duplicate(cycle, earlier, merge_tol):
+    """Whether the curve of ``cycle`` lies within ``merge_tol`` of the curve
+    of an ``earlier`` cycle: every vertex of each polyline within it of the
+    other's segments."""
+    p = cycle.curve.points_xyz
+    return any(max(float(segment_distances(q, p).max()),
+                   float(segment_distances(p, q).max())) < merge_tol
+               for q in (c.curve.points_xyz for c in earlier))
 
 
 # ---------------------------------------------------------------------------

@@ -1054,7 +1054,7 @@ _LATE_FRACTION = 0.3         # of the points, compared with known cycles
 _EPSILON_FACTOR = 1e-2       # radius of a recurrence ball, times diam
 _MIN_RETURNS = 20            # passes through it for recurrence evidence
 _BALL_CANDIDATES = 40        # ball centres tried on the early trajectory
-_NEAREST_BLOCK_BYTES = 1 << 20   # the largest temporary of nearest_distances
+_NEAREST_BLOCK_BYTES = 1 << 20   # the largest temporary of a distance query
 
 
 def nearest_distances(points, queries):
@@ -1073,6 +1073,28 @@ def nearest_distances(points, queries):
         sq += np.square(q[:, 1, None] - py)
         sq += np.square(q[:, 2, None] - pz)
         out[start:start + rows] = np.sqrt(sq.min(axis=1))
+    return out
+
+
+def segment_distances(polyline, queries):
+    """Euclidean distance from each row of ``queries`` (m, 3) to the
+    nearest segment of ``polyline`` (n >= 2 points, (n, 3)), exact, over
+    blocks of query rows so that no temporary exceeds
+    ``_NEAREST_BLOCK_BYTES``."""
+    polyline = np.asarray(polyline, dtype=float)
+    a, d = polyline[:-1], np.diff(polyline, axis=0)
+    # a zero-length segment gets t = 0: the distance to its point
+    dd = np.einsum("nk,nk->n", d, d)
+    inv_dd = 1.0 / np.maximum(dd, np.finfo(float).tiny)
+    queries = np.asarray(queries, dtype=float)
+    rows = max(1, _NEAREST_BLOCK_BYTES // (24 * len(a)))
+    out = np.empty(len(queries))
+    for start in range(0, len(queries), rows):
+        r = queries[start:start + rows, None, :] - a
+        t = np.clip(np.einsum("qnk,nk->qn", r, d) * inv_dd, 0.0, 1.0)
+        r -= t[..., None] * d
+        out[start:start + rows] = np.sqrt(
+            np.einsum("qnk,qnk->qn", r, r).min(axis=1))
     return out
 
 

@@ -1,12 +1,13 @@
 """Umbilic points: location, Monge normal form, Darbouxian type, index,
 separatrix directions.
 
-The Monge extraction is exact series algebra: the chart jet is rewritten as
-a height series over the tangent plane (order-3 inversion of the tangent
-coordinates), then the tangent frame is rotated to kill the x^2 y cubic
-coefficient, at an angle solved from a cubic in tan(phi).  Types follow the
-open inequalities on (a/b, c/2b) with an explicit slack band; degenerate
-cases are return values, not failures.
+The Monge extraction reads the second and third derivatives of the height
+over the tangent plane off the chart jet, by the chain rule through the
+inverse of the tangent coordinates; the height has no linear term, so only
+the inverse's first two derivatives enter the cubic.  The tangent frame is
+then rotated to kill the x^2 y cubic coefficient, at an angle solved from a
+cubic in tan(phi).  Types follow the open inequalities on (a/b, c/2b) with
+an explicit slack band; degenerate cases are return values, not failures.
 
 The separatrices are read off the rotated cubic
 z = (k/2)(x^2+y^2) + (a/6)x^3 + (b/2)xy^2 + (c/6)y^3, as Darboux (1896)
@@ -182,33 +183,19 @@ def _wrap_into(x, lo, hi):
 
 
 def _local_minima(S, periodic_u, periodic_v):
-    n, m = S.shape
-    out = []
+    """(i, j) rows, in row-major order, of the finite cells of S that none
+    of their 8 neighbours undercuts.  Periodic axes wrap; past the edge of
+    the others lies +inf."""
     filled = np.where(np.isfinite(S), S, np.inf)
-    for i in range(n):
-        for j in range(m):
-            val = filled[i, j]
-            if not np.isfinite(val):
-                continue
-            best = True
-            for di in (-1, 0, 1):
-                for dj in (-1, 0, 1):
-                    if di == 0 and dj == 0:
-                        continue
-                    ii, jj = i + di, j + dj
-                    if periodic_u:
-                        ii %= n
-                    if periodic_v:
-                        jj %= m
-                    if 0 <= ii < n and 0 <= jj < m:
-                        if filled[ii, jj] < val:
-                            best = False
-                            break
-                if not best:
-                    break
-            if best:
-                out.append((i, j))
-    return out
+    periodic = (periodic_u, periodic_v)
+    padded = np.pad(filled, [(0, 0) if p else (1, 1) for p in periodic],
+                    constant_values=np.inf)
+    core = tuple(slice(None) if p else slice(1, -1) for p in periodic)
+    best = np.isfinite(filled)
+    for di in (-1, 0, 1):           # the zero shift is the cell itself
+        for dj in (-1, 0, 1):
+            best &= ~(np.roll(padded, (di, dj), axis=(0, 1))[core] < filled)
+    return np.argwhere(best)
 
 
 def _umbilic_residual(surface, u, v):
@@ -308,129 +295,58 @@ def _refine_umbilic(surface, seed, kappa):
 # Monge normal form
 # ---------------------------------------------------------------------------
 
-def _poly_mul(p, q):
-    out = np.zeros((4, 4))
-    for i in range(4):
-        for j in range(4 - i):
-            if p[i, j] == 0.0:
-                continue
-            for k in range(4 - i - j):
-                for l in range(4 - i - j - k):
-                    if i + k < 4 and j + l < 4 and (i + j + k + l) <= 3:
-                        out[i + k, j + l] += p[i, j] * q[k, l]
-    return out
-
-
-def _poly_compose(series, sub_x, sub_y):
-    """series(s, t) with s = sub_x(X, Y), t = sub_y(X, Y), truncated."""
-    one = np.zeros((4, 4))
-    one[0, 0] = 1.0
-    powers_x = [one]
-    powers_y = [one]
-    for _ in range(3):
-        powers_x.append(_poly_mul(powers_x[-1], sub_x))
-        powers_y.append(_poly_mul(powers_y[-1], sub_y))
-    out = np.zeros((4, 4))
-    for i in range(4):
-        for j in range(4 - i):
-            if series[i, j] == 0.0:
-                continue
-            out += series[i, j] * _poly_mul(powers_x[i], powers_y[j])
-    return out
-
-
-_FACT = np.array([1.0, 1.0, 2.0, 6.0])
-
-
 def monge_form(surface, location):
     """Monge cubic coefficients at an umbilic chart location.
 
-    Builds the tangent frame, inverts the tangent-plane coordinates as a
-    degree-3 series to express the surface as a local graph, and rotates
-    the frame by the smallest angle in [0, pi) that kills the x^2 y term
-    (:func:`kill_rotation_angles`).
+    The height z = n . (P - P0) over the tangent coordinates
+    x_m = e_m . (P - P0) is differentiated by the chain rule.  With P_i,
+    P_ij, P_ijk the chart partials and A = (e_m . P_i)^-1 the first
+    derivative of the inverse coordinates, its second derivative is
+    K_iab = -A_im (e_m . P_jk) A_ja A_kb, and with L = n . P_ij and
+    N = n . P_ijk the height's derivatives are h_ab = L_ij A_ia A_jb and
+    h_abc = N_ijk A_ia A_jb A_kc plus the three placements of
+    L_ij K_iab A_jc.  The frame is then rotated by the smallest angle in
+    [0, pi) that kills the x^2 y term (:func:`kill_rotation_angles`).
     """
-    if hasattr(location, "uv"):
-        u0, v0 = location.uv
-    else:
-        u0, v0 = location
-    J = surface.jet(u0, v0)
-    b = chart_bundle(surface, u0, v0)
-    n = b["normal"]
-    ru = J[1, 0]
-    e1 = ru / np.linalg.norm(ru)
-    e2 = np.cross(n, e1)
-    origin = J[0, 0]
+    u0, v0 = location.uv if hasattr(location, "uv") else location
+    J, n, _, _, _ = chart_forms(surface, float(u0), float(v0))
+    J, n = np.array(J), np.array(n)
+    e1 = J[1, 0] / np.linalg.norm(J[1, 0])
+    e = np.stack([e1, np.cross(n, e1)])
+    d = np.arange(2)            # partial i of P is in J[1 - i, i]
+    o2 = d[:, None] + d
+    o3 = o2[..., None] + d
+    P2, P3 = J[2 - o2, o2], J[3 - o3, o3]
 
-    X = np.zeros((4, 4))
-    Y = np.zeros((4, 4))
-    Z = np.zeros((4, 4))
-    for i in range(4):
-        for j in range(4 - i):
-            if i == 0 and j == 0:
-                continue
-            coef = J[i, j] / (_FACT[i] * _FACT[j])
-            X[i, j] = float(coef @ e1)
-            Y[i, j] = float(coef @ e2)
-            Z[i, j] = float(coef @ n)
-
-    M = np.array([[X[1, 0], X[0, 1]], [Y[1, 0], Y[0, 1]]])
+    M = e @ J[1 - d, d].T
     det = float(np.linalg.det(M))
     scale = max(abs(M).max(), 1e-300)
     if abs(det) < 1e-12 * scale * scale:
         raise FrameError("tangent coordinates degenerate at the umbilic")
-    Minv = np.linalg.inv(M)
+    A = np.linalg.inv(M)
+    L, N, G = P2 @ n, P3 @ n, P2 @ e.T      # G[j, k, m] = e_m . P_jk
+    K = -np.einsum("im,jkm,ja,kb->iab", A, G, A, A)
+    h2 = np.einsum("ij,ia,jb->ab", L, A, A)
+    LK = np.einsum("ij,iab,jc->abc", L, K, A)
+    h3 = (np.einsum("ijk,ia,jb,kc->abc", N, A, A, A)
+          + LK + LK.transpose(0, 2, 1) + LK.transpose(2, 0, 1))
 
-    # linear inverse
-    s_lin = np.zeros((4, 4))
-    t_lin = np.zeros((4, 4))
-    s_lin[1, 0], s_lin[0, 1] = Minv[0, 0], Minv[0, 1]
-    t_lin[1, 0], t_lin[0, 1] = Minv[1, 0], Minv[1, 1]
-    # quadratic correction: subtract the quadratic image of the inverse
-    Xq = np.zeros((4, 4))
-    Yq = np.zeros((4, 4))
-    for (i, j) in ((2, 0), (1, 1), (0, 2)):
-        Xq[i, j] = X[i, j]
-        Yq[i, j] = Y[i, j]
-    qx = _poly_compose(Xq, s_lin, t_lin)
-    qy = _poly_compose(Yq, s_lin, t_lin)
-    s_ser = s_lin - (Minv[0, 0] * qx + Minv[0, 1] * qy)
-    t_ser = t_lin - (Minv[1, 0] * qx + Minv[1, 1] * qy)
-
-    h = _poly_compose(Z, s_ser, t_ser)
-    q20, q11, q02 = h[2, 0], h[1, 1], h[0, 2]
-    k = q20 + q02
-    quad_defect = max(abs(q11), abs(q20 - q02))
-
-    c30, c21, c12, c03 = h[3, 0], h[2, 1], h[1, 2], h[0, 3]
-    A1 = (c30 - c12) / 4.0
-    A2 = (c03 - c21) / 4.0
-    B1 = (3.0 * c30 + c12) / 4.0
-    B2 = -(c21 + 3.0 * c03) / 4.0
-
-    phi = kill_rotation_angles(A1, A2, B1, B2)[0]
-    # frame rotated by phi: w = w' e^{i phi}, so A -> A e^{3 i phi},
-    # B -> B e^{i phi}
-    ca3, sa3 = math.cos(3 * phi), math.sin(3 * phi)
-    ca1, sa1 = math.cos(phi), math.sin(phi)
-    A1r = A1 * ca3 - A2 * sa3
-    A2r = A2 * ca3 + A1 * sa3
-    B1r = B1 * ca1 - B2 * sa1
-    B2r = B2 * ca1 + B1 * sa1
-    c30r = A1r + B1r
-    c21r = -3.0 * A2r - B2r
-    c12r = -3.0 * A1r + B1r
-    c03r = A2r - B2r
-
-    a_c, b_c, c_c = 6.0 * c30r, 2.0 * c12r, 6.0 * c03r
-    e1r = math.cos(phi) * e1 + math.sin(phi) * e2
-    e2r = -math.sin(phi) * e1 + math.cos(phi) * e2
-    frame = MongeFrame(origin=origin, e1=e1r, e2=e2r, normal=n)
+    c30, c21, c12, c03 = (h3[0, 0, 0] / 6.0, h3[0, 0, 1] / 2.0,
+                          h3[0, 1, 1] / 2.0, h3[1, 1, 1] / 6.0)
+    phi = kill_rotation_angles((c30 - c12) / 4.0, (c03 - c21) / 4.0,
+                               (3.0 * c30 + c12) / 4.0,
+                               -(c21 + 3.0 * c03) / 4.0)[0]
+    cs, sn = math.cos(phi), math.sin(phi)
+    R = np.array([[cs, -sn], [sn, cs]])     # columns: the rotated frame
+    h3 = np.einsum("pqr,pa,qb,rc->abc", h3, R, R, R)
+    frame = MongeFrame(origin=J[0, 0], e1=cs * e[0] + sn * e[1],
+                       e2=-sn * e[0] + cs * e[1], normal=n)
     return MongeCoefficients(
-        k=float(k), a=float(a_c), b=float(b_c), c=float(c_c),
-        rotation=float(phi), frame=frame,
-        residual_x2y=float(abs(c21r)),
-        quadratic_defect=float(quad_defect))
+        k=float(0.5 * (h2[0, 0] + h2[1, 1])), a=float(h3[0, 0, 0]),
+        b=float(h3[0, 1, 1]), c=float(h3[1, 1, 1]), rotation=float(phi),
+        frame=frame, residual_x2y=float(0.5 * abs(h3[0, 0, 1])),
+        quadratic_defect=float(max(abs(h2[0, 1]),
+                                   0.5 * abs(h2[0, 0] - h2[1, 1]))))
 
 
 def kill_rotation_angles(A1, A2, B1, B2):

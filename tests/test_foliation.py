@@ -318,6 +318,45 @@ def test_nearest_distances_are_the_kd_tree_distances():
         assert np.array_equal(foliation.nearest_distances(points, queries), d)
 
 
+def test_segment_distances_are_exact():
+    rng = np.random.default_rng(17)
+    polyline = np.cumsum(rng.normal(size=(60, 3)), axis=0)
+    polyline[20] = polyline[19]            # a zero-length segment
+    seg = np.diff(polyline, axis=0)
+    # points on the segments lie at distance 0
+    t = rng.random((200, 1))
+    rows = rng.integers(0, len(seg), 200)
+    on = polyline[rows] + t * seg[rows]
+    assert foliation.segment_distances(polyline, on).max() <= 1e-13
+    # a point off the middle of a segment along a normal lies at the
+    # offset; off its end, at the distance to the end point
+    d = seg[5] / np.linalg.norm(seg[5])
+    normal = np.cross(d, [0.0, 0.0, 1.0])
+    normal /= np.linalg.norm(normal)
+    mid = polyline[5] + 0.5 * seg[5]
+    assert math.isclose(foliation.segment_distances(
+        polyline[5:7], [mid + 0.3 * normal])[0], 0.3, rel_tol=1e-13)
+    end = polyline[6] + 0.7 * d
+    assert math.isclose(foliation.segment_distances(
+        polyline[5:7], [end])[0], 0.7, rel_tol=1e-13)
+    # against points sampled along the polyline at spacing s, the exact
+    # distance is at most the sampled one (to roundoff: at a vertex they
+    # are the same distance) and below it by less than s / 2
+    s = 1e-3
+    dense = np.concatenate([p + np.linspace(0.0, 1.0, 1 + int(np.linalg.norm(
+        q) / s))[:, None] * q for p, q in zip(polyline[:-1], seg)])
+    queries = polyline.mean(axis=0) + 3.0 * rng.normal(size=(50, 3))
+    exact = foliation.segment_distances(polyline, queries)
+    sampled = foliation.nearest_distances(dense, queries)
+    assert np.all(exact <= sampled + 1e-12)
+    assert np.all(sampled - exact < 0.5 * s)
+    # queries that span several blocks give the one-query distances
+    many = rng.normal(size=(3000, 3))
+    assert 3000 * 59 * 24 > 2 * foliation._NEAREST_BLOCK_BYTES
+    one = [foliation.segment_distances(polyline, q[None])[0] for q in many]
+    assert np.array_equal(foliation.segment_distances(polyline, many), one)
+
+
 def test_omega_limit_cycle_convergence(perturbed_torus):
     from principal_config import cycles as cyc_mod
     found = cyc_mod.find_cycles(perturbed_torus, [(0.4, 1.5)], MAXIMAL)

@@ -61,6 +61,44 @@ def test_torus_has_no_umbilics(torus):
     assert locate_umbilics(torus, grid=24) == []
 
 
+def _local_minima_loop(S, periodic_u, periodic_v):
+    """The cells that no neighbour of the 8 undercuts, cell by cell."""
+    n, m = S.shape
+    filled = np.where(np.isfinite(S), S, np.inf)
+    out = []
+    for i in range(n):
+        for j in range(m):
+            if not np.isfinite(filled[i, j]):
+                continue
+            neighbours = []
+            for di in (-1, 0, 1):
+                for dj in (-1, 0, 1):
+                    ii, jj = i + di, j + dj
+                    if periodic_u:
+                        ii %= n
+                    if periodic_v:
+                        jj %= m
+                    if (di or dj) and 0 <= ii < n and 0 <= jj < m:
+                        neighbours.append(filled[ii, jj])
+            if all(x >= filled[i, j] for x in neighbours):
+                out.append((i, j))
+    return out
+
+
+def test_local_minima_are_the_neighbour_loop():
+    # small integer values make ties; NaN and inf cells are never minima
+    rng = np.random.default_rng(31)
+    for _ in range(400):
+        S = rng.integers(0, 4, size=rng.integers(2, 12, size=2)).astype(float)
+        S[rng.random(S.shape) < 0.15] = np.nan
+        S[rng.random(S.shape) < 0.05] = np.inf
+        for pu in (False, True):
+            for pv in (False, True):
+                got = [tuple(map(int, row))
+                       for row in umbilics._local_minima(S, pu, pv)]
+                assert got == _local_minima_loop(S, pu, pv)
+
+
 def test_monge_form_synthetic_graph_exact():
     g = catalog.monge_graph_chart(1.0, 4.0, 1.0, 0.0, extent=0.6)
     rec = refine_umbilic_record(g, (0.0, 0.0))
@@ -437,28 +475,40 @@ def test_a_failed_monge_form_leaves_one_record_unclassified(
 
 def test_monge_reconstruction_order(ellipsoid, ellipsoid_records):
     # reconstructing the graph from (k, a, b, c) matches the surface to
-    # fourth order near the umbilic: fitted exponent >= 3.8
-    rec = ellipsoid_records[0]
-    m = rec.monge
-    fr = m.frame
+    # fourth order near the umbilic: fitted exponent >= 3.8.  The Monge
+    # graph's umbilic at (0.5, 0) has a tilted tangent plane, so the chart
+    # has tangential second derivatives there (e . P_ij != 0), and so do
+    # the perturbed ellipsoid's umbilics
+    graph = catalog.monge_graph_chart(1.0, 4.0, 1.0, 0.0)
+    tilted = [r for r in umbilics.analyze_umbilics(graph)
+              if r.uv[0] > 0.25]
+    assert len(tilted) == 1
+    perturbed = catalog.perturbed_ellipsoid_chart(3.0, 2.0, 1.0, 0.008, 0)
+    records = umbilics.analyze_umbilics(perturbed)
+    assert len(records) == 4
+    cases = ([(ellipsoid, ellipsoid_records[0]), (graph, tilted[0])]
+             + [(perturbed, rec) for rec in records])
     radii = np.array([3e-3, 6e-3, 1.2e-2, 2.4e-2])
-    errs = []
-    for rho in radii:
-        worst = 0.0
-        for ang in np.linspace(0, 2 * math.pi, 8, endpoint=False):
-            target = fr.origin + rho * (math.cos(ang) * fr.e1
-                                        + math.sin(ang) * fr.e2)
-            uv = chart_point_near(ellipsoid, target, rec.uv)
-            p = ellipsoid.point(uv[0], uv[1])
-            x = float((p - fr.origin) @ fr.e1)
-            y = float((p - fr.origin) @ fr.e2)
-            z = float((p - fr.origin) @ fr.normal)
-            model = (m.k / 2 * (x * x + y * y) + m.a / 6 * x ** 3
-                     + m.b / 2 * x * y * y + m.c / 6 * y ** 3)
-            worst = max(worst, abs(z - model))
-        errs.append(worst)
-    slope = np.polyfit(np.log(radii), np.log(errs), 1)[0]
-    assert slope >= 3.8
+    for surface, rec in cases:
+        m = rec.monge
+        fr = m.frame
+        errs = []
+        for rho in radii:
+            worst = 0.0
+            for ang in np.linspace(0, 2 * math.pi, 8, endpoint=False):
+                target = fr.origin + rho * (math.cos(ang) * fr.e1
+                                            + math.sin(ang) * fr.e2)
+                uv = chart_point_near(surface, target, rec.uv)
+                p = surface.point(uv[0], uv[1])
+                x = float((p - fr.origin) @ fr.e1)
+                y = float((p - fr.origin) @ fr.e2)
+                z = float((p - fr.origin) @ fr.normal)
+                model = (m.k / 2 * (x * x + y * y) + m.a / 6 * x ** 3
+                         + m.b / 2 * x * y * y + m.c / 6 * y ** 3)
+                worst = max(worst, abs(z - model))
+            errs.append(worst)
+        slope = np.polyfit(np.log(radii), np.log(errs), 1)[0]
+        assert slope >= 3.8, (surface.name, rec.uv, slope)
 
 
 def _failing_chart(error, after_calls):
