@@ -130,7 +130,7 @@ def cmd_umbilics(args):
         except PrincipalConfigError as exc:
             results["index_sum"] = {"inconclusive": str(exc)}
     config = RunConfig("umbilics", args.surface, {"grid": args.grid},
-                       args.out, args.seed)
+                       args.seed)
     report = ReportDocument(config, results, work)
     scene = None
     if args.svg and not results["all_umbilic"] and records:
@@ -159,8 +159,7 @@ def cmd_trace(args):
     work = {k: sum(t.meta[k] for t in trajs) for k in ("steps", "evals")}
     config = RunConfig("trace", args.surface,
                        {"start": list(start), "foliation": args.foliation,
-                        "tol": args.tol, "length": args.length},
-                       args.out, args.seed)
+                        "tol": args.tol, "length": args.length}, args.seed)
     report = ReportDocument(config, results, work)
     scene = render_svg(trajs, view=args.view) if args.svg else None
     _write_outputs(args, report, trajectories=trajs, scene=scene)
@@ -193,8 +192,7 @@ def cmd_cycles(args):
                               for fol, seed, reason in log.dropped]}
     config = RunConfig("cycles", args.surface,
                        {"seeds": args.seeds or f"auto:{args.n_seeds}",
-                        "foliation": args.foliation},
-                       args.out, args.seed)
+                        "foliation": args.foliation}, args.seed)
     report = ReportDocument(config, results, work)
     trajs = [c.curve for c in found]
     scene = render_svg(trajs, view=args.view) if (args.svg and trajs) \
@@ -254,8 +252,7 @@ def cmd_rotation(args):
             for row in table]}
         config = RunConfig("rotation", "s_rho",
                            {"sweep_rho": args.sweep_rho,
-                            "n_seeds": args.n_seeds},
-                           args.out, args.seed)
+                            "n_seeds": args.n_seeds}, args.seed)
         _write_outputs(args, ReportDocument(config, results,
                                             {"rhos": len(rhos)}))
         return EXIT_OK
@@ -281,8 +278,7 @@ def cmd_rotation(args):
     config = RunConfig("rotation", args.surface,
                        {"section": args.section, "n_seeds": args.n_seeds,
                         "foliation": args.foliation,
-                        "crossings": args.crossings},
-                       args.out, args.seed)
+                        "crossings": args.crossings}, args.seed)
     _write_outputs(args, ReportDocument(config, results,
                                         {"crossings": est.crossing_count}))
     return EXIT_OK
@@ -298,8 +294,7 @@ def cmd_strata(args):
         "semi_axes": list(stratum.semi_axes),
     }}
     config = RunConfig("strata", args.quadric,
-                       {"tol": args.tol, "level": args.level},
-                       args.out, args.seed)
+                       {"tol": args.tol, "level": args.level}, args.seed)
     _write_outputs(args, ReportDocument(config, results))
     print(stratum.tag)
     return EXIT_OK
@@ -322,8 +317,7 @@ def cmd_stability(args):
     config = RunConfig("stability", args.surface,
                        {"grid": args.grid, "cycle_seeds": args.cycle_seeds,
                         "omega_seeds": args.omega_seeds,
-                        "length_factor": args.length_factor},
-                       args.out, args.seed)
+                        "length_factor": args.length_factor}, args.seed)
     _write_outputs(args, ReportDocument(config, results))
     print(rep.overall)
     return EXIT_OK
@@ -340,7 +334,7 @@ def build_parser():
                     "foliations, cycles, stability audits.")
     sub = p.add_subparsers(dest="command", required=True)
 
-    def common(sp, surface=True):
+    def common(sp, surface=True, scene=False):
         if surface:
             sp.add_argument("--surface", required=True,
                             help="name:p1,p2,... e.g. ellipsoid:3,2,1")
@@ -350,17 +344,18 @@ def build_parser():
         sp.add_argument("--config", default=None,
                         help="key = value config file; command-line "
                              "flags override it")
-        sp.add_argument("--view", default="+y",
-                        help="SVG view axis (+x..-z)")
-        sp.add_argument("--svg", action="store_true")
+        if scene:
+            sp.add_argument("--view", default="+y",
+                            help="SVG view axis (+x..-z)")
+            sp.add_argument("--svg", action="store_true")
 
     sp = sub.add_parser("umbilics", help="locate and classify umbilics")
-    common(sp)
+    common(sp, scene=True)
     sp.add_argument("--grid", type=int, default=32)
     sp.set_defaults(fn=cmd_umbilics)
 
     sp = sub.add_parser("trace", help="integrate principal lines")
-    common(sp)
+    common(sp, scene=True)
     sp.add_argument("--start", required=True, help="u,v (or x,y,z)")
     sp.add_argument("--foliation", default="both",
                     choices=[MINIMAL, MAXIMAL, "both"])
@@ -369,7 +364,7 @@ def build_parser():
     sp.set_defaults(fn=cmd_trace)
 
     sp = sub.add_parser("cycles", help="find principal cycles and T'")
-    common(sp)
+    common(sp, scene=True)
     sp.add_argument("--seeds", default="",
                     help="semicolon-separated u,v pairs")
     sp.add_argument("--n-seeds", type=int, default=8)

@@ -5,7 +5,9 @@ checked: a Richardson-extrapolated central difference of the actual return
 map, and the exponential of the closed line integral of dH/sqrt(H^2 - K)
 (equivalently dk2/(k2 - k1)) along the cycle.  The sign of the integral
 formula depends on orientation conventions, so the branch is resolved
-empirically against the finite-difference value and recorded.
+empirically against the finite-difference value and recorded.  The
+integral reads the cycle's own trace: its samples lie on the cubic Hermite
+of each accepted step, as section crossings and closures do.
 """
 
 from __future__ import annotations
@@ -18,7 +20,8 @@ import numpy as np
 from .errors import (SEED_FAILURES, ConvergenceError, ReturnFailure,
                      UmbilicProximityError)
 from .foliation import (TERM_CLOSED, DiscSection, TraceOptions,
-                        chart_point_near, segment_distances, trace)
+                        chart_point_near, resample_line, segment_distances,
+                        trace)
 from .geometry import MINIMAL, chart_bundle, curvature_gradients
 
 
@@ -420,87 +423,25 @@ def return_map_derivative_fd(surface, cycle, h=None, log=None,
 # estimator 2: closed line integrals
 # ---------------------------------------------------------------------------
 
-def _solve_cyclic_tridiagonal(sub, diag, sup, rhs):
-    """x with sub[i]·x[i-1] + diag[i]·x[i] + sup[i]·x[i+1] = rhs[i], the
-    indices taken mod n (n >= 3; rhs is (n, k)).  Thomas on the tridiagonal
-    part, then a Sherman-Morrison correction for the two corners (Press et
-    al., *Numerical Recipes*, §2.7); O(n), stable for diagonally dominant
-    systems.  The sweeps run on python floats, which beat numpy row
-    operations at the few hundred knots of a cycle."""
-    n = len(diag)
-    sub, sup, b = sub.tolist(), sup.tolist(), diag.tolist()
-    gamma = -b[0]
-    corner = sub[0] / gamma          # A[0, n-1] / gamma
-    b[0] -= gamma
-    b[-1] -= sup[-1] * corner        # A[n-1, 0] is sup[n-1]
-    w = [0.0] * n
-    for i in range(1, n):
-        w[i] = sub[i] / b[i - 1]
-        b[i] -= w[i] * sup[i - 1]
-    u = [0.0] * n                    # A = T + u v^T
-    u[0], u[-1] = gamma, sup[-1]
-    cols = rhs.T.tolist() + [u]
-    for d in cols:
-        for i in range(1, n):
-            d[i] -= w[i] * d[i - 1]
-        d[-1] /= b[-1]
-        for i in range(n - 2, -1, -1):
-            d[i] = (d[i] - sup[i] * d[i + 1]) / b[i]
-    y, z = np.array(cols[:-1]).T, np.array(cols[-1])
-    factor = (y[0] + corner * y[-1]) / (1.0 + z[0] + corner * z[-1])
-    return y - np.outer(z, factor)
-
-
-def _periodic_spline(s, values, x):
-    """(value, first derivative) at the points ``x`` in [s[0], s[-1]] of
-    the periodic C² cubic interpolant of ``values`` (n, k) on the
-    increasing knots ``s`` (n,), n >= 4, whose last row repeats the
-    first; both are (len(x), k).  The knot slopes solve the cyclic
-    tridiagonal system of C² continuity, and each interval is the Hermite
-    cubic of its end values and slopes."""
-    h = np.diff(s)
-    delta = np.diff(values, axis=0) / h[:, None]
-    h_prev = np.roll(h, 1)
-    rhs = 3.0 * (h[:, None] * np.roll(delta, 1, axis=0)
-                 + h_prev[:, None] * delta)
-    m = _solve_cyclic_tridiagonal(h, 2.0 * (h_prev + h), h_prev, rhs)
-    m_next = np.roll(m, -1, axis=0)
-    i = np.clip(np.searchsorted(s, x, side="right") - 1, 0, len(s) - 2)
-    hi = h[i, None]
-    c1 = m[i]
-    c2 = (3.0 * delta[i] - 2.0 * c1 - m_next[i]) / hi
-    c3 = (c1 + m_next[i] - 2.0 * delta[i]) / (hi * hi)
-    dx = (x - s[i])[:, None]
-    return (values[i] + dx * (c1 + dx * (c2 + dx * c3)),
-            c1 + dx * (2.0 * c2 + 3.0 * dx * c3))
-
-
 def return_map_derivative_integral(surface, cycle, quadrature_points=1024):
     """Both line-integral variants of log T' along the refined cycle.
 
-    Resamples the closed curve uniformly in arclength with a periodic
-    spline of its chart coordinates less their linear winding, evaluates
-    the analytic curvature gradients at ``quadrature_points`` points and
-    applies the periodic trapezoid rule (spectrally accurate on smooth
-    cycles).  Raises UmbilicProximityError if sqrt(H^2 - K) dips below
-    the floor (``_CURVATURE_FLOOR_REL``) and ConvergenceError if the two
-    variants disagree beyond 1e-4.
+    Samples the closed curve at ``quadrature_points`` points uniform in
+    arclength, each on the cubic Hermite of the traced step that holds it
+    (:func:`foliation.resample_line`): over a step of length h its chart
+    state is O(h^4) and its slope O(h^3) off the integrated line.  The
+    analytic curvature gradients at the samples go into the trapezoid
+    rule, the mean times the length on a closed curve.  Raises
+    UmbilicProximityError if sqrt(H^2 - K) dips below the floor
+    (``_CURVATURE_FLOOR_REL``) and ConvergenceError if a recorded point
+    has no finite line field or the two variants disagree beyond 1e-4.
     """
     traj = cycle.curve
-    s = traj.arclength
-    total = float(s[-1])
+    total = traj.length
     if total <= 0:
         raise ConvergenceError("cycle has zero length")
-    uv = traj.points_uv
-    wind = (uv[-1] - uv[0]) / total
-    residual = uv - s[:, None] * wind
-    residual[-1] = residual[0]
-
-    N = quadrature_points
-    sq = np.linspace(0.0, total, N, endpoint=False)
-    value, slope = _periodic_spline(s, residual, sq)
-    uq, vq = (value + sq[:, None] * wind).T
-    up, vp = (slope + wind).T
+    sq = np.linspace(0.0, total, quadrature_points, endpoint=False)
+    (uq, vq), (up, vp) = (a.T for a in resample_line(surface, traj, sq))
 
     grads = curvature_gradients(surface, uq, vq)
     disc = grads["sqrt_disc"]

@@ -12,7 +12,8 @@ umbilic balls on DP5(4).  The eigen-sign is transported along the curve
 tangent at the step start), which lets a single trajectory pass through
 regions where no consistent global orientation exists.  Section
 crossings and the closure onto the start are located on the Hermite
-interpolant of the accepted step that holds them.
+interpolant of the accepted step that holds them, and
+:func:`resample_line` samples a traced chart line on the same cubics.
 """
 
 from __future__ import annotations
@@ -958,6 +959,32 @@ def _hermite(y0, f0, y1, f1, h, t):
     return h00 * y0 + h10 * h * f0 + h01 * y1 + h11 * h * f1
 
 
+def resample_line(surface, traj, s):
+    """The chart states of the chart trajectory ``traj`` at the
+    arclengths ``s`` (m,), from 0 to its length, and their derivatives
+    d(u, v)/ds, both (m, 2).  A state lies on the cubic Hermite
+    (:func:`_hermite`) of the step that holds it, between the recorded
+    points and the line field's velocities there, from one batched
+    :func:`_lane_field` call signed along the recorded tangents; the field
+    has unit world speed, so a velocity is d(u, v)/ds.  At a recorded
+    arclength the state is the recorded point, bit for bit.  A recorded
+    point where the field is not finite raises ConvergenceError."""
+    y, knots = traj.points_uv, traj.arclength
+    f = _lane_field(surface, y, traj.foliation_id == MINIMAL,
+                    traj.tangents)[0]
+    if not np.all(np.isfinite(f)):
+        raise ConvergenceError("line field not finite at a recorded point")
+    i = np.clip(np.searchsorted(knots, s, side="right") - 1, 0,
+                len(knots) - 2)
+    h = (knots[i + 1] - knots[i])[:, None]
+    t = (s - knots[i])[:, None] / h
+    y0, f0, y1, f1 = y[i], f[i], y[i + 1], f[i + 1]
+    slope = (6.0 * t * (1.0 - t) * (y1 - y0) / h
+             + (3.0 * t * t - 4.0 * t + 1.0) * f0
+             + (3.0 * t * t - 2.0 * t) * f1)
+    return _hermite(y0, f0, y1, f1, h, t), slope
+
+
 def _bisect_step(step, offset, locate, g_old):
     """Locate the sign change of ``offset(y, xyz)`` inside the accepted
     ``step`` = (y_old, k_old, y1, k_end, h, s_old): y1 is the step's
@@ -1057,25 +1084,6 @@ _BALL_CANDIDATES = 40        # ball centres tried on the early trajectory
 _NEAREST_BLOCK_BYTES = 1 << 20   # the largest temporary of a distance query
 
 
-def nearest_distances(points, queries):
-    """Euclidean distance from each row of ``queries`` (m, 3) to the
-    nearest row of ``points`` (n, 3), by brute force over blocks of query
-    rows, so that no temporary exceeds ``_NEAREST_BLOCK_BYTES``.  Squares
-    are summed x, y, z in turn, the order of a k-d tree query, so the
-    distances are the ones ``scipy.spatial.cKDTree.query`` returns."""
-    px, py, pz = np.ascontiguousarray(np.asarray(points, dtype=float).T)
-    queries = np.asarray(queries, dtype=float)
-    rows = max(1, _NEAREST_BLOCK_BYTES // (16 * len(px)))
-    out = np.empty(len(queries))
-    for start in range(0, len(queries), rows):
-        q = queries[start:start + rows]
-        sq = np.square(q[:, 0, None] - px)
-        sq += np.square(q[:, 1, None] - py)
-        sq += np.square(q[:, 2, None] - pz)
-        out[start:start + rows] = np.sqrt(sq.min(axis=1))
-    return out
-
-
 def segment_distances(polyline, queries):
     """Euclidean distance from each row of ``queries`` (m, 3) to the
     nearest segment of ``polyline`` (n >= 2 points, (n, 3)), exact, over
@@ -1126,7 +1134,7 @@ def omega_limit_classify(surface, traj, known=None):
             pts = cyc.curve.points_xyz
         if pts is None or len(pts) < 2:
             continue
-        d = nearest_distances(pts, traj.points_xyz[-n_late:])
+        d = segment_distances(pts, traj.points_xyz[-n_late:])
         n = len(d)
         if n >= 8:
             first, last = float(np.mean(d[: n // 3])), float(
@@ -1173,23 +1181,15 @@ def _ball_returns(traj, eps):
                         dtype=int)
     best = (0, [])
     for idx in np.unique(early):
-        ref = pts[idx]
-        d = np.linalg.norm(pts - ref, axis=1)
-        inside = d < eps
-        passes = []
-        i = 0
-        while i < n:
-            if inside[i]:
-                j = i
-                while j + 1 < n and inside[j + 1]:
-                    j += 1
-                passes.append(0.5 * (s[i] + s[j]))
-                i = j + 1
-            else:
-                i += 1
-        if len(passes) > best[0]:
-            gaps = list(np.diff(passes)) if len(passes) > 1 else []
-            best = (len(passes), gaps)
+        inside = np.linalg.norm(pts - pts[idx], axis=1) < eps
+        # a run of points inside the ball starts at each +1 of the padded
+        # mask's differences and ends before the -1 after it
+        edges = np.diff(inside.astype(np.int8), prepend=0, append=0)
+        first = np.flatnonzero(edges == 1)
+        last = np.flatnonzero(edges == -1) - 1
+        if len(first) > best[0]:
+            passes = 0.5 * (s[first] + s[last])
+            best = (len(first), list(np.diff(passes)))
     return best
 
 

@@ -44,7 +44,6 @@ class RunConfig:
     command: str
     surface: str = ""
     options: dict = field(default_factory=dict)
-    out_dir: str = "."
     seed: int = 0
 
     def echo(self):

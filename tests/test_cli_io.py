@@ -43,7 +43,7 @@ def test_config_file_parsing(tmp_path):
 
 def test_report_document_roundtrip():
     doc = ReportDocument(RunConfig("umbilics", "torus:2,1",
-                                   {"grid": 24}, ".", 7),
+                                   {"grid": 24}, 7),
                          results={"umbilics": [], "x": 1.5},
                          work={"steps": 10})
     text = doc.to_json()
@@ -213,3 +213,19 @@ def test_cli_entrypoint_subprocess():
                        capture_output=True, text=True, timeout=120)
     assert r.returncode == 0
     assert "Sphere" in r.stdout
+
+
+def test_cli_scene_options_only_where_a_scene_is_drawn(tmp_path, capsys):
+    # rotation, strata and stability draw no scene: --svg and --view are
+    # usage errors there, and so is an svg key in a config file
+    cfg = tmp_path / "svg.cfg"
+    cfg.write_text("svg = true\n")
+    for cmd in (["rotation", "--sweep-rho=0.05"],
+                ["strata", "--quadric", "diag:1,2,3"],
+                ["stability", "--surface", "ellipsoid:3,2,1"]):
+        out = tmp_path / cmd[0]
+        for extra in (["--svg"], ["--view", "+x"]):
+            assert run_cli(cmd + extra + ["--out", str(out)]) == 2, extra
+        assert run_cli(cmd + ["--config", str(cfg), "--out", str(out)]) == 2
+        assert "config error: unknown key 'svg'" in capsys.readouterr().err
+        assert not out.exists()

@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 from principal_config import cycles, foliation
-from principal_config.errors import RegularityError, ReturnFailure
+from principal_config.errors import (ConvergenceError, RegularityError,
+                                     ReturnFailure)
 from principal_config.cycles import (cycle_from_closed_trajectory,
                                      find_cycles, hyperbolicity,
                                      return_map_derivative_fd,
@@ -207,19 +208,49 @@ def test_duplicate_cycles_merge(torus):
     assert len(found) == 1
 
 
-@pytest.mark.parametrize("n", [4, 73, 2000])
-def test_periodic_spline_matches_scipy(n):
-    from scipy.interpolate import CubicSpline
-    rng = np.random.default_rng(n)
-    s = np.concatenate([[0.0], np.cumsum(rng.uniform(0.05, 1.0, n - 1))])
-    values = rng.normal(size=(n, 2))
-    values[-1] = values[0]
-    x = np.concatenate([s, rng.uniform(s[0], s[-1], 3000)])
-    value, slope = cycles._periodic_spline(s, values, x)
-    ref = CubicSpline(s, values, bc_type="periodic")
-    scale = np.abs(values).max()
-    assert np.abs(value - ref(x)).max() <= 1e-12 * scale
-    assert np.abs(slope - ref(x, 1)).max() <= 1e-12 * scale
+def test_resample_line_returns_the_recorded_points(torus):
+    traj = trace(torus, (0.3, 0.9), MAXIMAL, TraceOptions())
+    value, slope = foliation.resample_line(torus, traj, traj.arclength)
+    assert np.array_equal(value, traj.points_uv)
+    field = foliation._lane_field(torus, traj.points_uv, False,
+                                  traj.tangents)[0]
+    assert np.array_equal(slope, field)
+
+
+@pytest.mark.parametrize("seed, fol", [((0.4, 4.6), MAXIMAL),
+                                       ((1.9, 1.2), MINIMAL)])
+def test_resample_line_follows_the_line(perturbed_torus, seed, fol):
+    # between the recorded points, against retraces at rel_tol 1e-13
+    (cyc,) = find_cycles(perturbed_torus, [seed], fol)
+    traj, diam = cyc.curve, perturbed_torus.diameter()
+    s = (np.arange(16) + 0.37) / 16 * traj.length
+    value, slope = foliation.resample_line(perturbed_torus, traj, s)
+    for x, uv, duv in zip(s, value, slope):
+        ref = trace(perturbed_torus, traj.points_uv[0], fol, TraceOptions(
+            rel_tol=1e-13, max_length=x, detect_closure=False),
+            traj.tangents[0])
+        assert ref.length == x
+        off = np.linalg.norm(perturbed_torus.point(*uv) - ref.points_xyz[-1])
+        assert off <= 1e-8 * diam
+        field = foliation._lane_field(perturbed_torus, ref.points_uv[-1:],
+                                      fol == MINIMAL, ref.tangents[-1:])[0]
+        assert np.abs(duv - field[0]).max() <= 1e-5
+
+
+def test_resample_line_raises_on_a_point_without_a_field(torus,
+                                                        torus_parallel_cycle):
+    traj = torus_parallel_cycle.curve
+    uv = traj.points_uv.copy()
+    uv[7] = np.nan
+    broken = dataclasses.replace(traj, points_uv=uv)
+    with pytest.raises(ConvergenceError):
+        foliation.resample_line(torus, broken, traj.arclength[:3])
+    cyc = dataclasses.replace(torus_parallel_cycle, curve=broken)
+    with pytest.raises(ConvergenceError):
+        return_map_derivative_integral(torus, cyc)
+    got = cycles.attach_estimates(torus, cyc)
+    assert "not finite" in got.meta["integral_failure"]
+    assert got.log_integral_dH is None and got.tprime_fd is not None
 
 
 @pytest.mark.parametrize("which", ["torus", "perturbed_torus"])

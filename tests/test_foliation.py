@@ -307,17 +307,6 @@ def test_omega_limit_direct_mappings(torus, ellipsoid, ellipsoid_records):
     assert res2.verdict == "Umbilic"
 
 
-def test_nearest_distances_are_the_kd_tree_distances():
-    rng = np.random.default_rng(13)
-    # the last set's temporaries span several blocks of query rows
-    assert 5000 * 300 * 2 * 8 > 2 * foliation._NEAREST_BLOCK_BYTES
-    for n_points, n_queries in ((1, 5), (40, 17), (5000, 300)):
-        points = rng.normal(size=(n_points, 3))
-        queries = rng.normal(size=(n_queries, 3))
-        d, _ = cKDTree(points).query(queries)
-        assert np.array_equal(foliation.nearest_distances(points, queries), d)
-
-
 def test_segment_distances_are_exact():
     rng = np.random.default_rng(17)
     polyline = np.cumsum(rng.normal(size=(60, 3)), axis=0)
@@ -347,7 +336,7 @@ def test_segment_distances_are_exact():
         q) / s))[:, None] * q for p, q in zip(polyline[:-1], seg)])
     queries = polyline.mean(axis=0) + 3.0 * rng.normal(size=(50, 3))
     exact = foliation.segment_distances(polyline, queries)
-    sampled = foliation.nearest_distances(dense, queries)
+    sampled, _ = cKDTree(dense).query(queries)
     assert np.all(exact <= sampled + 1e-12)
     assert np.all(sampled - exact < 0.5 * s)
     # queries that span several blocks give the one-query distances
@@ -369,6 +358,77 @@ def test_omega_limit_cycle_convergence(perturbed_torus):
     known = KnownFeatures(cycles=[cyc])
     res = omega_limit_classify(perturbed_torus, traj, known)
     assert res.verdict in ("Cycle", "RecurrentOrUndetermined")
+
+
+def test_omega_limit_reads_an_approach_between_cycle_vertices(torus):
+    # a parallel of the round torus as a known cycle, 72 segments about
+    # 0.04·diam long, and a line closing in on it through the midpoints
+    # of its chords, which lie half a chord (about 0.019·diam) from the
+    # nearest vertex: only distances to the segments see the approach
+    diam = torus.diameter()
+    u = np.linspace(0.0, 2.0 * math.pi, 73)
+    cycle = torus.point(u, np.full(73, 0.9))
+    mids = 0.5 * (cycle[:-1] + cycle[1:])
+    k = np.arange(720)
+    offset = 0.03 * diam * np.exp(-k / 150.0)
+    pts = np.tile(mids, (10, 1)) + offset[:, None] * [0.0, 0.0, 1.0]
+    s = np.concatenate(
+        [[0.0], np.cumsum(np.linalg.norm(np.diff(pts, axis=0), axis=1))])
+    line = foliation.Trajectory(
+        foliation_id=MAXIMAL, points_uv=pts.copy(), points_xyz=pts,
+        tangents=np.zeros_like(pts), normals=np.zeros_like(pts),
+        arclength=s, termination=foliation.TERM_MAX_LENGTH)
+    late = pts[-int(0.3 * len(pts)):]
+    assert cKDTree(cycle).query(late)[0].min() > 0.018 * diam
+    res = omega_limit_classify(
+        torus, line, KnownFeatures(cycles=[SimpleNamespace(
+            points_xyz=cycle)]))
+    assert res.verdict == "Cycle" and res.cycle_index == 0
+
+
+def _ball_returns_by_loop(traj, eps):
+    """The epsilon-ball return count as a loop over each run of points
+    inside a ball: the reference for ``foliation._ball_returns``."""
+    pts, s = traj.points_xyz, traj.arclength
+    n = len(pts)
+    if n < 10:
+        return 0, []
+    early = np.linspace(max(1, n // 100), max(2, n // 5),
+                        foliation._BALL_CANDIDATES, dtype=int)
+    best = (0, [])
+    for idx in np.unique(early):
+        inside = np.linalg.norm(pts - pts[idx], axis=1) < eps
+        passes = []
+        i = 0
+        while i < n:
+            if inside[i]:
+                j = i
+                while j + 1 < n and inside[j + 1]:
+                    j += 1
+                passes.append(0.5 * (s[i] + s[j]))
+                i = j + 1
+            else:
+                i += 1
+        if len(passes) > best[0]:
+            best = (len(passes), list(np.diff(passes)))
+    return best
+
+
+def test_ball_returns_are_the_run_loop():
+    rng = np.random.default_rng(29)
+    for n in (5, 10, 11, 200, 3000):
+        # a walk on a circle with noise revisits its balls, and a run of
+        # points inside one can touch either end of the line
+        ang = np.cumsum(rng.uniform(0.0, 0.3, n))
+        pts = np.stack([np.cos(ang), np.sin(ang), np.zeros(n)], axis=1)
+        pts += 0.05 * rng.normal(size=(n, 3))
+        line = SimpleNamespace(points_xyz=pts, arclength=np.cumsum(
+            rng.uniform(0.1, 1.0, n)))
+        for eps in (0.05, 0.3, 3.0):
+            got = foliation._ball_returns(line, eps)
+            want = _ball_returns_by_loop(line, eps)
+            assert got[0] == want[0]
+            assert np.array_equal(got[1], want[1])
 
 
 def test_world_plane_section_on_implicit():
