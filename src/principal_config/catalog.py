@@ -14,7 +14,7 @@ from __future__ import annotations
 import functools
 import math
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -588,9 +588,6 @@ class DupinDrift:
 
     drift: float
     family: str            # "one_sheet" (lam2) or "two_sheet" (lam3)
-    initial_root: float
-    samples: int
-    skipped: int
 
 
 _DUPIN_SAMPLES = 400         # trajectory points checked, evenly spread
@@ -604,11 +601,10 @@ def dupin_drift(surface, trajectory):
     constant; the drift (relative to a^2 - c^2) certifies it.  The root
     family is chosen as the one with the smaller drift.
     """
-    params = surface.params if hasattr(surface, "params") else {}
     if surface.name not in ("ellipsoid", "perturbed_ellipsoid"):
         raise UnsupportedSurfaceError("dupin_drift needs a triaxial "
                                       "ellipsoid trajectory")
-    a, b, c = params["a"], params["b"], params["c"]
+    a, b, c = (surface.params[k] for k in "abc")
     if not (a > b > c > 0) or (a - b) < 1e-12 or (b - c) < 1e-12:
         raise DegenerateRoots("confocal system degenerate for these axes")
     pts = trajectory.points_xyz
@@ -617,12 +613,10 @@ def dupin_drift(surface, trajectory):
         pts = pts[idx]
     span = a * a - c * c
     lam2, lam3 = [], []
-    skipped = 0
     for p in pts:
         try:
             cc = confocal_coordinates(p, (a, b, c))
         except DegenerateRoots:
-            skipped += 1
             continue
         lam2.append(cc.lam2)
         lam3.append(cc.lam3)
@@ -632,8 +626,8 @@ def dupin_drift(surface, trajectory):
     d2 = float(np.max(np.abs(lam2 - lam2[0]))) / span
     d3 = float(np.max(np.abs(lam3 - lam3[0]))) / span
     if d2 <= d3:
-        return DupinDrift(d2, "one_sheet", float(lam2[0]), len(lam2), skipped)
-    return DupinDrift(d3, "two_sheet", float(lam3[0]), len(lam3), skipped)
+        return DupinDrift(d2, "one_sheet")
+    return DupinDrift(d3, "two_sheet")
 
 
 # ---------------------------------------------------------------------------
@@ -647,7 +641,6 @@ class QuadricSpec:
     matrix: np.ndarray
     linear: np.ndarray = field(default_factory=lambda: np.zeros(3))
     constant: float = -1.0
-    normalization: str = "unit_level"
 
     def __post_init__(self):
         M = np.asarray(self.matrix, dtype=float)
@@ -667,7 +660,7 @@ class QuadricSpec:
         M = 0.5 * (M + M.T)
         q = R.T @ (2.0 * self.matrix @ t + self.linear)
         k = float(t @ self.matrix @ t + self.linear @ t + self.constant)
-        return QuadricSpec(M, q, k, self.normalization)
+        return QuadricSpec(M, q, k)
 
 
 @dataclass(frozen=True)
@@ -770,7 +763,7 @@ def section_seeds(surface, section, n):
             return [(off, section.value + dv) for off in offsets]
         du = 0.02 * (u1 - u0)
         return [(section.value + du, off) for off in offsets]
-    params = getattr(surface, "params", {})
+    params = surface.params
     if "a" in params and "b" in params:
         a, b = params["a"], params["b"]
         return [np.array([a * math.cos(t), b * math.sin(t), 0.0])
@@ -787,8 +780,7 @@ def rotation_estimate(surface, section, seeds, foliation_id=MAXIMAL,
     the chosen foliation (tangential crossings raise TransversalityError
     inside the tracer).
     """
-    opts = opts or foliation.TraceOptions()
-    opts = opts.with_sections([section])
+    opts = replace(opts or foliation.TraceOptions(), sections=(section,))
     by_class = {}
     crossings = 0
     used = 0
@@ -941,13 +933,12 @@ def stability_report(surface, budget=None):
     # (d) limit sets of sampled non-periodic lines
     omega_seeds = _low_discrepancy_seeds(surface, budget.omega_seeds, rng,
                                          records, salt=1)
-    known = foliation.KnownFeatures(umbilics=records, cycles=found_cycles)
     opts = foliation.TraceOptions(
         rel_tol=1e-7, max_length=budget.trace_length_factor * diam,
         known_umbilics=records)
     cond_d = _omega_verdict([
         foliation.omega_limit_classify(
-            surface, foliation.trace(surface, seed, fol, opts), known)
+            surface, foliation.trace(surface, seed, fol, opts), found_cycles)
         for seed in omega_seeds for fol in (MINIMAL, MAXIMAL)])
 
     conds = [cond_a, cond_b, cond_c, cond_d]

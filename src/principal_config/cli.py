@@ -11,7 +11,6 @@ Exit codes: 0 success, 2 usage/config error, 3 numerical failure.
 from __future__ import annotations
 
 import argparse
-import math
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -30,10 +29,23 @@ EXIT_NUMERICAL = 3
 
 
 def _parse_number(text):
+    """A decimal or a fraction "p/q" as a float; ParamError otherwise."""
     text = text.strip()
-    if "/" in text:
-        return float(Fraction(text))
-    return float(text)
+    try:
+        return float(Fraction(text)) if "/" in text else float(text)
+    except (ValueError, ZeroDivisionError):
+        raise ParamError(f"not a number: {text!r}") from None
+
+
+def _parse_point(text, surface):
+    """"p1,p2,..." -> a chart point (u, v), or a world point (x, y, z) of
+    a level set."""
+    point = tuple(_parse_number(t) for t in text.split(","))
+    size = 3 if isinstance(surface, ImplicitSurface) else 2
+    if len(point) != size:
+        raise ParamError(f"point {text!r} needs {size} coordinates on "
+                         f"{surface.name}")
+    return point
 
 
 def parse_surface_spec(spec):
@@ -96,11 +108,6 @@ def _write_outputs(args, report, trajectories=None, scene=None):
     print(f"wrote {out / 'report.json'}")
 
 
-def _surface_arg(args):
-    surface = parse_surface_spec(args.surface)
-    return surface
-
-
 def _records_payload(records):
     if isinstance(records, umbilics.AllUmbilicSurface):
         return {"all_umbilic": True, "detail": records.detail,
@@ -114,14 +121,13 @@ def _records_payload(records):
 # ---------------------------------------------------------------------------
 
 def cmd_umbilics(args):
-    surface = _surface_arg(args)
+    surface = parse_surface_spec(args.surface)
     records = umbilics.analyze_umbilics(surface, grid=args.grid)
     results = _records_payload(records)
     work = {}
     if not results["all_umbilic"]:
-        recs = records
         try:
-            check = umbilics.index_sum_check(surface, recs)
+            check = umbilics.index_sum_check(surface, records)
             results["index_sum"] = {
                 "sum": check.index_sum,
                 "euler_characteristic": check.euler_characteristic,
@@ -140,8 +146,8 @@ def cmd_umbilics(args):
 
 
 def cmd_trace(args):
-    surface = _surface_arg(args)
-    start = tuple(_parse_number(t) for t in args.start.split(","))
+    surface = parse_surface_spec(args.surface)
+    start = _parse_point(args.start, surface)
     opts = foliation.TraceOptions(
         rel_tol=args.tol,
         max_length=args.length if args.length > 0 else None)
@@ -166,17 +172,12 @@ def cmd_trace(args):
     return EXIT_OK
 
 
-def _seed_points(surface, n, seed):
-    rng = np.random.default_rng(seed)
-    return catalog._low_discrepancy_seeds(surface, n, rng, [])
-
-
 def cmd_cycles(args):
-    surface = _surface_arg(args)
-    seeds = ([tuple(_parse_number(t) for t in chunk.split(","))
+    surface = parse_surface_spec(args.surface)
+    seeds = ([_parse_point(chunk, surface)
               for chunk in args.seeds.split(";") if chunk]
-             if args.seeds else _seed_points(surface, args.n_seeds,
-                                             args.seed))
+             if args.seeds else catalog._low_discrepancy_seeds(
+                 surface, args.n_seeds, np.random.default_rng(args.seed), []))
     foliations = ([MINIMAL, MAXIMAL] if args.foliation == "both"
                   else [args.foliation])
     found = []
@@ -208,8 +209,8 @@ def _build_section(surface, spec):
             return foliation.WorldPlaneSection(
                 "equator", normal=(0, 0, 1), offset=0.0,
                 axes=((1, 0, 0), (0, 1, 0)))
-        return foliation.DomainSection("equator", "v",
-                                       _equator_value(surface))
+        (v0, v1) = surface.domain[1]
+        return foliation.DomainSection("equator", "v", 0.5 * (v0 + v1))
     if spec.startswith("meridian"):
         value = 0.0
         if ":" in spec:
@@ -220,15 +221,6 @@ def _build_section(surface, spec):
             "z0", normal=(0, 0, 1), offset=0.0,
             axes=((1, 0, 0), (0, 1, 0)))
     raise ParamError(f"unknown section spec {spec!r}")
-
-
-def _equator_value(surface):
-    (v0, v1) = surface.domain[1]
-    if surface.name in ("sphere", "ellipsoid", "perturbed_ellipsoid"):
-        return 0.5 * math.pi
-    if surface.name == "e_theta":
-        return 0.0
-    return 0.5 * (v0 + v1)
 
 
 # rotation options with their defaults; a --sweep-rho run reads none of them
@@ -257,7 +249,7 @@ def cmd_rotation(args):
                                             {"rhos": len(rhos)}))
         return EXIT_OK
 
-    surface = _surface_arg(args)
+    surface = parse_surface_spec(args.surface)
     section = _build_section(surface, args.section)
     seeds = catalog.section_seeds(surface, section, args.n_seeds)
     known = ()
@@ -301,7 +293,7 @@ def cmd_strata(args):
 
 
 def cmd_stability(args):
-    surface = _surface_arg(args)
+    surface = parse_surface_spec(args.surface)
     budget = catalog.StabilityBudget(
         grid=args.grid, cycle_seeds=args.cycle_seeds,
         omega_seeds=args.omega_seeds,
@@ -412,7 +404,7 @@ def main(argv=None):
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
-    if getattr(args, "config", None):
+    if args.config:
         try:
             file_opts = load_config_file(args.config)
         except (OSError, ParamError) as exc:
@@ -421,8 +413,11 @@ def main(argv=None):
         specified = {a.split("=")[0].lstrip("-").replace("-", "_")
                      for a in (argv or sys.argv[1:])
                      if a.startswith("--")}
+        # the subcommand's own options: the parser sets "command" and "fn",
+        # and a config file names no further config file
+        declared = vars(args).keys() - {"command", "fn", "config"}
         for key, value in file_opts.items():
-            if not hasattr(args, key):
+            if key not in declared:
                 print(f"config error: unknown key {key!r}", file=sys.stderr)
                 return EXIT_USAGE
             if key in specified:

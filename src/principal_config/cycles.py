@@ -78,7 +78,6 @@ class PrincipalCycle:
     anchor_uv: tuple
     anchor_xyz: np.ndarray
     tangent: np.ndarray                # t0 at the anchor
-    conormal: np.ndarray               # w0 = n x t0, section coordinate axis
     tprime_fd: float | None = None
     tprime_fd_error: float | None = None
     tprime_integral: float | None = None
@@ -375,8 +374,7 @@ def cycle_from_closed_trajectory(surface, traj):
         period_length=float(traj.closed_length),
         anchor_uv=anchor.uv,
         anchor_xyz=anchor.p0,
-        tangent=anchor.t0,
-        conormal=anchor.w0)
+        tangent=anchor.t0)
 
 
 def _is_duplicate(cycle, earlier, merge_tol):

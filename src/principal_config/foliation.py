@@ -27,7 +27,7 @@ import numpy as np
 
 from .errors import ConvergenceError, RegularityError, TransversalityError
 from . import geometry
-from .geometry import MAXIMAL, MINIMAL, ImplicitSurface
+from .geometry import MAXIMAL, MINIMAL, ImplicitSurface, _dot
 
 TERM_CLOSED = "Closed"
 TERM_HIT_UMBILIC = "HitUmbilic"
@@ -167,9 +167,6 @@ class TraceOptions:
     sections: tuple = ()
     max_crossings: int | None = None     # stop at this many kept crossings
     precise_crossings: bool = False
-
-    def with_sections(self, sections):
-        return replace(self, sections=tuple(sections))
 
 
 # tracer constants; lengths are in units of the surface diameter
@@ -369,11 +366,6 @@ def _implicit_field(surface, foliation_id, meta):
     return f
 
 
-def _dot(a, b):
-    """Dot product of two float triples, summed left to right."""
-    return a[0] * b[0] + a[1] * b[1] + a[2] * b[2]
-
-
 def _dot3(a, b):
     """Dot product over the last axis (length 3), summed left to right."""
     return (a[..., 0] * b[..., 0] + a[..., 1] * b[..., 1]
@@ -411,7 +403,7 @@ def _trace_core(surface, y0, foliation_id, opts, implicit, heading):
     tuple), every field sample and every stage state are python floats;
     the records become arrays once, in the Trajectory."""
     diam = surface.diameter()
-    meta = {"steps": 0, "evals": 0, "surface": surface.name}
+    meta = {"steps": 0, "evals": 0}
     fld = (_implicit_field if implicit else _chart_field)(surface,
                                                           foliation_id, meta)
     dp_step = _dp_step_xyz if implicit else _dp_step_uv
@@ -764,8 +756,7 @@ def trace_lanes(surface, starts, foliation_id, opts=None, headings=None,
         foliation_id=fols[i], points_uv=ys[i], points_xyz=ps[i],
         tangents=ts[i], normals=ns[i], arclength=ss[i],
         termination=term[i], hit_umbilic_index=hit[i],
-        meta={"steps": int(steps[i]), "evals": int(evals[i]),
-              "surface": surface.name})
+        meta={"steps": int(steps[i]), "evals": int(evals[i])})
         for i in range(m)]
 
 
@@ -1063,12 +1054,6 @@ def _refine_crossing(sec, fld, locate, step, g_old, g_new, opts):
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class KnownFeatures:
-    umbilics: Sequence = ()
-    cycles: Sequence = ()
-
-
-@dataclass(frozen=True)
 class OmegaLimitResult:
     verdict: str                 # "Umbilic" | "Cycle" | "RecurrentOrUndetermined"
     recurrent_evidence: bool
@@ -1106,18 +1091,17 @@ def segment_distances(polyline, queries):
     return out
 
 
-def omega_limit_classify(surface, traj, known=None):
+def omega_limit_classify(surface, traj, cycles=()):
     """Heuristic limit-set verdict for a finished trajectory.
 
     HitUmbilic maps to Umbilic and Closed to Cycle(self).  Otherwise the
-    late trajectory is compared against the known cycles (monotone
-    approach implies Cycle) and an epsilon-ball recurrence count is taken
-    (eps = ``_EPSILON_FACTOR``·diam); at least ``_MIN_RETURNS`` passes with
-    non-shrinking gaps yield RecurrentOrUndetermined with the recurrence
-    evidence flag set.  The verdict never claims more than the finite data
-    supports.
+    late trajectory is compared against the closed ``curve`` of each
+    principal cycle in ``cycles`` (monotone approach implies Cycle) and an
+    epsilon-ball recurrence count is taken (eps = ``_EPSILON_FACTOR``·diam);
+    at least ``_MIN_RETURNS`` passes with non-shrinking gaps yield
+    RecurrentOrUndetermined with the recurrence evidence flag set.  The
+    verdict never claims more than the finite data supports.
     """
-    known = known or KnownFeatures()
     if traj.termination == TERM_HIT_UMBILIC:
         return OmegaLimitResult("Umbilic", False,
                                 f"entered umbilic exclusion ball "
@@ -1128,13 +1112,8 @@ def omega_limit_classify(surface, traj, known=None):
     diam = surface.diameter()
     n_late = max(2, int(len(traj.points_xyz) * _LATE_FRACTION))
     # convergence toward a known cycle
-    for idx, cyc in enumerate(known.cycles or ()):
-        pts = getattr(cyc, "points_xyz", None)
-        if pts is None and hasattr(cyc, "curve"):
-            pts = cyc.curve.points_xyz
-        if pts is None or len(pts) < 2:
-            continue
-        d = segment_distances(pts, traj.points_xyz[-n_late:])
+    for idx, cyc in enumerate(cycles):
+        d = segment_distances(cyc.curve.points_xyz, traj.points_xyz[-n_late:])
         n = len(d)
         if n >= 8:
             first, last = float(np.mean(d[: n // 3])), float(

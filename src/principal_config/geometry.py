@@ -370,7 +370,6 @@ class PrincipalData:
     d2_xyz: np.ndarray = None
     normal: np.ndarray = None
     point: np.ndarray = None
-    at_point: tuple = None
 
 
 # ---------------------------------------------------------------------------
@@ -442,13 +441,6 @@ def principal_direction_uv(phi, frame, minimal):
     c, s = fn.cos(phi), fn.sin(phi)
     a, b = fn.where(minimal, c, -s), fn.where(minimal, s, c)
     return a * e1u + b * e2u, b * e2v
-
-
-def principal_uv(phi, frame):
-    """Chart coefficients ((d1_u, d1_v), (d2_u, d2_v)) of the unit minimal
-    and maximal directions at angle ``phi`` from e1 of ``frame``."""
-    return (principal_direction_uv(phi, frame, True),
-            principal_direction_uv(phi, frame, False))
 
 
 # ---------------------------------------------------------------------------
@@ -535,7 +527,8 @@ def chart_bundle(surface, u, v, strict=True):
 
     w, frame = frame_operator(*forms)
     k1, k2, H, K, phi = shape_operator_eigen(*w)
-    d1_uv, d2_uv = map(_points_last, principal_uv(phi, frame))
+    d1_uv, d2_uv = (_points_last(principal_direction_uv(phi, frame, minimal))
+                    for minimal in (True, False))
     d1_xyz = d1_uv[..., :1] * ru + d1_uv[..., 1:] * rv
     d2_xyz = d2_uv[..., :1] * ru + d2_uv[..., 1:] * rv
 
@@ -590,8 +583,7 @@ def principal_at(surface, u, v):
         K=float(b["K"]), umbilic_deviation=dev,
         directions_defined=bool(dev > b["direction_tol"]),
         d1_uv=b["d1_uv"], d2_uv=b["d2_uv"], d1_xyz=b["d1_xyz"],
-        d2_xyz=b["d2_xyz"], normal=b["normal"], point=b["r"],
-        at_point=(u, v))
+        d2_xyz=b["d2_xyz"], normal=b["normal"], point=b["r"])
 
 
 def normal_curvature(pd, theta):
@@ -708,9 +700,8 @@ def curvature_gradients(surface, u, v):
     The gradients come from differentiating the form-coefficient quotients,
     which pulls in the third-order chart partials; the zeroth-order terms
     (n, |W|, E..g) are :func:`chart_forms`'s.  Used by the return-map
-    line integrals and by umbilic refinement.  At a point at the
-    regularity floor every output is NaN on arrays, and python floats
-    raise RegularityError.
+    line integrals.  At a point at the regularity floor every output is
+    NaN on arrays, and python floats raise RegularityError.
     """
     J, n, wn, bad, (E, F, G, e, f, g) = chart_forms(surface, u, v)
     ru, rv = J[1][0], J[0][1]

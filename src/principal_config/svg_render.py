@@ -17,7 +17,6 @@ _STYLES = {
     "minimal": ("#1f6fb4", 1.1),
     "maximal": ("#d0443a", 1.1),
 }
-_SEPARATRIX_WIDTH = 2.4
 _GLYPH_COLOR = "#222222"
 
 _VIEWS = {
@@ -37,16 +36,15 @@ def _fmt(x):
 def render_svg(trajectories, umbilic_records=(), view="+y"):
     """Render polylines and umbilic glyphs into an SVG document string.
 
-    ``trajectories`` may mark separatrices with ``meta["role"] ==
-    "separatrix"`` for stroke emphasis; hidden parts (surface normal
-    facing away from the viewer) are suppressed by splitting polylines.
+    Hidden parts of ``trajectories`` (surface normal facing away from the
+    viewer) are suppressed by splitting polylines.
     """
     if view not in _VIEWS:
         raise ValueError(f"unknown view {view!r}; options: {sorted(_VIEWS)}")
     toward, ax1, ax2 = _VIEWS[view]
 
     pts2d = []
-    runs = []      # (foliation, emphasized, [(x, y), ...])
+    runs = []      # (foliation, [(x, y), ...])
     for traj in trajectories:
         p = np.asarray(traj.points_xyz)
         n = np.asarray(traj.normals)
@@ -55,7 +53,6 @@ def render_svg(trajectories, umbilic_records=(), view="+y"):
         vis = (n @ toward) > 0.0
         x = p @ ax1
         y = p @ ax2
-        emphasized = traj.meta.get("role") == "separatrix"
         start = None
         for i in range(len(p)):
             if vis[i] and start is None:
@@ -64,7 +61,7 @@ def render_svg(trajectories, umbilic_records=(), view="+y"):
                 stop = i + 1 if vis[i] else i
                 if stop - start >= 2:
                     seg = list(zip(x[start:stop], y[start:stop]))
-                    runs.append((traj.foliation_id, emphasized, seg))
+                    runs.append((traj.foliation_id, seg))
                     pts2d.extend(seg)
                 start = None
 
@@ -96,10 +93,8 @@ def render_svg(trajectories, umbilic_records=(), view="+y"):
                f'viewBox="0 0 {_fmt(WIDTH)} {_fmt(HEIGHT)}">')
     out.append(f'<rect width="{_fmt(WIDTH)}" height="{_fmt(HEIGHT)}" '
                f'fill="#ffffff"/>')
-    for foliation_id, emphasized, seg in runs:
-        color, width = _STYLES.get(foliation_id, ("#555555", 1.0))
-        if emphasized:
-            width = _SEPARATRIX_WIDTH
+    for foliation_id, seg in runs:
+        color, width = _STYLES[foliation_id]
         coords = " ".join(f"{_fmt(sx)},{_fmt(sy)}"
                           for sx, sy in map(to_screen, seg))
         out.append(f'<polyline points="{coords}" fill="none" '

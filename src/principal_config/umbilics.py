@@ -29,7 +29,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .errors import (SEED_FAILURES, ConvergenceError, FrameError,
-                     InconclusiveError, RegularityError)
+                     InconclusiveError, ParamError, RegularityError)
 from .geometry import (MAXIMAL, MINIMAL, chart_bundle, chart_forms,
                        frame_operator)
 
@@ -131,7 +131,7 @@ def locate_umbilics(surface, grid=32):
     valid result (torus).
     """
     if grid < 16:
-        raise ValueError("grid resolution must be at least 16 per axis")
+        raise ParamError("grid resolution must be at least 16 per axis")
     (u0, u1), (v0, v1) = surface.domain
     du, dv = (u1 - u0) / grid, (v1 - v0) / grid
     uc = u0 + (np.arange(grid) + 0.5) * du

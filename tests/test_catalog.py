@@ -299,7 +299,7 @@ def test_condition_b_quotes_dropped_seeds_by_reason():
                                 "of 3 seed(s) gave no cycle")
     assert undecided.witnesses == drops
     flat = cycles.PrincipalCycle(MAXIMAL, None, 6.0, (0.3, 0.9),
-                                 np.zeros(3), np.zeros(3), np.zeros(3),
+                                 np.zeros(3), np.zeros(3),
                                  tprime_fd=1.0, tprime_fd_error=1e-9)
     failed = catalog._cycle_verdict([flat], log)
     assert failed.status == "fail"

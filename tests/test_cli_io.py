@@ -1,14 +1,15 @@
 import json
+import math
 import subprocess
 import sys
 
 import numpy as np
 import pytest
 
-from principal_config import foliation
+from principal_config import catalog, cli, foliation
 from principal_config.cli import (load_config_file, main,
                                   parse_quadric_spec, parse_surface_spec)
-from principal_config.geometry import MAXIMAL, MINIMAL
+from principal_config.geometry import MAXIMAL, MINIMAL, ImplicitSurface
 from principal_config.report import (CSV_COLUMNS, ReportDocument, RunConfig,
                                      trajectories_csv)
 from principal_config.svg_render import render_svg
@@ -229,3 +230,66 @@ def test_cli_scene_options_only_where_a_scene_is_drawn(tmp_path, capsys):
         assert run_cli(cmd + ["--config", str(cfg), "--out", str(out)]) == 2
         assert "config error: unknown key 'svg'" in capsys.readouterr().err
         assert not out.exists()
+
+
+_TRACE = ["trace", "--surface", "torus:2,1", "--start", "0.1,0.2"]
+
+
+@pytest.mark.parametrize("argv, config", [
+    pytest.param(["trace", "--surface", "torus:2,1", "--start", "0.1,abc"],
+                 None, id="start-not-a-number"),
+    pytest.param(["trace", "--surface", "torus:2,x", "--start", "0.1,0.2"],
+                 None, id="surface-not-a-number"),
+    pytest.param(["rotation", "--surface", "torus:2,1",
+                  "--section", "meridian:abc"], None, id="section"),
+    pytest.param(["rotation", "--sweep-rho=abc"], None, id="sweep-rho"),
+    pytest.param(["strata", "--quadric", "diag:1,2,x"], None, id="quadric"),
+    pytest.param(["cycles", "--surface", "torus:2,1", "--seeds", "1/0,2"],
+                 None, id="seed-division-by-zero"),
+    pytest.param(["trace", "--surface", "torus:2,1", "--start", "0.1"],
+                 None, id="chart-start-size"),
+    pytest.param(["trace", "--surface", "s_rho:0.05", "--start", "1,2"],
+                 None, id="level-set-start-size"),
+    pytest.param(["cycles", "--surface", "torus:2,1", "--seeds", "0.1"],
+                 None, id="seed-size"),
+    pytest.param(["stability", "--surface", "torus:2,1", "--grid", "8"],
+                 None, id="stability-grid"),
+    pytest.param(["umbilics", "--surface", "torus:2,1", "--grid", "8"],
+                 None, id="umbilics-grid"),
+    pytest.param(_TRACE, "fn = x", id="config-fn"),
+    pytest.param(_TRACE, "command = umbilics", id="config-command"),
+    pytest.param(_TRACE, "config = other.cfg", id="config-config"),
+])
+def test_cli_input_errors_exit_2_with_one_line(tmp_path, capsys, argv,
+                                               config):
+    out = tmp_path / "out"
+    if config is not None:
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(config + "\n")
+        argv = argv + ["--config", str(cfg)]
+    assert run_cli(argv + ["--out", str(out)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("config error: "), err
+    assert not (out / "report.json").exists()
+
+
+# the parameters that build each catalog surface; the rest have defaults
+_SPEC_PARAMS = {"sphere": (1.0,), "ellipsoid": (3.0, 2.0, 1.0),
+                "monge_graph": (1.0, 4.0, 1.0, 0.0), "e_theta": (0.3,),
+                "s_rho": (0.05,)}
+# the equator of the spherical charts and of the rotated cap
+_EQUATORS = {"sphere": 0.5 * math.pi, "ellipsoid": 0.5 * math.pi,
+             "perturbed_ellipsoid": 0.5 * math.pi, "e_theta": 0.0}
+
+
+@pytest.mark.parametrize("name", sorted(catalog._BUILDERS))
+def test_equator_section_of_every_catalog_surface(name):
+    surface = catalog.make_surface(name, _SPEC_PARAMS.get(name, ()))
+    section = cli._build_section(surface, "equator")
+    if isinstance(surface, ImplicitSurface):
+        assert section.normal == (0.0, 0.0, 1.0)
+        assert section.offset_value == 0.0
+        return
+    (v0, v1) = surface.domain[1]
+    assert section.axis == "v"
+    assert section.value == _EQUATORS.get(name, 0.5 * (v0 + v1))

@@ -9,8 +9,8 @@ from scipy.spatial import cKDTree
 
 from principal_config import catalog, foliation, geometry, umbilics
 from principal_config.errors import ConvergenceError, RegularityError
-from principal_config.foliation import (DomainSection, KnownFeatures,
-                                        TraceOptions, WorldPlaneSection,
+from principal_config.foliation import (DomainSection, TraceOptions,
+                                        WorldPlaneSection,
                                         omega_limit_classify,
                                         separatrix_connection_scan, trace,
                                         trace_lanes)
@@ -355,8 +355,7 @@ def test_omega_limit_cycle_convergence(perturbed_torus):
     start = (cyc.anchor_uv[0] + 0.02, cyc.anchor_uv[1] + 0.02)
     traj = trace(perturbed_torus, start, MAXIMAL,
                  TraceOptions(detect_closure=False, max_length=260.0))
-    known = KnownFeatures(cycles=[cyc])
-    res = omega_limit_classify(perturbed_torus, traj, known)
+    res = omega_limit_classify(perturbed_torus, traj, [cyc])
     assert res.verdict in ("Cycle", "RecurrentOrUndetermined")
 
 
@@ -381,8 +380,8 @@ def test_omega_limit_reads_an_approach_between_cycle_vertices(torus):
     late = pts[-int(0.3 * len(pts)):]
     assert cKDTree(cycle).query(late)[0].min() > 0.018 * diam
     res = omega_limit_classify(
-        torus, line, KnownFeatures(cycles=[SimpleNamespace(
-            points_xyz=cycle)]))
+        torus, line, [SimpleNamespace(curve=SimpleNamespace(
+            points_xyz=cycle))])
     assert res.verdict == "Cycle" and res.cycle_index == 0
 
 
@@ -456,7 +455,7 @@ def test_crossing_costs_no_field_evaluation(surface, section, start):
     opts = TraceOptions(rel_tol=1e-6, max_step_factor=0.1, max_length=60.0,
                         detect_closure=False)
     plain = trace(surface, start, MAXIMAL, opts)
-    cut = trace(surface, start, MAXIMAL, opts.with_sections([section]))
+    cut = trace(surface, start, MAXIMAL, replace(opts, sections=(section,)))
     assert len(cut.crossings) >= 6
     assert cut.meta["steps"] == plain.meta["steps"]
     assert cut.meta["evals"] == plain.meta["evals"]

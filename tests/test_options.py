@@ -16,12 +16,14 @@ Exempt: the surface builders of ``catalog._BUILDERS``.  Their shape
 parameters arrive from a surface spec through ``make_surface(*params)``,
 a call the scan cannot resolve.
 
-A second scan reads every function, method, class and module-level
-constant the package defines, and asks for a reference to its name
-somewhere in ``src/``, ``tests/`` or ``bench/`` outside its own definition:
-a loaded name or attribute, an imported name, or a string equal to the
-name (the benchmark's span wrappers look functions up by string).  Dunder
-names are called by the language and are exempt.
+A second scan reads every function, method, class, module-level
+constant and dataclass field the package defines, and asks for a
+reference to its name somewhere in ``src/``, ``tests/`` or ``bench/``
+outside its own definition: a loaded name or attribute, an imported name,
+or a string equal to the name (the benchmark's span wrappers look
+functions up by string).  A field that a constructor sets by keyword and
+nothing reads is a stored value without a reader, so a keyword does not
+count.  Dunder names are called by the language and are exempt.
 """
 
 import ast
@@ -129,9 +131,18 @@ def test_every_settable_value_is_set_by_a_caller():
                         exempt=builders) == []
 
 
+def _is_dataclass(node):
+    """Whether the class ``node`` is decorated ``@dataclass`` or
+    ``@dataclass(...)``."""
+    calls = (d.func if isinstance(d, ast.Call) else d
+             for d in node.decorator_list)
+    return any(isinstance(d, ast.Name) and d.id == "dataclass"
+               for d in calls)
+
+
 def _definitions(tree):
-    """(name, node) of every function, method and class, and every name a
-    module-level assignment binds."""
+    """(name, node) of every function, method, class and dataclass field,
+    and every name a module-level assignment binds."""
     out = []
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
@@ -141,6 +152,9 @@ def _definitions(tree):
                 out.extend((child.name, child) for child in node.body
                            if isinstance(child, (ast.FunctionDef,
                                                  ast.AsyncFunctionDef)))
+                if _is_dataclass(node):
+                    out.extend((child.target.id, child) for child in node.body
+                               if isinstance(child, ast.AnnAssign))
         elif isinstance(node, (ast.Assign, ast.AnnAssign)):
             targets = node.targets if isinstance(node, ast.Assign) \
                 else [node.target]
@@ -186,10 +200,14 @@ def test_dead_name_scan_flags_only_unreferenced_names():
         "class K:\n"
         "    def __init__(self):\n        self.m()\n"
         "    def m(self):\n        return A\n"
-        "    def dead(self):\n        return B\n")
-    callers = "used(1)\nK()\nSPANS = [('mod', 'by_string')]\n"
+        "    def dead(self):\n        return B\n"
+        "@dataclass(frozen=True)\n"
+        "class Rec:\n"
+        "    unread: int\n    read: int = 0\n    keyword_set: int = 0\n")
+    callers = ("used(1)\nK()\nSPANS = [('mod', 'by_string')]\n"
+               "Rec(1, keyword_set=2).read\n")
     assert unreferenced_names([package], [package, callers]) == [
-        "_UNUSED", "dead", "recursive"]
+        "_UNUSED", "dead", "keyword_set", "recursive", "unread"]
 
 
 def test_every_defined_name_is_referenced():
