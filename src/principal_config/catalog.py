@@ -44,29 +44,27 @@ class SphericalChart(SurfaceChart):
     """Colatitude chart whose map extends analytically across the poles.
 
     The separable terms satisfy P(u, -v) = P(u + pi, v) and
-    P(u, 2 pi - v) = P(u + pi, v), so traced leaves can run over the
-    poles; the tracer re-bases the state inside the overlap strips.
+    P(u, 2 pi - v) = P(u + pi, v): past each pole the chart covers the
+    surface again, with its normal flipped.  The surface's sheet lies
+    between the ``POLES``, and minimal and maximal are its labels;
+    :meth:`fold`, the one pole rule, puts a chart point there.
     """
 
-    POLE_OVERSHOOT = 0.35
+    POLES = (0.0, math.pi)
 
     def fold(self, u, v):
-        """The same world point with 0 <= v <= pi.  Past the poles the chart
+        """The same world point on the sheet.  Past the poles the chart
         normal flips, so k1 and k2 and the two foliations trade places."""
-        if v < 0.0:
-            return (u + math.pi, -v)
-        if v > math.pi:
-            return (u + math.pi, 2 * math.pi - v)
+        lo, hi = self.POLES
+        if v < lo:
+            return (u + math.pi, 2 * lo - v)
+        if v > hi:
+            return (u + math.pi, 2 * hi - v)
         return (u, v)
-
-    def rebase_state(self, u, v):
-        if v < -self.POLE_OVERSHOOT or v > math.pi + self.POLE_OVERSHOOT:
-            return self.fold(u, v)
-        return None
 
 
 def _spherical_domain():
-    pad = SphericalChart.POLE_OVERSHOOT + 0.2
+    pad = 0.55      # how far the domain reaches past each pole
     return ((0.0, 2 * math.pi), (-pad, math.pi + pad))
 
 
@@ -212,32 +210,18 @@ def monge_graph_chart(k, a, b, c, extent=0.8):
                         diameter_hint=2.0 * extent * 1.5)
 
 
-class RotatedCapChart(SurfaceChart):
+class RotatedCapChart(SphericalChart):
     """Rotated-cap ellipsoid: the chart is not separable (its cap blend and
     rotation both depend on v), so it carries no terms and writes its jet
     in closed form, one path for python floats and arrays.
 
     The chart map is analytic across the poles and re-covers the surface
     beyond |v| = pi/2 (the blend plateaus there), with the identification
-    (u, v) ~ (u + pi, pi - v).  ``rebase_state`` exploits that so traced
-    leaves can run over the poles; the domain includes the overlap strip.
+    (u, v) ~ (u + pi, pi - v): the pole rule of :class:`SphericalChart`
+    at its own poles.
     """
 
-    POLE_OVERSHOOT = 0.35
-
-    def fold(self, u, v):
-        """The same world point with |v| <= pi/2.  Past the poles the chart
-        normal flips, so k1 and k2 and the two foliations trade places."""
-        if v > 0.5 * math.pi:
-            return (u + math.pi, math.pi - v)
-        if v < -0.5 * math.pi:
-            return (u + math.pi, -math.pi - v)
-        return (u, v)
-
-    def rebase_state(self, u, v):
-        if abs(v) > 0.5 * math.pi + self.POLE_OVERSHOOT:
-            return self.fold(u, v)
-        return None
+    POLES = (-0.5 * math.pi, 0.5 * math.pi)
 
     def jet(self, u, v):
         """Closed-form derivative tensor, shape ``(4, 4) + pts + (3,)``.
@@ -345,9 +329,9 @@ def rotated_cap_ellipsoid_chart(theta, A=1.0, C=0.6, delta=0.03,
     if abs(delta) > 0.5:
         raise ParamError("cap deformation too large")
     rot0, rot1 = 0.60 * phi0, 0.95 * phi0
-    if phi1 >= math.pi / 2 + RotatedCapChart.POLE_OVERSHOOT - 0.05:
-        raise ParamError("blend top too close to the pole overlap strip")
-    vmax = math.pi / 2 + RotatedCapChart.POLE_OVERSHOOT + 0.2
+    # 0.55 past each pole, summed in two parts whose rounding the seeds
+    # and the location grid read
+    vmax = math.pi / 2 + 0.35 + 0.2
     return RotatedCapChart([], ((0.0, 2 * math.pi), (-vmax, vmax)),
                            periodic_u=True, orientation=-1, name="e_theta",
                            params={"theta": theta, "A": A, "C": C,
@@ -1055,9 +1039,8 @@ def _connection_witness(scan, key):
 def _low_discrepancy_seeds(surface, count, rng, umbilic_records, salt=0):
     """Deterministic seed points spread over the domain, off umbilics.
 
-    On charts that re-cover the surface past the poles, each point is
-    folded back to the part of the chart where the normal keeps its
-    orientation, so that a seed's minimal field is the surface's.
+    Each point is folded onto the surface's sheet (the chart's ``fold``),
+    where a seed's minimal field is the surface's.
     """
     (u0, u1), (v0, v1) = surface.domain
     diam = surface.diameter()

@@ -22,7 +22,7 @@ from .errors import (SEED_FAILURES, ConvergenceError, ReturnFailure,
 from .foliation import (TERM_CLOSED, DiscSection, TraceOptions,
                         chart_point_near, resample_line, segment_distances,
                         trace)
-from .geometry import MINIMAL, chart_bundle, curvature_gradients
+from .geometry import MINIMAL, curvature_gradients, principal_direction_fast
 
 
 # cycle search constants; lengths are in units of the surface diameter
@@ -115,24 +115,26 @@ class PrincipalCycle:
 # ---------------------------------------------------------------------------
 
 class _Anchor:
-    """Poincare section through a chart point, normal to the tangent t0 of
-    the ``foliation_id`` line there (along the world vector ``direction``
-    when given).  Every return trace made from it stops at
-    ``known_umbilics`` and puts its steps in ``log``."""
+    """Poincare section through a chart point, folded as a trace start is,
+    normal to the tangent t0 of the tracer's ``foliation_id`` field there
+    (along the world vector ``direction`` when given).  Every return trace
+    from it stops at ``known_umbilics`` and puts its steps in ``log``."""
 
     def __init__(self, surface, uv, foliation_id, direction=None, log=None,
                  known_umbilics=()):
-        b = chart_bundle(surface, uv[0], uv[1])
+        self.uv = (float(uv[0]), float(uv[1]))
+        if hasattr(surface, "fold"):
+            self.uv = surface.fold(*self.uv)
+        _, p0, t0, n = principal_direction_fast(surface, *self.uv,
+                                                foliation_id == MINIMAL)
         self.surface = surface
         self.foliation_id = foliation_id
         self.log = log if log is not None else SearchLog()
         self.known_umbilics = known_umbilics
-        self.uv = (float(uv[0]), float(uv[1]))
-        self.p0 = b["r"]
-        self.t0 = b["d1_xyz"] if foliation_id == MINIMAL else b["d2_xyz"]
+        self.p0, self.t0 = np.array(p0), np.array(t0)
         if direction is not None and float(np.dot(self.t0, direction)) < 0:
             self.t0 = -self.t0
-        self.w0 = np.cross(b["normal"], self.t0)
+        self.w0 = np.cross(n, self.t0)
 
     def start_info(self, h):
         """(chart point, section coordinate) for the offset h (0 is the
@@ -284,7 +286,7 @@ def _cycle_from_seed(surface, seed, foliation_id, known_umbilics, log):
                 known_umbilics=known_umbilics), anchor.t0))
     if closed.termination != TERM_CLOSED:
         return None, f"closing trace ended {closed.termination}"
-    return cycle_from_closed_trajectory(surface, closed), None
+    return cycle_from_closed_trajectory(closed), None
 
 
 def _secant_root(G, h0, g0, tol, step_cap, diam, max_iter):
@@ -363,18 +365,17 @@ def _bracket_root(G, h0, g0, tol, diam):
     return _secant_root(G, lo, g_lo, tol, abs(hi - lo) + 1e-12, diam, 10)
 
 
-def cycle_from_closed_trajectory(surface, traj):
+def cycle_from_closed_trajectory(traj):
     if traj.termination != TERM_CLOSED:
         raise ValueError("trajectory is not Closed")
-    anchor = _Anchor(surface, traj.points_uv[0], traj.foliation_id,
-                     traj.tangents[0])
+    # the first sample is the trace's folded start and its field there
     return PrincipalCycle(
         foliation_id=traj.foliation_id,
         curve=traj,
         period_length=float(traj.closed_length),
-        anchor_uv=anchor.uv,
-        anchor_xyz=anchor.p0,
-        tangent=anchor.t0)
+        anchor_uv=tuple(traj.points_uv[0].tolist()),
+        anchor_xyz=traj.points_xyz[0],
+        tangent=traj.tangents[0])
 
 
 def _is_duplicate(cycle, earlier, merge_tol):
@@ -473,8 +474,7 @@ def attach_estimates(surface, cycle, log=None, known_umbilics=()):
     try:
         fd, fd_err = return_map_derivative_fd(
             surface, cycle, log=log, known_umbilics=known_umbilics)
-    except ReturnFailure as exc:
-        meta["fd_failure"] = str(exc)
+    except ReturnFailure:
         fd, fd_err = None, None
     try:
         log_dH, log_dk2 = return_map_derivative_integral(surface, cycle)

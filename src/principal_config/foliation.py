@@ -10,10 +10,12 @@ fewer than half of DP5(4)'s steps, and follows the leaves through the
 umbilic balls on DP5(4).  The eigen-sign is transported along the curve
 (each stage picks the sign that maximizes the dot product with the
 tangent at the step start), which lets a single trajectory pass through
-regions where no consistent global orientation exists.  Section
-crossings and the closure onto the start are located on the Hermite
-interpolant of the accepted step that holds them, and
-:func:`resample_line` samples a traced chart line on the same cubics.
+regions where no consistent global orientation exists.  Both tracers
+fold a chart start onto the surface's sheet (the chart's ``fold``), so
+minimal and maximal are the surface's labels, and neither hands a line
+off at a pole.  Section crossings and the closure onto the start are
+located on the Hermite interpolant of the accepted step that holds them,
+and :func:`resample_line` samples a traced chart line on the same cubics.
 """
 
 from __future__ import annotations
@@ -377,14 +379,16 @@ def trace(surface, start, foliation_id, opts=None, heading=None):
 
     ``start`` is a chart point (u, v) for charts, or a world point for
     implicit surfaces (projected onto the level set first; a start that
-    does not project raises ConvergenceError).  The line sets out along
-    ``heading`` (a world vector: the line-field sign at the start is the
-    one pointing along it, as in :func:`trace_lanes`) or, without a
-    heading, with the field's own sign at the start.  Termination,
-    section crossings and closure refinement follow the options record;
-    results are deterministic for fixed options.  ``meta`` counts the
-    Dormand-Prince steps tried (``steps``) and the line-field evaluations
-    (``evals``).
+    does not project raises ConvergenceError).  A chart start is folded
+    onto the surface's sheet (the chart's ``fold``), so ``foliation_id``
+    names the surface's foliation; no line is handed off at a pole.  The
+    line sets out along ``heading`` (a world vector: the line-field sign
+    at the start is the one pointing along it, as in :func:`trace_lanes`)
+    or, without a heading, with the field's own sign at the start.
+    Termination, section crossings and closure refinement follow the
+    options record; results are deterministic for fixed options.  ``meta``
+    counts the Dormand-Prince steps tried (``steps``) and the line-field
+    evaluations (``evals``).
     """
     if foliation_id not in (MINIMAL, MAXIMAL):
         raise ValueError(f"unknown foliation id {foliation_id!r}")
@@ -392,10 +396,13 @@ def trace(surface, start, foliation_id, opts=None, heading=None):
     y0 = np.asarray(start, dtype=float)
     if implicit:
         y0 = surface.project(y0)
+    y0 = tuple(y0.tolist())
+    if hasattr(surface, "fold"):
+        y0 = surface.fold(*y0)
     if heading is not None:
         heading = tuple(np.asarray(heading, dtype=float).tolist())
-    return _trace_core(surface, tuple(y0.tolist()), foliation_id,
-                       opts or TraceOptions(), implicit, heading)
+    return _trace_core(surface, y0, foliation_id, opts or TraceOptions(),
+                       implicit, heading)
 
 
 def _trace_core(surface, y0, foliation_id, opts, implicit, heading):
@@ -410,7 +417,6 @@ def _trace_core(surface, y0, foliation_id, opts, implicit, heading):
     # the world point of a state, all that crossing refinement needs
     locate = ((lambda y: y) if implicit
               else (lambda y: surface.point(y[0], y[1])))
-    rebase = None if implicit else getattr(surface, "rebase_state", None)
     sections = [(sec, getattr(sec, "keeps", None)) for sec in opts.sections]
     max_len = opts.max_length if opts.max_length is not None else 50.0 * diam
     h_max = opts.max_step_factor * diam
@@ -539,15 +545,6 @@ def _trace_core(surface, y0, foliation_id, opts, implicit, heading):
             termination = TERM_DOMAIN_EXIT
             break
 
-        # chart handoff across a coordinate pole (double-covered strip)
-        if rebase is not None:
-            moved = rebase(y_new[0], y_new[1])
-            if moved is not None:
-                y_new = (float(moved[0]), float(moved[1]))
-                k_new = fld(y_new, k_new.tangent)
-                for i, sec in enumerate(opts.sections):
-                    sec_offsets[i] = sec.offset(y_new, k_new.xyz)
-
         _append(ys, ps, ts, ns, ss, y_new, k_new, s_new)
         y, k1, s = y_new, k_new, s_new
         if stop_on_crossings:
@@ -593,12 +590,12 @@ def trace_lanes(surface, starts, foliation_id, opts=None, headings=None,
     ``_DOP853``, the eighth-order pair, which takes fewer evaluations at
     tight tolerances; the pair also sets the controller's exponent.  Options
     honoured: ``rel_tol``, ``max_step_factor``, ``max_length``,
-    ``known_umbilics`` with ``exclusion_radius_factor``
-    (HitUmbilic), plus domain exit and the chart's ``rebase_state``
-    (``fold``).  Sections and closure detection are not implemented:
-    ``opts.sections`` must be empty and ``opts.detect_closure`` False, or
-    ValueError is raised (so ``max_crossings`` and ``precise_crossings``
-    have nothing to act on).
+    ``known_umbilics`` with ``exclusion_radius_factor`` (HitUmbilic), plus
+    domain exit; the starts are folded as in :func:`trace`, and no lane is
+    handed off at a pole.  Sections and closure detection are not
+    implemented: ``opts.sections`` must be empty and ``opts.detect_closure``
+    False, or ValueError is raised (so ``max_crossings`` and
+    ``precise_crossings`` have nothing to act on).
     A lane whose start is not a regular chart point ends at once with
     StepFailure.  The field comes from batched :func:`_lane_field` calls,
     which form only each lane's own principal direction and evaluate
@@ -606,7 +603,7 @@ def trace_lanes(surface, starts, foliation_id, opts=None, headings=None,
     the other lanes in its batch.  Returns one Trajectory per lane;
     ``meta["evals"]`` counts the points the lane evaluated: one at the
     start and, per step tried, one per stage after the first (6 for
-    DP5(4), 12 for DOP853), plus one per chart handoff.
+    DP5(4), 12 for DOP853), and nothing more.
     """
     opts = opts or TraceOptions()
     if isinstance(surface, ImplicitSurface):
@@ -615,6 +612,8 @@ def trace_lanes(surface, starts, foliation_id, opts=None, headings=None,
         raise ValueError("trace_lanes implements neither sections nor "
                          "closure detection")
     y = np.array(starts, dtype=float).reshape(-1, 2)
+    if hasattr(surface, "fold"):
+        y = np.array([surface.fold(*uv) for uv in y.tolist()]).reshape(-1, 2)
     m = len(y)
     fols = ([foliation_id] * m if isinstance(foliation_id, str)
             else list(foliation_id))
@@ -630,7 +629,6 @@ def trace_lanes(surface, starts, foliation_id, opts=None, headings=None,
     h_min = _MIN_STEP * diam
     excl = opts.exclusion_radius_factor * diam
     umb_pts = _umbilic_points(opts.known_umbilics)
-    rebase = getattr(surface, "rebase_state", None)
     (u0, u1), (v0, v1) = surface.domain
 
     vel, p, tan, nrm = _lane_field(
@@ -725,21 +723,6 @@ def trace_lanes(surface, starts, foliation_id, opts=None, headings=None,
                 term[lanes[k]] = TERM_DOMAIN_EXIT
             ends |= exited
             active[lanes[ends]] = False
-
-            # chart handoff across a coordinate pole (double-covered strip)
-            moved = []
-            if rebase is not None:
-                for k in np.flatnonzero(~ends):
-                    to = rebase(y_new[k, 0], y_new[k, 1])
-                    if to is not None:
-                        y_new[k] = to
-                        moved.append(k)
-            if moved:
-                evals[lanes[moved]] += 1
-                fresh = _lane_field(surface, y_new[moved],
-                                    minimal[lanes[moved]], k_new[2][moved])
-                for x, f in zip(k_new, fresh):
-                    x[moved] = f
 
             rec.append((lanes, y_new, *k_new[1:], s_new))
             y[lanes], s[lanes] = y_new, s_new

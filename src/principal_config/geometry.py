@@ -148,8 +148,8 @@ class SurfaceChart:
 
     def with_orientation(self, orientation):
         """The same chart with unit-normal convention ``orientation``; the
-        class and all state of the chart (its jet, ``fold``,
-        ``rebase_state``) are kept."""
+        class and all state of the chart (its jet, its ``fold`` onto the
+        same sheet) are kept."""
         if orientation not in (-1, 1):
             raise ValueError("orientation must be +1 or -1")
         flipped = copy.copy(self)

@@ -125,7 +125,8 @@ def locate_umbilics(surface, grid=32):
     equations; returns deterministic, pairwise-separated records.
 
     ``_REFINE_REL`` bounds H^2 - K relative to the squared curvature scale
-    at accepted points; ``_MERGE_RADIUS_FACTOR`` diameters merge records.
+    at accepted points; ``_MERGE_RADIUS_FACTOR`` diameters merge records,
+    which are folded onto the surface's sheet (``fold``) with u wrapped.
     A surface umbilic everywhere (sphere; ``_ALL_UMBILIC_REL``) returns the
     AllUmbilicSurface marker instead of a point list; an empty list is a
     valid result (torus).
@@ -167,6 +168,8 @@ def locate_umbilics(surface, grid=32):
     records = []
     for (u, v), s_final in sorted(found, key=lambda t: (round(t[0][0], 9),
                                                         round(t[0][1], 9))):
+        if hasattr(surface, "fold"):
+            u, v = surface.fold(u, v)
         u_w = _wrap_into(u, u0, u1) if surface.periodic_u else u
         v_w = _wrap_into(v, v0, v1) if surface.periodic_v else v
         xyz = surface.point(u_w, v_w)

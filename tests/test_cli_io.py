@@ -207,13 +207,15 @@ def test_cli_sweep_rho_rejects_options_it_does_not_read(tmp_path, capsys):
     assert [row["rho"] for row in rep["results"]["rho_sweep"]] == [0.05]
 
 
-def test_cli_entrypoint_subprocess():
+def test_cli_entrypoint_subprocess(tmp_path):
+    out = tmp_path / "entry"
     r = subprocess.run([sys.executable, "-m", "principal_config.cli",
                         "strata", "--quadric", "diag:1,1,1",
-                        "--out", "/tmp/pc-entry-test"],
+                        "--out", str(out)],
                        capture_output=True, text=True, timeout=120)
     assert r.returncode == 0
     assert "Sphere" in r.stdout
+    assert (out / "report.json").is_file()
 
 
 def test_cli_scene_options_only_where_a_scene_is_drawn(tmp_path, capsys):

@@ -99,8 +99,7 @@ def test_reversal_inverts_return_derivative(perturbed_torus,
                      TraceOptions(rel_tol=1e-11), heading=-c.tangent)
     assert rev_traj.termination == "Closed"
     rev = cycles.attach_estimates(
-        perturbed_torus, cycle_from_closed_trajectory(
-            perturbed_torus, rev_traj))
+        perturbed_torus, cycle_from_closed_trajectory(rev_traj))
     assert math.log(rev.tprime_fd) == pytest.approx(
         -math.log(c.tprime_fd), abs=1e-5)
     # integral negates under orientation reversal

@@ -599,6 +599,45 @@ def test_trace_lanes_follows_trace_and_rejects_unsupported(ellipsoid, torus):
             sections=(DomainSection("m", "u", 0.0),)))
 
 
+@pytest.mark.parametrize("fol", [MINIMAL, MAXIMAL])
+def test_a_start_past_a_pole_is_folded_onto_the_sheet(ellipsoid, fol):
+    # 0.19 past the pole v = pi, where the chart's minimal field is the
+    # surface's maximal one: both tracers fold the start onto the sheet
+    # and trace the surface's foliation from there, without a turn
+    start = (8.427788554702861, 3.335238979422721)
+    diam = ellipsoid.diameter()
+    opts = TraceOptions(detect_closure=False, max_length=diam)
+    lone = trace(ellipsoid, start, fol, opts)
+    (lane,) = trace_lanes(ellipsoid, [start], fol, opts)
+    assert np.linalg.norm(lone.points_xyz[0] - ellipsoid.point(*start)) \
+        < 1e-12 * diam
+    assert np.linalg.norm(lone.points_xyz[-1] - lane.points_xyz[-1]) \
+        < 1e-12 * diam
+    for traj in (lone, lane):
+        assert traj.termination == "MaxLength"
+        cos = np.sum(traj.tangents[1:] * traj.tangents[:-1], axis=1)
+        assert cos.min() >= 0.9
+        # every recorded point lies on the sheet 0 <= v <= pi
+        v = traj.points_uv[:, 1]
+        assert v.min() >= 0.0 and v.max() <= math.pi
+    # a lane makes no evaluation beyond its start and its stages
+    assert lane.meta["evals"] == 1 + 6 * lane.meta["steps"]
+
+
+def test_rotated_cap_umbilics_lie_on_the_sheet_and_connect():
+    # the rotated cap's lower umbilics join as the upper ones do; an
+    # umbilic located past the pole v = -pi/2 must come back folded, with
+    # the surface's labels on its separatrices
+    surface = catalog.rotated_cap_ellipsoid_chart(0.3)
+    records = umbilics.analyze_umbilics(surface, grid=32)
+    assert len(records) == 4
+    assert all(abs(r.uv[1]) <= 0.5 * math.pi for r in records)
+    scan = separatrix_connection_scan(surface, records)
+    assert (0, 1, MINIMAL) in scan.connections
+    assert (2, 3, MINIMAL) in scan.connections
+    assert not [u for u in scan.undetermined if u[3] == "unaligned-arrival"]
+
+
 def _bundle_pick(surface, y, minimal, ref):
     """The lane field as chart_bundle gives it: both directions, then
     each lane's one picked and signed along ``ref``."""
